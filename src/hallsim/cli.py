@@ -17,11 +17,11 @@ import numpy as np
 from . import __version__
 from .config import (ConfigError, RunConfig, build_config, make_domain,
                      parse_config_text, parse_overrides)
-from .diagnostics import DiagnosticsRecord, continuity_residual, record_state
+from .diagnostics import DiagnosticsRecord, continuity_of, record_state
 from .domain import Domain, DomainError
 from .dynamics import (Params, SimState, SolverError, advance, default_dt,
                        initialize_consistent)
-from .fields import LinkField, SiteField
+from .fields import LinkField, SiteField, current_density
 from .holonomy import insert_flux
 from .initial import band_limited, gaussian_packet, rim_pair_state, uniform_state
 from .quantization import single_valuedness_scan
@@ -85,14 +85,27 @@ def simulate_run(cfg: RunConfig):
 
 
 def records_to_rows(cfg: RunConfig, records) -> list:
-    """DiagnosticsRecord per recorded state (continuity from neighbors)."""
+    """DiagnosticsRecord per recorded state.
+
+    Walks the records with a three-state window: each state's current is
+    computed once and serves its own edge fraction and its neighbors'
+    continuity check.
+    """
+    def current(s):
+        return current_density(s.psi, s.a, s.domain, s.params)
+
     rows = []
+    j_prev, j_cur = None, current(records[0])
     for i, s in enumerate(records):
+        j_next = current(records[i + 1]) if i + 1 < len(records) else None
         cont = None
-        if 0 < i < len(records) - 1:
-            cont = continuity_residual(records[i - 1], records[i + 1])
+        if j_prev is not None and j_next is not None:
+            cont = continuity_of(j_prev, j_next,
+                                 records[i + 1].t - records[i - 1].t, s.domain)
         rows.append(record_state(s, cfg.edge_k, cfg.rho_star, cfg.b_star,
-                                 cfg.sigma_floor, continuity=cont))
+                                 cfg.sigma_floor, continuity=cont,
+                                 current=j_cur))
+        j_prev, j_cur = j_cur, j_next
     return rows
 
 
@@ -136,31 +149,20 @@ def cmd_quantize(cfg: RunConfig, outdir: str, smin: float, smax: float,
 
     count = int(np.floor((smax - smin) / sstep + 1e-9)) + 1
     candidates = [smin + i * sstep for i in range(count)]
-    warn = None
-    if tol >= 1.0:
-        # the scan itself requires tol in (0, 1); apply looser tolerances
-        # here, with a warning (mismatches never exceed 2)
-        if tol >= 2.0:
-            warn = (f"warning: tol = {repr(float(tol))} admits every "
-                    "candidate (mismatches never exceed 2)")
-        else:
-            warn = (f"warning: tol = {repr(float(tol))} is too loose to "
-                    "separate integer from non-integer candidates")
-        spec = single_valuedness_scan(candidates, l=1.0, hbar=cfg.hbar,
-                                      tol=0.999999)
-        flags = [m <= tol for m in spec.mismatches]
-    else:
-        spec = single_valuedness_scan(candidates, l=1.0, hbar=cfg.hbar, tol=tol)
-        flags = [m <= tol for m in spec.mismatches]
-    allowed = [s for s, ok in zip(spec.candidates, flags) if ok]
-    spec_rows = zip(spec.candidates, spec.mismatches, flags)
+    spec = single_valuedness_scan(candidates, l=1.0, hbar=cfg.hbar, tol=tol)
+    allowed = set(spec.allowed)
 
     lines = []
-    if warn:
-        lines.append(warn)
-    for s, m, ok in spec_rows:
-        lines.append(f"{repr(float(s))}, {repr(float(m))}, {'allowed' if ok else 'rejected'}")
-    nonneg = sorted(s for s in allowed if s >= 0)
+    if tol >= 2.0:
+        lines.append(f"warning: tol = {repr(float(tol))} admits every "
+                     "candidate (mismatches never exceed 2)")
+    elif tol >= 1.0:
+        lines.append(f"warning: tol = {repr(float(tol))} is too loose to "
+                     "separate integer from non-integer candidates")
+    for s, m in zip(spec.candidates, spec.mismatches):
+        lines.append(f"{repr(float(s))}, {repr(float(m))}, "
+                     f"{'allowed' if s in allowed else 'rejected'}")
+    nonneg = sorted(spec.allowed_nonnegative)
     lines.append("allowed_set = {" + ", ".join(repr(float(s)) for s in nonneg) + "}")
     text = "\n".join(lines) + "\n"
     print(text, end="")
@@ -171,63 +173,32 @@ def cmd_quantize(cfg: RunConfig, outdir: str, smin: float, smax: float,
     return 0
 
 
+def _read_snapshot(path, want: str, d: Domain) -> np.ndarray:
+    kind, nx, ny, dx, arr = read_field(path)
+    if kind != want:
+        raise SnapshotError(f"{path}: holds {kind!r}, expected {want}")
+    check_grid(path, kind, nx, ny, dx, d)
+    return arr
+
+
 def cmd_diagnose(cfg: RunConfig, psi_path, a1_path, a2_path) -> int:
     d = make_domain(cfg)
     p = _params(cfg, d)
-
-    psi = None
-    if psi_path:
-        kind, nx, ny, dx, arr = read_field(psi_path)
-        if kind != "psi":
-            raise SnapshotError(f"{psi_path}: holds {kind!r}, expected psi")
-        check_grid(psi_path, kind, nx, ny, dx, d)
-        psi = SiteField(np.where(d.active, arr, 0.0))
-    a = None
     if (a1_path is None) != (a2_path is None):
         raise ConfigError(["diagnose: --a1 and --a2 must be given together"])
-    if a1_path:
-        parts = []
-        for path, want in ((a1_path, "a1"), (a2_path, "a2")):
-            kind, nx, ny, dx, arr = read_field(path)
-            if kind != want:
-                raise SnapshotError(f"{path}: holds {kind!r}, expected {want}")
-            check_grid(path, kind, nx, ny, dx, d)
-            parts.append(arr)
-        a = LinkField(parts[0], parts[1])
-
-    if psi is None and a is None:
+    if not psi_path and not a1_path:
         raise ConfigError(["diagnose: need --psi and/or --a1/--a2"])
 
-    from .diagnostics import mean_curl, norm_total, pure_gauge_residual
-    from .holonomy import wilson_loop
-
+    psi = a = None
+    if psi_path:
+        psi = SiteField(np.where(d.active, _read_snapshot(psi_path, "psi", d), 0.0))
+    if a1_path:
+        a = LinkField(_read_snapshot(a1_path, "a1", d),
+                      _read_snapshot(a2_path, "a2", d))
+    rec = record_state(SimState(d, p, psi, a, 0.0), cfg.edge_k, cfg.rho_star,
+                       cfg.b_star, cfg.sigma_floor)
     print(DiagnosticsRecord.header(d.g))
-    if psi is not None and a is not None:
-        s = SimState(d, p, psi, a, 0.0)
-        rec = record_state(s, cfg.edge_k, cfg.rho_star, cfg.b_star,
-                           cfg.sigma_floor)
-        print(rec.row())
-        return 0
-
-    # partial inputs: only the columns their fields support
-    def fmt(v):
-        return "NA" if v is None else repr(float(v))
-
-    if a is not None:
-        hol = [wilson_loop(a, loop, d, p, i).phase
-               for i, loop in enumerate(d.generator_loops)]
-        cells = ["0.0", "NA", "NA", "NA", "NA",
-                 fmt(mean_curl(a, d)), "NA", "NA",
-                 fmt(pure_gauge_residual(a, d))]
-        cells += [fmt(h) for h in hol]
-        cells.append("NA")
-    else:
-        s = SimState(d, p, psi, LinkField.zeros(d), 0.0)
-        cells = ["0.0", fmt(norm_total(s)), "NA", "NA",
-                 fmt(norm_total(s) / d.area), "NA", "NA", "NA", "NA"]
-        cells += ["NA"] * d.g
-        cells.append("NA")
-    print(",".join(cells))
+    print(rec.row())
     return 0
 
 

@@ -34,7 +34,6 @@ Keys (defaults in parentheses):
     rho_star (1e-4)          breakdown density threshold
     b_star (1e-4)            breakdown curl threshold
     sigma_floor (1e-12)      |B_mean| floor below which sigma_est is missing
-    seed (0)                 seed for randomized test utilities
 """
 
 from __future__ import annotations
@@ -71,7 +70,6 @@ DEFAULTS = {
     "flux": "0.0",
     "edge_k": "3", "rho_star": "1e-4", "b_star": "1e-4",
     "sigma_floor": "1e-12",
-    "seed": "0",
 }
 
 
@@ -148,7 +146,6 @@ class RunConfig:
     rho_star: float
     b_star: float
     sigma_floor: float
-    seed: int
     raw: dict = field(default_factory=dict)
 
     def echo(self) -> str:
@@ -277,7 +274,6 @@ def build_config(values: dict) -> RunConfig:
     rho_star = get_float("rho_star", positive=True, default=1e-4)
     b_star = get_float("b_star", positive=True, default=1e-4)
     sigma_floor = get_float("sigma_floor", positive=True, default=1e-12)
-    seed = get_int("seed", 0)
 
     if problems:
         raise ConfigError(problems)
@@ -294,7 +290,7 @@ def build_config(values: dict) -> RunConfig:
         psi0_file=psi0_file, rim_band=rim_band,
         consistent_init=consistent_init, flux=flux,
         edge_k=edge_k, rho_star=rho_star, b_star=b_star,
-        sigma_floor=sigma_floor, seed=seed,
+        sigma_floor=sigma_floor,
         raw=dict(values),
     )
 

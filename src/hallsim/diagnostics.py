@@ -4,13 +4,20 @@ Sign conventions (see fields module): the field strength reported as B is
 the plaquette curl epsilon^{mn} d_m A_n itself, so consistent states carry
 B = e |psi|^2 / sigma_H and the global estimator n e / B returns +sigma_H.
 
-Missing values (0/0 ratios, B below its floor) are returned as None and
-serialized as the explicit sentinel "NA"; zero is a meaningful value here
-and is never used as a stand-in.
+Missing values (0/0 ratios, B below its floor, columns whose input field
+was not supplied) are returned as None and serialized as the explicit
+sentinel "NA"; zero is a meaningful value here and is never used as a
+stand-in.
+
+record_state is the one builder of diagnostics rows.  The *_of functions
+take a state's derived arrays (masked density, plaquette curl, link
+current), so a row computes each of them once; the state-level functions
+compute them from the state and delegate.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +30,19 @@ from .fields import (CurrentField, LinkField, current_density,
 FLOOR = 1e-300
 
 
+def _density(psi, d: Domain) -> np.ndarray:
+    """|psi|^2 on active sites, zero elsewhere."""
+    return np.where(d.active, psi.density(), 0.0)
+
+
+def gauss_residual_of(rho: np.ndarray, curl: np.ndarray, d: Domain, p) -> tuple:
+    """gauss_residual for a given masked density and plaquette curl."""
+    r = p.sigma_h * curl - density_to_plaquettes(p.e * rho, d)
+    scale = max(p.e * rho.max(initial=0.0),
+                abs(p.sigma_h) * np.abs(curl).max(initial=0.0), FLOOR)
+    return r, float(np.abs(r).max(initial=0.0) / scale)
+
+
 def gauss_residual(s) -> tuple:
     """Residual of the Gauss constraint sigma_H curl A = e <|psi|^2>.
 
@@ -30,14 +50,13 @@ def gauss_residual(s) -> tuple:
     r = sigma_H curl(A) - e <|psi|^2>_plaquette and its sup norm relative to
     max(e ||rho||_inf, |sigma_H| ||curl||_inf).
     """
-    d, p = s.domain, s.params
-    curl = plaquette_curl(s.a, d)
-    rho = np.where(d.active, s.psi.density(), 0.0)
-    rho_p = density_to_plaquettes(p.e * rho, d)
-    r = p.sigma_h * curl - rho_p
-    scale = max(p.e * rho.max(initial=0.0),
-                abs(p.sigma_h) * np.abs(curl).max(initial=0.0), FLOOR)
-    return r, float(np.abs(r).max(initial=0.0) / scale)
+    d = s.domain
+    return gauss_residual_of(_density(s.psi, d), plaquette_curl(s.a, d), d,
+                             s.params)
+
+
+def _hall_ratio(n: float, b: float, e: float, floor: float):
+    return None if abs(b) < floor else float(n * e / b)
 
 
 def global_sigma(s, floor: float = 1e-12):
@@ -46,26 +65,40 @@ def global_sigma(s, floor: float = 1e-12):
     n is the sample-averaged density, B_mean the mean plaquette curl over
     counted plaquettes.
     """
-    d, p = s.domain, s.params
-    n = norm_total(s) / d.area
-    b = mean_curl(s.a, d)
-    if abs(b) < floor:
-        return None
-    return float(n * p.e / b)
+    d = s.domain
+    return _hall_ratio(norm_total(s) / d.area, mean_curl(s.a, d), s.params.e,
+                       floor)
+
+
+def _plaquette_mean(curl: np.ndarray, d: Domain) -> float:
+    m = int(d.plaq_active.sum())
+    return float(curl.sum() / m) if m else 0.0
 
 
 def mean_curl(a: LinkField, d: Domain) -> float:
     """Mean plaquette curl over counted plaquettes (0 if there are none)."""
-    m = int(d.plaq_active.sum())
-    if m == 0:
-        return 0.0
-    return float(plaquette_curl(a, d).sum() / m)
+    return _plaquette_mean(plaquette_curl(a, d), d)
+
+
+def _norm(rho: np.ndarray, d: Domain) -> float:
+    return float(rho.sum() * d.dx ** 2)
 
 
 def norm_total(s) -> float:
     """Total squared norm of psi: sum |psi|^2 dx^2."""
-    d = s.domain
-    return float(np.where(d.active, s.psi.density(), 0.0).sum() * d.dx ** 2)
+    return _norm(_density(s.psi, s.domain), s.domain)
+
+
+def continuity_of(jp: CurrentField, jn: CurrentField, dt: float,
+                  d: Domain) -> float:
+    """continuity_residual for the currents of two states dt apart."""
+    if dt <= 0:
+        raise ValueError("continuity_residual needs next.t > prev.t")
+    j1b = 0.5 * (jp.j1 + jn.j1)
+    j2b = 0.5 * (jp.j2 + jn.j2)
+    resid = (jn.j0 - jp.j0) / dt + link_divergence(j1b, j2b, d)
+    scale = max(np.abs(j1b).max(initial=0.0), np.abs(j2b).max(initial=0.0)) / d.dx
+    return float(np.abs(resid[d.active]).max(initial=0.0) / max(scale, FLOOR))
 
 
 def continuity_residual(prev, nxt) -> float:
@@ -76,16 +109,9 @@ def continuity_residual(prev, nxt) -> float:
     current scale max(|j_bar|)/dx.  Second order in the recording interval.
     """
     d, p = prev.domain, prev.params
-    jp = current_density(prev.psi, prev.a, d, p)
-    jn = current_density(nxt.psi, nxt.a, d, p)
-    dt2 = nxt.t - prev.t
-    if dt2 <= 0:
-        raise ValueError("continuity_residual needs next.t > prev.t")
-    j1b = 0.5 * (jp.j1 + jn.j1)
-    j2b = 0.5 * (jp.j2 + jn.j2)
-    resid = (jn.j0 - jp.j0) / dt2 + link_divergence(j1b, j2b, d)
-    scale = max(np.abs(j1b).max(initial=0.0), np.abs(j2b).max(initial=0.0)) / d.dx
-    return float(np.abs(resid[d.active]).max(initial=0.0) / max(scale, FLOOR))
+    return continuity_of(current_density(prev.psi, prev.a, d, p),
+                         current_density(nxt.psi, nxt.a, d, p),
+                         nxt.t - prev.t, d)
 
 
 def pure_gauge_residual(a: LinkField, d: Domain) -> float:
@@ -124,13 +150,19 @@ def edge_fraction(s, k: int):
     return edge_fraction_of(j, s.domain, k)
 
 
+def _interior_mean(rho: np.ndarray, d: Domain, k: int) -> float:
+    interior = d.active & (d.boundary_distance > k)
+    return float(rho[interior].mean()) if interior.any() else 0.0
+
+
 def interior_mean_density(s, k: int) -> float:
     """Mean |psi|^2 over sites deeper than the k-cell edge shell (0 if none)."""
-    d = s.domain
-    interior = d.active & (d.boundary_distance > k)
-    if not interior.any():
-        return 0.0
-    return float(s.psi.density()[interior].mean())
+    return _interior_mean(_density(s.psi, s.domain), s.domain, k)
+
+
+def _breakdown(interior: float, pure: float, rho_star: float,
+               b_star: float) -> bool:
+    return interior > rho_star and pure > b_star
 
 
 def breakdown_indicator(s, rho_star: float, b_star: float, k: int = 3) -> bool:
@@ -140,8 +172,8 @@ def breakdown_indicator(s, rho_star: float, b_star: float, k: int = 3) -> bool:
     norm exceeds b_star: the potential then carries real field strength in
     the bulk instead of being boundary-supported pure gauge.
     """
-    return (interior_mean_density(s, k) > rho_star
-            and pure_gauge_residual(s.a, s.domain) > b_star)
+    return _breakdown(interior_mean_density(s, k),
+                      pure_gauge_residual(s.a, s.domain), rho_star, b_star)
 
 
 def ohm_residual(prev, cur, nxt) -> float:
@@ -165,69 +197,80 @@ def ohm_residual(prev, cur, nxt) -> float:
     return float(max(m1, m2) / scale)
 
 
+def _cell(v) -> str:
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    return "NA" if v is None else repr(float(v))
+
+
 @dataclass
 class DiagnosticsRecord:
-    """Per-step scalar observables; None marks a missing value."""
+    """Per-step scalar observables; None marks a missing value.
+
+    The field order is the column order of diagnostics.csv; the holonomies
+    field expands to one holonomy_<i> column per generator loop.
+    """
     t: float
-    norm: float
-    gauss_rel: float
-    continuity_rel: object      # float or None (needs neighbors)
-    n_global: float
-    b_mean: float
-    sigma_est: object           # float or None
-    edge_frac: object           # float or None
-    pure_gauge_max: float
-    holonomies: tuple           # wrapped phase per generator loop
-    breakdown: bool
+    norm: object = None             # needs psi
+    gauss_rel: object = None        # needs psi and A
+    continuity_rel: object = None   # needs neighboring records
+    n_global: object = None         # needs psi
+    B_mean: object = None           # needs A
+    sigma_est: object = None        # needs psi and A; None when |B_mean| < floor
+    edge_fraction: object = None    # needs psi and A; None when j == 0
+    pure_gauge_max: object = None   # needs A
+    holonomies: tuple = ()          # wrapped phase (or None) per generator loop
+    breakdown: object = None        # bool; needs psi and A
 
     @staticmethod
     def header(g: int) -> str:
-        cols = ["t", "norm", "gauss_rel", "continuity_rel", "n_global",
-                "B_mean", "sigma_est", "edge_fraction", "pure_gauge_max"]
-        cols += [f"holonomy_{i + 1}" for i in range(g)]
-        cols.append("breakdown")
+        cols = []
+        for f in dataclasses.fields(DiagnosticsRecord):
+            if f.name == "holonomies":
+                cols += [f"holonomy_{i + 1}" for i in range(g)]
+            else:
+                cols.append(f.name)
         return ",".join(cols)
 
     def row(self) -> str:
-        def fmt(v):
-            if v is None:
-                return "NA"
-            if isinstance(v, bool):
-                return "1" if v else "0"
-            return repr(float(v))
-        cells = [fmt(self.t), fmt(self.norm), fmt(self.gauss_rel),
-                 fmt(self.continuity_rel), fmt(self.n_global),
-                 fmt(self.b_mean), fmt(self.sigma_est), fmt(self.edge_frac),
-                 fmt(self.pure_gauge_max)]
-        cells += [fmt(h) for h in self.holonomies]
-        cells.append(fmt(self.breakdown))
+        cells = []
+        for f in dataclasses.fields(self):
+            v = getattr(self, f.name)
+            cells += map(_cell, v) if f.name == "holonomies" else [_cell(v)]
         return ",".join(cells)
 
 
 def record_state(s, k: int, rho_star: float, b_star: float,
-                 sigma_floor: float = 1e-12,
-                 continuity: object = None) -> DiagnosticsRecord:
+                 sigma_floor: float = 1e-12, continuity: object = None,
+                 current: object = None) -> DiagnosticsRecord:
     """Assemble the scalar diagnostics of one state.
 
-    The continuity column needs neighboring records and is passed in by the
-    caller (None on the ends of a series).
+    Either s.psi or s.a may be None; every column that needs the missing
+    field is then None.  The continuity column needs neighboring records
+    and is passed in by the caller (None on the ends of a series); current,
+    when given, is the state's current_density and is not recomputed.
     """
     from .holonomy import wilson_loop
 
-    d = s.domain
-    _, gauss_rel = gauss_residual(s)
-    hol = tuple(wilson_loop(s.a, loop, d, s.params, loop_id=i).phase
-                for i, loop in enumerate(d.generator_loops))
-    return DiagnosticsRecord(
-        t=s.t,
-        norm=norm_total(s),
-        gauss_rel=gauss_rel,
-        continuity_rel=continuity,
-        n_global=norm_total(s) / d.area,
-        b_mean=mean_curl(s.a, d),
-        sigma_est=global_sigma(s, sigma_floor),
-        edge_frac=edge_fraction(s, k),
-        pure_gauge_max=pure_gauge_residual(s.a, d),
-        holonomies=hol,
-        breakdown=breakdown_indicator(s, rho_star, b_star, k),
-    )
+    d, p = s.domain, s.params
+    rec = DiagnosticsRecord(t=s.t, continuity_rel=continuity,
+                            holonomies=(None,) * d.g)
+    if s.psi is not None:
+        rho = _density(s.psi, d)
+        rec.norm = _norm(rho, d)
+        rec.n_global = rec.norm / d.area
+    if s.a is not None:
+        curl = plaquette_curl(s.a, d)
+        rec.B_mean = _plaquette_mean(curl, d)
+        rec.pure_gauge_max = float(np.abs(curl).max(initial=0.0))
+        rec.holonomies = tuple(wilson_loop(s.a, loop, d, p, loop_id=i).phase
+                               for i, loop in enumerate(d.generator_loops))
+    if s.psi is not None and s.a is not None:
+        _, rec.gauss_rel = gauss_residual_of(rho, curl, d, p)
+        rec.sigma_est = _hall_ratio(rec.n_global, rec.B_mean, p.e, sigma_floor)
+        if current is None:
+            current = current_density(s.psi, s.a, d, p)
+        rec.edge_fraction = edge_fraction_of(current, d, k)
+        rec.breakdown = _breakdown(_interior_mean(rho, d, k),
+                                   rec.pure_gauge_max, rho_star, b_star)
+    return rec

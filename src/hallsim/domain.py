@@ -105,50 +105,6 @@ def _bfs_distance(active: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _inactive_regions(active: np.ndarray):
-    """Connected inactive regions not touching the outer frame (the holes).
-
-    Returns a list of (m, 2) index arrays, one per enclosed region, in a
-    deterministic (scan) order.
-    """
-    nx, ny = active.shape
-    inactive = ~active
-    # flood everything connected to the frame: that is "outside", not a hole
-    frame = np.zeros_like(inactive)
-    frame[0, :] = frame[-1, :] = True
-    frame[:, 0] = frame[:, -1] = True
-    outside = np.zeros_like(inactive)
-    frontier = inactive & frame
-    while frontier.any():
-        outside |= frontier
-        grown = np.zeros_like(frontier)
-        grown[:-1, :] |= frontier[1:, :]
-        grown[1:, :] |= frontier[:-1, :]
-        grown[:, :-1] |= frontier[:, 1:]
-        grown[:, 1:] |= frontier[:, :-1]
-        frontier = grown & inactive & ~outside
-    remaining = inactive & ~outside
-    regions = []
-    seen = np.zeros_like(remaining)
-    for ix, iy in np.argwhere(remaining):
-        if seen[ix, iy]:
-            continue
-        comp = np.zeros_like(remaining)
-        comp[ix, iy] = True
-        frontier = comp.copy()
-        while frontier.any():
-            grown = np.zeros_like(frontier)
-            grown[:-1, :] |= frontier[1:, :]
-            grown[1:, :] |= frontier[:-1, :]
-            grown[:, :-1] |= frontier[:, 1:]
-            grown[:, 1:] |= frontier[:, :-1]
-            frontier = grown & remaining & ~comp
-            comp |= frontier
-        seen |= comp
-        regions.append(np.argwhere(comp))
-    return regions
-
-
 def _rect_ring(x0: int, x1: int, y0: int, y1: int) -> np.ndarray:
     """Closed CCW site loop on the boundary of the index rectangle [x0,x1]x[y0,y1]."""
     sites = []

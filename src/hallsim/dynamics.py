@@ -148,7 +148,8 @@ def cayley_step(psi: SiteField, a: LinkField, d: Domain, p: Params,
     Solved by conjugate gradients on the normal equations; the operator
     1 + alpha^2 H^2 has condition number 1 + (alpha ||H||)^2, about 1.01 at
     the default dt, so a handful of iterations reaches 1e-14.  Raises
-    SolverError if the tolerance is not met within the iteration cap.
+    SolverError if the tolerance is not met within the iteration cap or the
+    state or residual turns non-finite.
     """
     apply_h = make_hamiltonian(a, d, p)
     alpha = dt / (2.0 * p.hbar)
@@ -156,6 +157,8 @@ def cayley_step(psi: SiteField, a: LinkField, d: Domain, p: Params,
     b = psi.values - 1j * alpha * apply_h(psi.values)
     rhs = b - 1j * alpha * apply_h(b)      # adjoint (1 - i alpha H) applied to b
     bnorm = float(np.sqrt(np.vdot(rhs, rhs).real))
+    if not np.isfinite(bnorm):
+        raise SolverError(f"matter step: non-finite state (rhs norm {bnorm})")
     if bnorm == 0.0:
         return SiteField(np.zeros_like(psi.values))
 
@@ -168,7 +171,10 @@ def cayley_step(psi: SiteField, a: LinkField, d: Domain, p: Params,
     rs = np.vdot(r, r).real
     tol = p.solver_tol * bnorm
     it = 0
-    while np.sqrt(rs) > tol:
+    while not np.sqrt(rs) <= tol:          # a nan residual enters the loop
+        if not np.isfinite(rs):
+            raise SolverError(f"matter step: non-finite residual {rs} "
+                              f"after {it} iterations")
         if it >= p.solver_maxiter:
             raise SolverError(
                 f"matter step did not converge: residual {np.sqrt(rs):.3e} "

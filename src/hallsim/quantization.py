@@ -92,10 +92,12 @@ def single_valuedness_scan(candidates, l: float = 1.0, hbar: float = 1.0,
     """Keep the candidates whose zero-mode wavefunction is single valued.
 
     sigma passes when |exp(i sigma l 2 pi / hbar) - 1| <= tol; the mismatch
-    is independent of the radial profile, so the allowed set is too.
+    is independent of the radial profile, so the allowed set is too.  Any
+    tol > 0 is accepted; mismatches never exceed 2, so tol >= 2 admits
+    every candidate.
     """
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must lie in (0, 1), got {tol}")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
     cands = tuple(float(s) for s in candidates)
     mism = tuple(abs(np.exp(2j * np.pi * s * l / hbar) - 1.0) for s in cands)
     allowed = tuple(s for s, m in zip(cands, mism) if m <= tol)

@@ -50,7 +50,10 @@ def write_field(path, kind: str, array: np.ndarray, d: Domain):
 
 
 def read_field(path):
-    """Read one snapshot; returns (kind, nx, ny, dx, array)."""
+    """Read one snapshot; returns (kind, nx, ny, dx, array).
+
+    Rejects a file with a non-finite value or a repeated entry.
+    """
     with open(path) as f:
         header = f.readline().split()
         if len(header) != 6 or header[0] != "HSFIELD" or header[1] != "v1":
@@ -62,13 +65,16 @@ def read_field(path):
         dx = float(header[5])
         mx, my = _dims(kind, nx, ny)
         complex_vals = kind == "psi"
-        arr = np.zeros((mx, my), dtype=np.complex128 if complex_vals else np.float64)
+        # every entry starts as nan, so one that no line sets fails the
+        # finiteness check below
+        arr = np.full((mx, my), np.nan,
+                      dtype=np.complex128 if complex_vals else np.float64)
+        want = 4 if complex_vals else 3
         count = 0
         for line in f:
             parts = line.split()
             if not parts:
                 continue
-            want = 4 if complex_vals else 3
             if len(parts) != want:
                 raise SnapshotError(f"{path}: bad line {line!r}")
             ix, iy = int(parts[0]), int(parts[1])
@@ -82,6 +88,12 @@ def read_field(path):
         if count != mx * my:
             raise SnapshotError(
                 f"{path}: expected {mx * my} value lines, found {count}")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        # with the line count right, a missing entry means a repeated one
+        at = divmod(int(finite.argmin()), my)
+        raise SnapshotError(f"{path}: entry {at} is non-finite, or missing "
+                            "because another entry is repeated")
     return kind, nx, ny, dx, arr
 
 

@@ -1,7 +1,9 @@
 import filecmp
 
+import numpy as np
 import pytest
 
+import hallsim.cli
 from hallsim.cli import main
 
 
@@ -181,6 +183,94 @@ def test_diagnose_psi_only_reports_missing_gauge_columns(tmp_path, capsys):
     cells = dict(zip(header.split(","), row.split(",")))
     assert cells["norm"] != "NA" and cells["n_global"] != "NA"
     assert cells["B_mean"] == "NA" and cells["pure_gauge_max"] == "NA"
+
+
+TWO_HOLE_CFG = """
+nx = 24
+ny = 24
+holes = 5,5,4,4;14,14,4,4
+steps = 20
+record_every = 5
+psi0 = gaussian
+psi0_width = 2.0
+psi0_center_x = 11.0
+psi0_center_y = 3.0
+psi0_kx = 0.2
+flux = 0.3
+"""
+
+# columns left NA when only the potential / only psi is given; continuity
+# needs neighbouring records and is NA for every diagnose row
+NEEDS_BOTH = {"gauss_rel", "continuity_rel", "sigma_est", "edge_fraction",
+              "breakdown"}
+NEEDS_PSI = {"norm", "n_global"}
+NEEDS_A = {"B_mean", "pure_gauge_max", "holonomy_1", "holonomy_2"}
+
+
+@pytest.mark.parametrize("inputs, missing", [
+    (("a1", "a2"), NEEDS_BOTH | NEEDS_PSI),
+    (("psi",), NEEDS_BOTH | NEEDS_A),
+], ids=["potential-only", "psi-only"])
+def test_diagnose_partial_inputs_na_columns_two_holes(tmp_path, capsys, inputs,
+                                                      missing):
+    cfg = write_cfg(tmp_path, TWO_HOLE_CFG)
+    out = tmp_path / "run"
+    assert run_cli(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    args = []
+    for kind in inputs:
+        args += [f"--{kind}", str(out / f"final_{kind}.hsfield")]
+    assert run_cli(["diagnose", "--config", cfg] + args) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    names, cells = header.split(","), row.split(",")
+    assert len(cells) == len(names) == 12
+    assert {n for n, c in zip(names, cells) if c == "NA"} == missing
+
+
+def test_records_to_rows_one_current_per_record(monkeypatch):
+    from hallsim.config import build_config, parse_config_text
+    from hallsim.diagnostics import continuity_residual, record_state
+    cfg = build_config(parse_config_text(TWO_HOLE_CFG))
+    _, _, records = hallsim.cli.simulate_run(cfg)
+    calls = []
+    real = hallsim.cli.current_density
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(hallsim.cli, "current_density", counted)
+    rows = hallsim.cli.records_to_rows(cfg, records)
+    assert len(records) == 5 and len(calls) == len(records)
+    # the shared currents give the rows of the state-level functions
+    for i, s in enumerate(records):
+        cont = None
+        if 0 < i < len(records) - 1:
+            cont = continuity_residual(records[i - 1], records[i + 1])
+        want = record_state(s, cfg.edge_k, cfg.rho_star, cfg.b_star,
+                            cfg.sigma_floor, continuity=cont)
+        assert rows[i].row() == want.row()
+
+
+def test_simulate_nan_snapshot_exit_3_without_csv(tmp_path, capsys):
+    from hallsim import build_rectangle
+    from hallsim.snapshots import write_field
+    psi = np.full((12, 12), 0.1 + 0j)
+    psi[4, 5] = np.nan
+    write_field(tmp_path / "psi0.hsfield", "psi", psi,
+                build_rectangle(12, 12, 1.0, []))
+    cfg = write_cfg(tmp_path, f"""
+nx = 12
+ny = 12
+steps = 4
+psi0 = file
+psi0_file = {tmp_path / "psi0.hsfield"}
+consistent_init = false
+""")
+    out = tmp_path / "run"
+    assert run_cli(["simulate", "--config", cfg, "--out", str(out)]) == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not (out / "diagnostics.csv").exists()
 
 
 def test_rim_state_requires_localized_pair():

@@ -149,6 +149,18 @@ def test_matter_step_solver_abort(rect12, rng):
         step_matter(s)
 
 
+def test_matter_step_rejects_nan_state(rect12, params, rng):
+    # a nan residual fails every `residual > tol` test, so without an explicit
+    # finiteness check the nan state would pass through unreported
+    from hallsim import SolverError
+    psi = SiteField(np.where(rect12.active,
+                             rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)),
+                             0.0))
+    psi.values[5, 6] = np.nan
+    with pytest.raises(SolverError, match="non-finite"):
+        cayley_step(psi, LinkField.zeros(rect12), rect12, params, params.dt)
+
+
 def test_initialize_consistent_zero_psi(rect12, params):
     s = initialize_consistent(rect12, SiteField.zeros(rect12), params)
     assert np.all(s.a.a1 == 0.0) and np.all(s.a.a2 == 0.0)

@@ -70,8 +70,9 @@ def test_scan_rejects_half_and_third():
 def test_scan_tol_validation():
     with pytest.raises(ValueError):
         single_valuedness_scan([1.0], tol=0.0)
-    with pytest.raises(ValueError):
-        single_valuedness_scan([1.0], tol=1.5)
+    assert single_valuedness_scan([1.0, 0.5], tol=1.5).allowed == (1.0,)
+    cands = [0.25 * i for i in range(9)]
+    assert single_valuedness_scan(cands, tol=3.0).allowed == tuple(cands)
 
 
 def test_scan_radial_profile_independence(rng):

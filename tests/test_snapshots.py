@@ -44,6 +44,27 @@ def test_read_rejects_truncated_file(tmp_path, rect12):
         read_field(path)
 
 
+def test_read_rejects_non_finite_value(tmp_path, rect12):
+    path = tmp_path / "psi.hsfield"
+    write_field(path, "psi", SiteField.zeros(rect12).values, rect12)
+    lines = path.read_text().splitlines()
+    lines[20] = "1 7 nan 0.0"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SnapshotError, match=r"entry \(1, 7\) is non-finite"):
+        read_field(path)
+
+
+def test_read_rejects_repeated_entry(tmp_path, rect12):
+    # one entry given twice and another missing keeps the line count right
+    path = tmp_path / "a1.hsfield"
+    write_field(path, "a1", np.ones((11, 12)), rect12)
+    lines = path.read_text().splitlines()
+    lines[5] = "0 3 1.0"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SnapshotError, match=r"entry \(0, 4\) .* missing"):
+        read_field(path)
+
+
 def test_write_rejects_wrong_shape(tmp_path, rect12):
     with pytest.raises(SnapshotError):
         write_field(tmp_path / "a1.hsfield", "a1", np.zeros((12, 12)), rect12)
@@ -65,6 +86,8 @@ def test_config_parse_and_defaults():
 def test_config_unknown_key():
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config_text("nonsense = 1\n")
+    with pytest.raises(ConfigError, match="unknown key 'seed'"):
+        parse_config_text("seed = 0\n")
 
 
 def test_config_reports_all_problems():
