@@ -26,6 +26,10 @@ Together these preserve the discrete Gauss functional
     sigma_H * curl(A) - e * <|psi|^2>_plaquette
 
 to solver tolerance at every step, independent of dt.
+
+The continuity identity needs H and j_mid to carry the same Peierls link
+phases.  fields.link_phases is their one owner: advance evaluates the phases
+of A_half once and passes them to both the Cayley solve and j_mid.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ import numpy as np
 
 from .domain import Domain
 from .fields import (CurrentField, LinkField, SiteField, current_density,
-                     density_to_plaquettes, j1_at_vlinks, j2_at_hlinks)
+                     density_to_plaquettes, j1_at_vlinks, j2_at_hlinks,
+                     link_phases, stencil_matrix)
 
 
 class SolverError(RuntimeError):
@@ -79,24 +84,16 @@ class SimState:
                         self.a.copy(), self.t)
 
 
-def _hop_tables(a: LinkField, d: Domain, p: Params):
-    """Link phases and active-link degree used by the kinetic stencil."""
-    u1 = np.exp(1j * p.e * d.dx * a.a1 / p.hbar) * d.h_active
-    u2 = np.exp(1j * p.e * d.dx * a.a2 / p.hbar) * d.v_active
-    deg = np.zeros((d.nx, d.ny))
-    deg[:-1, :] += d.h_active
-    deg[1:, :] += d.h_active
-    deg[:, :-1] += d.v_active
-    deg[:, 1:] += d.v_active
-    return u1, u2, deg
+def make_hamiltonian(phases, d: Domain, p: Params):
+    """Closure applying H for fixed link phases (u1, u2) from link_phases.
 
-
-def make_hamiltonian(a: LinkField, d: Domain, p: Params):
-    """Closure applying H for a fixed potential (phases computed once)."""
-    u1, u2, deg = _hop_tables(a, d, p)
+    The phases vanish on inactive links and Domain.degree on inactive sites,
+    so H maps onto active sites without a separate mask.
+    """
+    u1, u2 = phases
     u1c, u2c = np.conj(u1), np.conj(u2)
     pref = p.hbar ** 2 / (2.0 * p.mu * d.dx ** 2)
-    active = d.active
+    deg = d.degree
 
     def apply_h(v: np.ndarray) -> np.ndarray:
         out = deg * v
@@ -104,7 +101,7 @@ def make_hamiltonian(a: LinkField, d: Domain, p: Params):
         out[1:, :] -= u1 * v[:-1, :]
         out[:, :-1] -= u2c * v[:, 1:]
         out[:, 1:] -= u2 * v[:, :-1]
-        return np.where(active, pref * out, 0.0)
+        return pref * out
 
     return apply_h
 
@@ -119,7 +116,7 @@ def hamiltonian_apply(psi: SiteField, a: LinkField, d: Domain, p: Params) -> Sit
     link orientation relative to x (the phase of the line integral from the
     neighbor to x).  Hermitian, and gauge-covariant under apply_gauge.
     """
-    return SiteField(make_hamiltonian(a, d, p)(psi.values))
+    return SiteField(make_hamiltonian(link_phases(a, d, p), d, p)(psi.values))
 
 
 def dense_hamiltonian(a: LinkField, d: Domain, p: Params):
@@ -128,30 +125,26 @@ def dense_hamiltonian(a: LinkField, d: Domain, p: Params):
     Returns (H, sites) with sites the (m, 2) index array fixing the basis
     order.  Intended for small domains (oracle eigensolves, rim states).
     """
-    apply_h = make_hamiltonian(a, d, p)
-    sites = np.argwhere(d.active)
-    m = len(sites)
-    H = np.zeros((m, m), dtype=np.complex128)
-    basis = np.zeros((d.nx, d.ny), dtype=np.complex128)
-    for k, (ix, iy) in enumerate(sites):
-        basis[ix, iy] = 1.0
-        col = apply_h(basis)
-        H[:, k] = col[sites[:, 0], sites[:, 1]]
-        basis[ix, iy] = 0.0
-    return H, sites
+    u1, u2 = link_phases(a, d, p)
+    pref = p.hbar ** 2 / (2.0 * p.mu * d.dx ** 2)
+    H, sites = stencil_matrix(d.active, -pref * u1, -pref * u2, pref * d.degree)
+    return H.toarray(), sites
 
 
 def cayley_step(psi: SiteField, a: LinkField, d: Domain, p: Params,
-                dt: float) -> SiteField:
+                dt: float, phases=None) -> SiteField:
     """One trapezoidal step (1 + i dt H/2hbar) psi' = (1 - i dt H/2hbar) psi.
 
-    Solved by conjugate gradients on the normal equations; the operator
-    1 + alpha^2 H^2 has condition number 1 + (alpha ||H||)^2, about 1.01 at
-    the default dt, so a handful of iterations reaches 1e-14.  Raises
-    SolverError if the tolerance is not met within the iteration cap or the
-    state or residual turns non-finite.
+    H takes `phases` when given, else link_phases(a, d, p).  Solved by
+    conjugate gradients on the normal equations; the operator 1 + alpha^2 H^2
+    has condition number 1 + (alpha ||H||)^2, about 1.01 at the default dt,
+    so a handful of iterations reaches 1e-14.  Raises SolverError if the
+    tolerance is not met within the iteration cap or the state or residual
+    turns non-finite.
     """
-    apply_h = make_hamiltonian(a, d, p)
+    if phases is None:
+        phases = link_phases(a, d, p)
+    apply_h = make_hamiltonian(phases, d, p)
     alpha = dt / (2.0 * p.hbar)
 
     b = psi.values - 1j * alpha * apply_h(psi.values)
@@ -218,9 +211,10 @@ def advance(s: SimState) -> SimState:
     half_rate = gauge_rate(j0, d, p)
     a_half = LinkField(s.a.a1 + 0.5 * dt * half_rate.a1,
                        s.a.a2 + 0.5 * dt * half_rate.a2)
-    psi_new = cayley_step(s.psi, a_half, d, p, dt)
+    u_half = link_phases(a_half, d, p)
+    psi_new = cayley_step(s.psi, a_half, d, p, dt, phases=u_half)
     psi_mid = SiteField(0.5 * (s.psi.values + psi_new.values))
-    j_mid = current_density(psi_mid, a_half, d, p)
+    j_mid = current_density(psi_mid, a_half, d, p, phases=u_half)
     rate = gauge_rate(j_mid, d, p)
     a_new = LinkField(s.a.a1 + dt * rate.a1, s.a.a2 + dt * rate.a2)
     return SimState(d, p, psi_new, a_new, s.t + dt)
@@ -235,7 +229,6 @@ def initialize_consistent(d: Domain, psi0: SiteField, p: Params) -> SimState:
     plaquette (chi = 0 on uncounted dual sites).  The returned state has a
     relative Gauss residual at the direct-solver roundoff level.
     """
-    from scipy.sparse import csr_matrix
     from scipy.sparse.linalg import spsolve
 
     rho_p = density_to_plaquettes(p.e * np.where(d.active, psi0.density(), 0.0), d)
@@ -243,30 +236,14 @@ def initialize_consistent(d: Domain, psi0: SiteField, p: Params) -> SimState:
     if not np.any(target):
         return SimState(d, p, psi0.copy(), LinkField.zeros(d), 0.0)
 
-    plaqs = np.argwhere(d.plaq_active)
-    index = -np.ones((d.nx - 1, d.ny - 1), dtype=np.int64)
-    index[plaqs[:, 0], plaqs[:, 1]] = np.arange(len(plaqs))
-
     inv_dx2 = 1.0 / d.dx ** 2
-    rows, cols, vals = [], [], []
-    rhs = np.empty(len(plaqs))
-    for k, (px, py) in enumerate(plaqs):
-        rows.append(k)
-        cols.append(k)
-        vals.append(-4.0 * inv_dx2)
-        for qx, qy in ((px - 1, py), (px + 1, py), (px, py - 1), (px, py + 1)):
-            if 0 <= qx < d.nx - 1 and 0 <= qy < d.ny - 1 and index[qx, qy] >= 0:
-                rows.append(k)
-                cols.append(index[qx, qy])
-                vals.append(inv_dx2)
-        rhs[k] = target[px, py]
-    lap = csr_matrix((vals, (rows, cols)), shape=(len(plaqs), len(plaqs)))
-    chi_vec = spsolve(lap, rhs)
+    lap, _ = stencil_matrix(d.plaq_active, inv_dx2, inv_dx2, -4.0 * inv_dx2)
+    chi_vec = spsolve(lap, target[d.plaq_active])
     if not np.all(np.isfinite(chi_vec)):
         raise SolverError("stream-function Poisson solve returned non-finite values")
 
     chi = np.zeros((d.nx - 1, d.ny - 1))
-    chi[plaqs[:, 0], plaqs[:, 1]] = chi_vec
+    chi[d.plaq_active] = chi_vec
 
     # chi padded with zeros on the virtual dual sites outside counted plaquettes
     pad = np.zeros((d.nx + 1, d.ny + 1))

@@ -128,25 +128,63 @@ def apply_gauge(a: LinkField, psi: SiteField, g: GaugeTransform, d: Domain,
     return a_new, psi_new
 
 
-def current_density(psi: SiteField, a: LinkField, d: Domain, p) -> CurrentField:
+def link_phases(a: LinkField, d: Domain, p) -> tuple:
+    """Peierls phases (u1, u2) = exp(i e dx a / hbar), zero on inactive links.
+
+    The only place a link field is exponentiated: H and the current share it.
+    """
+    return tuple(np.exp(1j * p.e * d.dx * x / p.hbar) * mask
+                 for x, mask in ((a.a1, d.h_active), (a.a2, d.v_active)))
+
+
+def current_density(psi: SiteField, a: LinkField, d: Domain, p,
+                    phases=None) -> CurrentField:
     """Gauge-invariant link current and site charge density.
 
-       j(link) = (e hbar / mu dx) Im[ psi*(tail) exp(-i e dx a / hbar) psi(head) ]
+       j(link) = (e hbar / mu dx) Im[ psi*(tail) conj(u) psi(head) ]
        j0(site) = e |psi|^2
 
-    In the continuum limit this is (e hbar/mu) Im(psi* d_m psi)
-    - (e^2/mu) A_m |psi|^2.  Because the link phase matches the hopping
-    phase of the Hamiltonian, d_t j0 + div j = 0 holds exactly for the
-    semi-discrete evolution.
+    with u = link_phases(a, d, p), or `phases` when given.  In the continuum
+    limit this is (e hbar/mu) Im(psi* d_m psi) - (e^2/mu) A_m |psi|^2.
+    Because u is the hopping phase of the Hamiltonian, d_t j0 + div j = 0
+    holds exactly for the semi-discrete evolution.
     """
+    u1, u2 = link_phases(a, d, p) if phases is None else phases
     v = psi.values
     scale = p.e * p.hbar / (p.mu * d.dx)
-    w1 = np.conj(v[:-1, :]) * np.exp(-1j * p.e * d.dx * a.a1 / p.hbar) * v[1:, :]
-    w2 = np.conj(v[:, :-1]) * np.exp(-1j * p.e * d.dx * a.a2 / p.hbar) * v[:, 1:]
+    w1 = np.conj(v[:-1, :]) * np.conj(u1) * v[1:, :]
+    w2 = np.conj(v[:, :-1]) * np.conj(u2) * v[:, 1:]
     j1 = scale * np.imag(w1) * d.h_active
     j2 = scale * np.imag(w2) * d.v_active
     j0 = p.e * np.where(d.active, np.abs(v) ** 2, 0.0)
     return CurrentField(j1, j2, j0)
+
+
+def stencil_matrix(mask: np.ndarray, w1, w2, diag):
+    """Sparse 5-point stencil on the cells of a mask, as (M, cells).
+
+    cells = np.argwhere(mask) fixes the basis order.  M[c, c] = diag[c]; for
+    masked neighbours c and c' = c + e1, M[c', c] = w1[c] and M[c, c'] =
+    conj(w1[c]), likewise w2 along e2.  Scalar weights and diagonals broadcast.
+    """
+    from scipy.sparse import csr_matrix
+
+    cells = np.argwhere(mask)
+    n = len(cells)
+    index = np.full(mask.shape, -1)
+    index[mask] = np.arange(n)
+    rows, cols = [np.arange(n)], [np.arange(n)]
+    vals = [np.broadcast_to(diag, mask.shape)[mask]]
+    for tail, head, w in ((index[:-1, :], index[1:, :], w1),
+                          (index[:, :-1], index[:, 1:], w2)):
+        link = (tail >= 0) & (head >= 0)
+        wl = np.broadcast_to(w, link.shape)[link]
+        rows += [head[link], tail[link]]
+        cols += [tail[link], head[link]]
+        vals += [wl, np.conj(wl)]
+    m = csr_matrix((np.concatenate(vals),
+                    (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+    return m, cells
 
 
 def density_to_plaquettes(rho: np.ndarray, d: Domain) -> np.ndarray:

@@ -39,6 +39,20 @@ def uniform_state(d: Domain, norm: float = 1.0) -> SiteField:
     return normalize(SiteField(vals), d, norm)
 
 
+def _free_modes(d: Domain, p: Params, purpose: str):
+    """(w, V, sites) of the real zero-potential H on the active sites.
+
+    Dense eigensolve, capped at 4000 sites; `purpose` names the caller.
+    """
+    if d.n_active > 4000:
+        raise DomainError(
+            f"{purpose} uses a dense eigensolve; {d.n_active} active sites "
+            "is too large")
+    H, sites = dense_hamiltonian(LinkField.zeros(d), d, p)
+    w, V = np.linalg.eigh(H.real)
+    return w, V, sites
+
+
 def band_limited(psi: SiteField, d: Domain, p: Params, ecut: float,
                  norm: float = 1.0) -> SiteField:
     """Project a state onto the free-Hamiltonian modes with energy <= ecut.
@@ -51,12 +65,7 @@ def band_limited(psi: SiteField, d: Domain, p: Params, ecut: float,
     """
     if ecut <= 0:
         raise ValueError("ecut must be positive")
-    if d.n_active > 4000:
-        raise DomainError(
-            f"band limiting uses a dense eigensolve; {d.n_active} active "
-            "sites is too large")
-    H, sites = dense_hamiltonian(LinkField.zeros(d), d, p)
-    w, V = np.linalg.eigh(H.real)
+    w, V, sites = _free_modes(d, p, "band limiting")
     keep = w <= ecut
     if not keep.any():
         raise ValueError(f"no modes below ecut = {ecut}")
@@ -82,31 +91,21 @@ def rim_pair_state(d: Domain, p: Params, norm: float = 1.0, band: int = 3,
 
     Dense eigensolve: meant for domains up to a few thousand active sites.
     """
-    if d.n_active > 4000:
-        raise DomainError(
-            f"rim state construction uses a dense eigensolve; {d.n_active} "
-            "active sites is too large")
-    H, sites = dense_hamiltonian(LinkField.zeros(d), d, p)
-    w, V = np.linalg.eigh(H.real)
+    w, V, sites = _free_modes(d, p, "rim state construction")
     dist = d.boundary_distance[sites[:, 0], sites[:, 1]]
     in_band = dist <= band
 
     weights = (np.abs(V) ** 2 * in_band[:, None]).sum(axis=0)
     scale = max(abs(w[0]), abs(w[-1]), 1.0)
-    best = None
-    for i in range(len(w) - 1):
-        if abs(w[i + 1] - w[i]) > degeneracy_tol * scale:
-            continue
-        score = min(weights[i], weights[i + 1])
-        if best is None or score > best[1]:
-            best = (i, score)
-    if best is None or best[1] < min_rim_weight:
-        got = 0.0 if best is None else best[1]
+    paired = np.abs(np.diff(w)) <= degeneracy_tol * scale
+    score = np.where(paired, np.minimum(weights[:-1], weights[1:]), -1.0)
+    i = int(np.argmax(score))           # the first pair of highest rim weight
+    if score[i] < min_rim_weight:
         raise DomainError(
             f"no degenerate rim-localized eigenpair found (best rim weight "
-            f"{got:.3f} < {min_rim_weight}); widen the band or change the domain")
+            f"{max(score[i], 0.0):.3f} < {min_rim_weight}); widen the band or "
+            "change the domain")
 
-    i = best[0]
     vec = (V[:, i] + 1j * V[:, i + 1]) / np.sqrt(2.0)
     vec = np.where(in_band, vec, 0.0)
     psi = SiteField(np.zeros((d.nx, d.ny), dtype=np.complex128))

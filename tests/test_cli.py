@@ -273,6 +273,46 @@ consistent_init = false
     assert not (out / "diagnostics.csv").exists()
 
 
+@pytest.mark.parametrize("kind, n", [("a1", 12), ("psi", 16)],
+                         ids=["a1-snapshot", "16x16-on-12x12"])
+def test_simulate_psi0_file_wrong_snapshot_exit_3(tmp_path, capsys, kind, n):
+    # psi0_file is read through the same kind-and-grid check as diagnose
+    from hallsim import build_rectangle
+    from hallsim.snapshots import write_field
+    shape = (n - 1, n) if kind == "a1" else (n, n)
+    write_field(tmp_path / "psi0.hsfield", kind, np.full(shape, 0.1),
+                build_rectangle(n, n, 1.0, []))
+    cfg = write_cfg(tmp_path, f"""
+nx = 12
+ny = 12
+steps = 4
+psi0 = file
+psi0_file = {tmp_path / "psi0.hsfield"}
+""")
+    assert run_cli(["simulate", "--config", cfg, "--out",
+                    str(tmp_path / "run")]) == 3
+    assert "psi0.hsfield" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override, warnings", [("dt=5.0", 1), (None, 0)],
+                         ids=["dt-5", "default-dt"])
+def test_simulate_warns_on_inaccurate_dt(tmp_path, capsys, override, warnings):
+    cfg = write_cfg(tmp_path, """
+nx = 8
+ny = 8
+steps = 2
+psi0 = gaussian
+psi0_width = 1.5
+""")
+    args = ["simulate", "--config", cfg, "--out", str(tmp_path / "run")]
+    if override:
+        args += ["--set", override]
+    assert run_cli(args) == 0
+    err = capsys.readouterr().err
+    assert err.count("warning: dt") == warnings
+    assert err.count("\n") == warnings
+
+
 def test_rim_state_requires_localized_pair():
     # a plain rectangle has no boundary-localized degenerate pair: its
     # sinusoidal modes spread over the bulk

@@ -128,6 +128,7 @@ def test_no_isolated_sites(corbino32):
     nbr[:, :-1] += act[:, 1:]
     nbr[:, 1:] += act[:, :-1]
     assert not (act & (nbr == 0)).any()
+    assert np.array_equal(corbino32.degree, np.where(act, nbr, 0))
 
 
 def test_generator_loops_on_active_links(corbino32):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hallsim import (CurrentField, GaugeTransform, LinkField, Params, SimState,
                      SiteField, advance, apply_gauge, build_rectangle,
@@ -7,7 +8,10 @@ from hallsim import (CurrentField, GaugeTransform, LinkField, Params, SimState,
                      gaussian_packet, hamiltonian_apply,
                      initialize_consistent, plaquette_curl, step_gauge,
                      step_matter, uniform_state)
+from hallsim import DomainError, build_corbino, link_divergence
 from hallsim.diagnostics import gauss_residual, norm_total, pure_gauge_residual
+from hallsim.dynamics import make_hamiltonian
+from hallsim.fields import current_density, link_phases
 
 
 def test_hamiltonian_zero_potential_constant_psi_interior(params):
@@ -238,3 +242,67 @@ def test_ohm_law_internal_consistency():
     worst = max(ohm_residual(states[i - 1], states[i], states[i + 1])
                 for i in range(1, len(states) - 1))
     assert worst < 5e-3
+
+
+@st.composite
+def masked_domains(draw):
+    """Rectangles with 0-2 holes and Corbino annuli, at most 16 x 16 sites."""
+    try:
+        if draw(st.booleans()):
+            n = draw(st.integers(12, 16))
+            r_outer = draw(st.floats(n / 2 - 1.5, n / 2))
+            r_inner = draw(st.floats(1.0, r_outer - 3.5))
+            return build_corbino(n, 1.0, r_inner, r_outer)
+        nx, ny = draw(st.integers(6, 16)), draw(st.integers(6, 16))
+        holes = []
+        for _ in range(draw(st.integers(0, 2))):
+            w, h = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+            holes.append((draw(st.integers(1, nx - 1 - w)),
+                          draw(st.integers(1, ny - 1 - h)), w, h))
+        return build_rectangle(nx, ny, 1.0, holes)
+    except DomainError:         # holes too close, annulus too thin
+        assume(False)
+
+
+def random_fields(d, seed):
+    rng = np.random.default_rng(seed)
+    psi = SiteField(np.where(d.active, rng.normal(size=(d.nx, d.ny))
+                             + 1j * rng.normal(size=(d.nx, d.ny)), 0.0))
+    a = LinkField(rng.normal(size=(d.nx - 1, d.ny)) * d.h_active,
+                  rng.normal(size=(d.nx, d.ny - 1)) * d.v_active)
+    return psi, a
+
+
+@given(d=masked_domains(), seed=st.integers(0, 2 ** 31))
+@settings(max_examples=30, deadline=None)
+def test_dense_hamiltonian_matches_apply(d, seed):
+    # reference: H built column by column from the apply closure
+    p = Params(dt=0.05)
+    _, a = random_fields(d, seed)
+    H, sites = dense_hamiltonian(a, d, p)
+    apply_h = make_hamiltonian(link_phases(a, d, p), d, p)
+    basis = np.zeros((d.nx, d.ny), dtype=np.complex128)
+    for k, (ix, iy) in enumerate(sites):
+        basis[ix, iy] = 1.0
+        col = apply_h(basis)
+        basis[ix, iy] = 0.0
+        assert np.array_equal(H[:, k], col[sites[:, 0], sites[:, 1]])
+        assert not col[~d.active].any()
+    assert np.array_equal(H, H.conj().T)
+
+
+@given(d=masked_domains(), seed=st.integers(0, 2 ** 31))
+@settings(max_examples=30, deadline=None)
+def test_cayley_step_continuity_with_own_phases(d, seed):
+    # e (|psi'|^2 - |psi|^2)/dt + div j_mid = 0 per site, with j_mid the
+    # current of (psi + psi')/2 on the phases that built the step's H
+    p = Params(dt=0.05)
+    psi, a = random_fields(d, seed)
+    phases = link_phases(a, d, p)
+    new = cayley_step(psi, a, d, p, p.dt, phases=phases)
+    j_mid = current_density(SiteField(0.5 * (psi.values + new.values)), a,
+                            d, p, phases=phases)
+    res = (p.e * (new.density() - psi.density()) / p.dt
+           + link_divergence(j_mid.j1, j_mid.j2, d))
+    scale = p.e * psi.density().max() / p.dt
+    assert np.abs(res).max() <= 1e-12 * scale
