@@ -16,8 +16,9 @@ Keys (defaults in parentheses):
     dt (0.05 mu dx^2/hbar)   time step
     steps (100)              step count
     record_every (1)         recording cadence; must divide steps
-    solver_tol (1e-14)       matter-step relative solver tolerance
-    solver_maxiter (500)
+    solver_tol (1e-14)       matter step: residual of the Cayley system
+                             relative to its right-hand side
+    solver_maxiter (500)     matter step: Krylov iterations (one H apply each)
   initial state
     psi0 (zero)              zero | gaussian | uniform | rim | file
     psi0_center_x/_y         packet center (physical units; default domain center)

@@ -14,7 +14,12 @@ Scheme (second order overall):
 1. predict the half-step potential  A_half = A + (dt/2) * rate(j(psi, A));
 2. trapezoidal (Cayley) matter step with A frozen at A_half:
        (1 + i dt H/2 hbar) psi' = (1 - i dt H/2 hbar) psi
-   which is exactly unitary up to the linear-solver tolerance;
+   which is exactly unitary up to the linear-solver tolerance.  The solve
+   is a Galerkin (Widlund-type) Krylov method on the unsquared system
+   (1 + i dt H/2 hbar) y = psi, psi' = 2y - psi, with one H apply per
+   iteration; it cannot break down because the projected matrix
+   I + i (dt/2 hbar) T_k (T_k the real tridiagonal Lanczos matrix of H)
+   has Hermitian part I (see cayley_step);
 3. gauge update A' = A + dt * rate(j_mid) with the midpoint current
    j_mid = j((psi + psi')/2, A_half).
 
@@ -87,21 +92,31 @@ class SimState:
 def make_hamiltonian(phases, d: Domain, p: Params):
     """Closure applying H for fixed link phases (u1, u2) from link_phases.
 
-    The phases vanish on inactive links and Domain.degree on inactive sites,
-    so H maps onto active sites without a separate mask.
+    H is held as a sparse matrix of five diagonals over the row-major
+    flattened grid (offsets +-ny for the e1 hops, +-1 for the e2 hops, 0),
+    so an apply is one compiled call that allocates only its result.  The
+    phases vanish on inactive links and Domain.degree on inactive sites, so
+    H maps onto active sites without a separate mask; the e2 diagonals are
+    zero where they would join the end of one grid row to the next row.
     """
+    from scipy.sparse import dia_matrix
+
     u1, u2 = phases
-    u1c, u2c = np.conj(u1), np.conj(u2)
+    nx, ny = d.nx, d.ny
     pref = p.hbar ** 2 / (2.0 * p.mu * d.dx ** 2)
-    deg = d.degree
+    # diagonal k holds at column c the entry H[c - offsets[k], c]
+    offsets = (ny, -ny, 1, -1, 0)
+    diags = np.zeros((5, nx, ny), dtype=np.complex128)
+    np.multiply(u1, -pref, out=diags[1, :-1, :])        # H[x + e1, x]
+    np.conjugate(diags[1, :-1, :], out=diags[0, 1:, :])  # H[x, x + e1]
+    np.multiply(u2, -pref, out=diags[3, :, :-1])        # H[x + e2, x]
+    np.conjugate(diags[3, :, :-1], out=diags[2, :, 1:])  # H[x, x + e2]
+    np.multiply(d.degree, pref, out=diags[4].real)
+    n = nx * ny
+    h = dia_matrix((diags.reshape(5, n), offsets), shape=(n, n))
 
     def apply_h(v: np.ndarray) -> np.ndarray:
-        out = deg * v
-        out[:-1, :] -= u1c * v[1:, :]
-        out[1:, :] -= u1 * v[:-1, :]
-        out[:, :-1] -= u2c * v[:, 1:]
-        out[:, 1:] -= u2 * v[:, :-1]
-        return pref * out
+        return (h @ v.ravel()).reshape(v.shape)
 
     return apply_h
 
@@ -135,52 +150,72 @@ def cayley_step(psi: SiteField, a: LinkField, d: Domain, p: Params,
                 dt: float, phases=None) -> SiteField:
     """One trapezoidal step (1 + i dt H/2hbar) psi' = (1 - i dt H/2hbar) psi.
 
-    H takes `phases` when given, else link_phases(a, d, p).  Solved by
-    conjugate gradients on the normal equations; the operator 1 + alpha^2 H^2
-    has condition number 1 + (alpha ||H||)^2, about 1.01 at the default dt,
-    so a handful of iterations reaches 1e-14.  Raises SolverError if the
-    tolerance is not met within the iteration cap or the state or residual
-    turns non-finite.
+    H takes `phases` when given, else link_phases(a, d, p).  With
+    alpha = dt/2hbar, psi' = 2y - psi where (1 + i alpha H) y = psi, and the
+    residual of the Cayley system is twice that of the y system.  The y
+    system is solved by the Galerkin method on the Krylov space of H
+    (Widlund 1978): conjugate-gradient recurrences with the complex pivot
+    q* (1 + i alpha H) q and a direction update scaled by -conj(pivot)/pivot,
+    one H apply per iteration.  It cannot break down: in the Lanczos basis
+    the projected matrix is I + i alpha T_k with T_k real tridiagonal, whose
+    Hermitian part is I, so every pivot has real part |q|^2 > 0.  The solve
+    stops when the Cayley residual is at most solver_tol, less one unit
+    roundoff, times the norm of the right-hand side,
+    sqrt(|psi|^2 + alpha^2 |H psi|^2) (H is Hermitian), read off the first
+    iteration's apply.  The unit roundoff covers the drift between the
+    recurred residual and the one recomputed from psi'.  Raises SolverError
+    if that takes more than solver_maxiter iterations or the state or
+    residual turns non-finite.
     """
+    from scipy.linalg.blas import zaxpy, zscal
+
     if phases is None:
         phases = link_phases(a, d, p)
     apply_h = make_hamiltonian(phases, d, p)
     alpha = dt / (2.0 * p.hbar)
 
-    b = psi.values - 1j * alpha * apply_h(psi.values)
-    rhs = b - 1j * alpha * apply_h(b)      # adjoint (1 - i alpha H) applied to b
-    bnorm = float(np.sqrt(np.vdot(rhs, rhs).real))
-    if not np.isfinite(bnorm):
-        raise SolverError(f"matter step: non-finite state (rhs norm {bnorm})")
-    if bnorm == 0.0:
+    # residual of y = 0; C order, so ravel() below gives views for BLAS
+    r = np.ascontiguousarray(np.where(d.active, psi.values, 0.0))
+    rr = np.vdot(r, r).real
+    if not np.isfinite(rr):
+        raise SolverError(f"matter step: non-finite state (norm^2 {rr})")
+    if rr == 0.0:
         return SiteField(np.zeros_like(psi.values))
-
-    def apply_m(v):
-        return v + alpha ** 2 * apply_h(apply_h(v))
-
-    x = psi.values.copy()
-    r = rhs - apply_m(x)
+    y = np.zeros_like(r)
     q = r.copy()
-    rs = np.vdot(r, r).real
-    tol = p.solver_tol * bnorm
-    it = 0
-    while not np.sqrt(rs) <= tol:          # a nan residual enters the loop
-        if not np.isfinite(rs):
-            raise SolverError(f"matter step: non-finite residual {rs} "
-                              f"after {it} iterations")
-        if it >= p.solver_maxiter:
-            raise SolverError(
-                f"matter step did not converge: residual {np.sqrt(rs):.3e} "
-                f"> {tol:.3e} after {p.solver_maxiter} iterations")
-        mq = apply_m(q)
-        step = rs / np.vdot(q, mq).real
-        x = x + step * q
-        r = r - step * mq
-        rs_new = np.vdot(r, r).real
-        q = r + (rs_new / rs) * q
-        rs = rs_new
-        it += 1
-    return SiteField(np.where(d.active, x, 0.0))
+    r1, y1, q1 = r.ravel(), y.ravel(), q.ravel()
+    res, tol = 2.0 * np.sqrt(rr), p.solver_tol * np.sqrt(rr)
+    for it in range(p.solver_maxiter):
+        hq = apply_h(q)
+        if it == 0:                                 # q = psi
+            bnorm = np.sqrt(rr + alpha ** 2 * np.vdot(hq, hq).real)
+            if not np.isfinite(bnorm):
+                raise SolverError(
+                    f"matter step: non-finite state (rhs norm {bnorm})")
+            tol = (p.solver_tol - np.finfo(np.float64).eps) * bnorm
+        pivot = complex(np.vdot(q, q).real, alpha * np.vdot(q, hq).real)
+        size = abs(pivot)
+        phase = pivot.conjugate() / size            # 1/pivot = phase/size
+        step = (rr / size) * phase
+        zaxpy(q1, y1, a=step)                       # y += step q
+        zaxpy(q1, r1, a=-step)                      # r -= step (1 + i alpha H) q
+        zaxpy(hq.ravel(), r1, a=-1j * alpha * step)
+        rr_new = np.vdot(r, r).real
+        res = 2.0 * np.sqrt(rr_new)
+        if res <= tol:
+            y *= 2.0
+            np.subtract(y, psi.values, out=y, where=d.active)
+            return SiteField(y)
+        if not np.isfinite(res):
+            raise SolverError(f"matter step: non-finite residual {res} "
+                              f"after {it + 1} iterations")
+        # q = r - (rr_new/rr) conj(pivot)/pivot q
+        zscal(-(rr_new / rr) * phase * phase, q1)
+        zaxpy(r1, q1)
+        rr = rr_new
+    raise SolverError(
+        f"matter step did not converge: residual {res:.3e} > {tol:.3e} "
+        f"after {p.solver_maxiter} iterations")
 
 
 def step_matter(s: SimState, dt: float | None = None) -> SiteField:
@@ -196,27 +231,28 @@ def gauge_rate(j: CurrentField, d: Domain, p: Params) -> LinkField:
                      -j1_at_vlinks(j.j1, d) / p.sigma_h)
 
 
+def _gauge_update(a: LinkField, rate: LinkField, c: float) -> LinkField:
+    """A + c * rate: the one expression of every explicit gauge update."""
+    return LinkField(a.a1 + c * rate.a1, a.a2 + c * rate.a2)
+
+
 def step_gauge(s: SimState, j: CurrentField, dt: float | None = None) -> LinkField:
     """Explicit update A + dt * rate(j); j should be the midpoint current."""
     if dt is None:
         dt = s.params.dt
-    rate = gauge_rate(j, s.domain, s.params)
-    return LinkField(s.a.a1 + dt * rate.a1, s.a.a2 + dt * rate.a2)
+    return _gauge_update(s.a, gauge_rate(j, s.domain, s.params), dt)
 
 
 def advance(s: SimState) -> SimState:
     """One full coupled step of length params.dt."""
     d, p, dt = s.domain, s.params, s.params.dt
     j0 = current_density(s.psi, s.a, d, p)
-    half_rate = gauge_rate(j0, d, p)
-    a_half = LinkField(s.a.a1 + 0.5 * dt * half_rate.a1,
-                       s.a.a2 + 0.5 * dt * half_rate.a2)
+    a_half = _gauge_update(s.a, gauge_rate(j0, d, p), 0.5 * dt)
     u_half = link_phases(a_half, d, p)
     psi_new = cayley_step(s.psi, a_half, d, p, dt, phases=u_half)
     psi_mid = SiteField(0.5 * (s.psi.values + psi_new.values))
     j_mid = current_density(psi_mid, a_half, d, p, phases=u_half)
-    rate = gauge_rate(j_mid, d, p)
-    a_new = LinkField(s.a.a1 + dt * rate.a1, s.a.a2 + dt * rate.a2)
+    a_new = _gauge_update(s.a, gauge_rate(j_mid, d, p), dt)
     return SimState(d, p, psi_new, a_new, s.t + dt)
 
 

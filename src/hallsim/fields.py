@@ -132,9 +132,20 @@ def link_phases(a: LinkField, d: Domain, p) -> tuple:
     """Peierls phases (u1, u2) = exp(i e dx a / hbar), zero on inactive links.
 
     The only place a link field is exponentiated: H and the current share it.
+    The real phase is written straight into the imaginary part of the result
+    and exponentiated and masked in place.  It is scaled by the reciprocal of
+    hbar, which is how numpy divides a complex array by a real scalar, so the
+    phases are bit for bit those of np.exp(1j * e * dx * a / hbar) * mask.
     """
-    return tuple(np.exp(1j * p.e * d.dx * x / p.hbar) * mask
-                 for x, mask in ((a.a1, d.h_active), (a.a2, d.v_active)))
+    out = []
+    for x, mask in ((a.a1, d.h_active), (a.a2, d.v_active)):
+        u = np.zeros(x.shape, dtype=np.complex128)
+        np.multiply(x, p.e * d.dx, out=u.imag)
+        u.imag *= 1.0 / p.hbar
+        np.exp(u, out=u)
+        u *= mask
+        out.append(u)
+    return tuple(out)
 
 
 def current_density(psi: SiteField, a: LinkField, d: Domain, p,
@@ -152,10 +163,16 @@ def current_density(psi: SiteField, a: LinkField, d: Domain, p,
     u1, u2 = link_phases(a, d, p) if phases is None else phases
     v = psi.values
     scale = p.e * p.hbar / (p.mu * d.dx)
-    w1 = np.conj(v[:-1, :]) * np.conj(u1) * v[1:, :]
-    w2 = np.conj(v[:, :-1]) * np.conj(u2) * v[:, 1:]
-    j1 = scale * np.imag(w1) * d.h_active
-    j2 = scale * np.imag(w2) * d.v_active
+    j = []
+    for tail, u, head, mask in ((v[:-1, :], u1, v[1:, :], d.h_active),
+                                (v[:, :-1], u2, v[:, 1:], d.v_active)):
+        w = np.conjugate(tail)
+        w *= np.conjugate(u)
+        w *= head
+        jl = np.multiply(w.imag, scale)
+        jl *= mask
+        j.append(jl)
+    j1, j2 = j
     j0 = p.e * np.where(d.active, np.abs(v) ** 2, 0.0)
     return CurrentField(j1, j2, j0)
 

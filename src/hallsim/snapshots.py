@@ -10,12 +10,17 @@ with shortest round-trip formatting, so write-then-read is lossless.
 
 from __future__ import annotations
 
+import itertools
+import os
+import warnings
+
 import numpy as np
 
 from .domain import Domain
 from .fields import LinkField, SiteField
 
 KINDS = ("psi", "a1", "a2")
+CHUNK_LINES = 1 << 12       # body lines parsed per np.loadtxt call
 
 
 class SnapshotError(ValueError):
@@ -37,22 +42,27 @@ def write_field(path, kind: str, array: np.ndarray, d: Domain):
     if array.shape != (mx, my):
         raise SnapshotError(
             f"{kind} array has shape {array.shape}, expected {(mx, my)}")
-    complex_vals = kind == "psi"
+    # tolist() gives Python floats (complex for psi) of the same values, so
+    # their repr is the shortest round-trip form of each entry
     with open(path, "w") as f:
         f.write(f"HSFIELD v1 {kind} {d.nx} {d.ny} {repr(float(d.dx))}\n")
-        for ix in range(mx):
-            for iy in range(my):
-                v = array[ix, iy]
-                if complex_vals:
-                    f.write(f"{ix} {iy} {repr(float(v.real))} {repr(float(v.imag))}\n")
-                else:
-                    f.write(f"{ix} {iy} {repr(float(v))}\n")
+        for ix, row in enumerate(array.tolist()):
+            if kind == "psi":
+                f.write("".join(f"{ix} {iy} {v.real!r} {v.imag!r}\n"
+                                for iy, v in enumerate(row)))
+            else:
+                f.write("".join(f"{ix} {iy} {v!r}\n"
+                                for iy, v in enumerate(row)))
 
 
 def read_field(path):
     """Read one snapshot; returns (kind, nx, ny, dx, array).
 
-    Rejects a file with a non-finite value or a repeated entry.
+    The body is parsed by np.loadtxt, CHUNK_LINES lines per call, straight
+    into the result, so the memory it takes beyond the result stays at one
+    chunk.  Rejects a malformed header, number or line, an index that is not
+    an integer in range, a wrong number of entries, a non-finite value and a
+    repeated entry.
     """
     with open(path) as f:
         header = f.readline().split()
@@ -61,33 +71,51 @@ def read_field(path):
         kind = header[2]
         if kind not in KINDS:
             raise SnapshotError(f"{path}: unknown field kind {kind!r}")
-        nx, ny = int(header[3]), int(header[4])
-        dx = float(header[5])
+        try:
+            nx, ny, dx = int(header[3]), int(header[4]), float(header[5])
+        except ValueError:
+            raise SnapshotError(f"{path}: malformed header {header}") from None
         mx, my = _dims(kind, nx, ny)
-        complex_vals = kind == "psi"
+        if mx < 1 or my < 1:
+            raise SnapshotError(f"{path}: empty {nx}x{ny} grid")
+        # a body line takes at least 6 bytes ("0 0 0\n"): a header asking for
+        # more entries than the file can hold is rejected before allocating
+        if 6 * mx * my > os.fstat(f.fileno()).st_size:
+            raise SnapshotError(
+                f"{path}: header grid {nx}x{ny} needs more lines than the file holds")
+        want = 4 if kind == "psi" else 3
         # every entry starts as nan, so one that no line sets fails the
         # finiteness check below
         arr = np.full((mx, my), np.nan,
-                      dtype=np.complex128 if complex_vals else np.float64)
-        want = 4 if complex_vals else 3
-        count = 0
-        for line in f:
-            parts = line.split()
-            if not parts:
+                      dtype=np.complex128 if kind == "psi" else np.float64)
+        cells = arr.view(np.float64).reshape(mx * my, want - 2)
+        count, first = 0, 2
+        while lines := list(itertools.islice(f, CHUNK_LINES)):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")     # all lines blank
+                    body = np.loadtxt(lines, ndmin=2, comments=None)
+            except ValueError as err:
+                raise SnapshotError(
+                    f"{path}: {err} (row 0 is line {first})") from None
+            first += len(lines)
+            if not len(body):
                 continue
-            if len(parts) != want:
-                raise SnapshotError(f"{path}: bad line {line!r}")
-            ix, iy = int(parts[0]), int(parts[1])
-            if not (0 <= ix < mx and 0 <= iy < my):
-                raise SnapshotError(f"{path}: index ({ix},{iy}) out of range")
-            if complex_vals:
-                arr[ix, iy] = float(parts[2]) + 1j * float(parts[3])
-            else:
-                arr[ix, iy] = float(parts[2])
-            count += 1
-        if count != mx * my:
-            raise SnapshotError(
-                f"{path}: expected {mx * my} value lines, found {count}")
+            if body.shape[1] != want:
+                raise SnapshotError(
+                    f"{path}: {body.shape[1]} numbers per line, expected {want}")
+            with np.errstate(invalid="ignore"):     # nan or huge index: caught
+                index = body[:, :2].astype(np.int64)
+            bad = ((index != body[:, :2]) | (index < 0)
+                   | (index >= (mx, my))).any(axis=1)
+            if bad.any():
+                at = tuple(body[bad.argmax(), :2].tolist())
+                raise SnapshotError(f"{path}: index {at} is not a site in range")
+            cells[index[:, 0] * my + index[:, 1]] = body[:, 2:]
+            count += len(body)
+    if count != mx * my:
+        raise SnapshotError(
+            f"{path}: expected {mx * my} value lines, found {count}")
     finite = np.isfinite(arr)
     if not finite.all():
         # with the line count right, a missing entry means a repeated one
@@ -99,7 +127,6 @@ def read_field(path):
 
 def write_state(outdir, tag: str, psi: SiteField, a: LinkField, d: Domain):
     """Write psi/a1/a2 snapshots with a common tag; returns the three paths."""
-    import os
     paths = []
     for kind, arr in (("psi", psi.values), ("a1", a.a1), ("a2", a.a2)):
         path = os.path.join(outdir, f"{tag}_{kind}.hsfield")

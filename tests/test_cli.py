@@ -333,3 +333,40 @@ def test_manifest_echo_reproduces_run(tmp_path):
     assert run_cli(["simulate", "--config", cfg2, "--out", str(out2)]) == 0
     assert ((out1 / "diagnostics.csv").read_text()
             == (out2 / "diagnostics.csv").read_text())
+
+
+def test_simulate_malformed_snapshot_value_exit_3(tmp_path, capsys):
+    # a value that is no number is a snapshot error, not a traceback
+    from hallsim import build_rectangle
+    from hallsim.snapshots import write_field
+    path = tmp_path / "psi0.hsfield"
+    write_field(path, "psi", np.full((12, 12), 0.1 + 0j),
+                build_rectangle(12, 12, 1.0, []))
+    lines = path.read_text().splitlines()
+    lines[30] = lines[30].rsplit(" ", 1)[0] + " abc"
+    path.write_text("\n".join(lines) + "\n")
+    cfg = write_cfg(tmp_path, f"""
+nx = 12
+ny = 12
+steps = 4
+psi0 = file
+psi0_file = {path}
+""")
+    assert run_cli(["simulate", "--config", cfg, "--out",
+                    str(tmp_path / "run")]) == 3
+    assert "psi0.hsfield" in capsys.readouterr().err
+
+
+def test_diagnose_non_integer_snapshot_index_exit_3(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BASE_CFG)
+    out = tmp_path / "run"
+    assert run_cli(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    path = out / "final_psi.hsfield"
+    lines = path.read_text().splitlines()
+    lines[70] = "4.5 " + lines[70].split(" ", 1)[1]
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli(["diagnose", "--config", cfg, "--psi", str(path),
+                    "--a1", str(out / "final_a1.hsfield"),
+                    "--a2", str(out / "final_a2.hsfield")]) == 3
+    assert "final_psi.hsfield" in capsys.readouterr().err

@@ -306,3 +306,91 @@ def test_cayley_step_continuity_with_own_phases(d, seed):
            + link_divergence(j_mid.j1, j_mid.j2, d))
     scale = p.e * psi.density().max() / p.dt
     assert np.abs(res).max() <= 1e-12 * scale
+
+
+def cayley_residual(psi, new, phases, d, p, dt):
+    """|(1 + i a H) new - (1 - i a H) psi| and |(1 - i a H) psi|, a = dt/2hbar."""
+    apply_h = make_hamiltonian(phases, d, p)
+    alpha = dt / (2.0 * p.hbar)
+    rhs = psi.values - 1j * alpha * apply_h(psi.values)
+    res = new.values + 1j * alpha * apply_h(new.values) - rhs
+    return np.linalg.norm(res), np.linalg.norm(rhs)
+
+
+@given(d=masked_domains(), seed=st.integers(0, 2 ** 31),
+       dt=st.floats(0.01, 0.5))
+@settings(max_examples=40, deadline=None)
+def test_cayley_step_residual_within_tolerance(d, seed, dt):
+    # the residual recomputed from the returned state, not the solver's own
+    p = Params(dt=0.05)
+    psi, a = random_fields(d, seed)
+    phases = link_phases(a, d, p)
+    new = cayley_step(psi, a, d, p, dt, phases=phases)
+    res, rhs = cayley_residual(psi, new, phases, d, p, dt)
+    assert res <= p.solver_tol * rhs
+    assert not new.values[~d.active].any()
+
+
+@given(d=masked_domains(), seed=st.integers(0, 2 ** 31))
+@settings(max_examples=30, deadline=None)
+def test_cayley_step_time_reversal_random_domains(d, seed):
+    # C(-dt) C(dt) = 1 exactly, so only the two solves' errors remain
+    p = Params(dt=0.05)
+    psi, a = random_fields(d, seed)
+    fwd = cayley_step(psi, a, d, p, p.dt)
+    back = cayley_step(fwd, a, d, p, -p.dt)
+    assert np.abs(back.values - psi.values).max() <= 1e-12 * np.abs(psi.values).max()
+
+
+@given(d=masked_domains(), seed=st.integers(0, 2 ** 31))
+@settings(max_examples=20, deadline=None)
+def test_advance_keeps_gauss_and_norm_random_domains(d, seed):
+    # Gauss-consistent start, then a random pure-gauge part on every link:
+    # the potential is random and the plaquette curl is unchanged
+    from hallsim import site_gradient
+    p = Params(dt=0.05)
+    psi, _ = random_fields(d, seed)
+    s = initialize_consistent(d, psi, p)
+    lam = np.random.default_rng(seed + 1).normal(size=(d.nx, d.ny))
+    g1, g2 = site_gradient(lam, d)
+    s = SimState(d, p, s.psi, LinkField(s.a.a1 + g1, s.a.a2 + g2))
+    n0 = norm_total(s)
+    for _ in range(5):
+        s = advance(s)
+        assert gauss_residual(s)[1] <= 1e-10
+    assert abs(norm_total(s) - n0) / n0 <= 1e-12
+
+
+def test_cayley_step_one_h_apply_per_iteration(rect12, rng, monkeypatch):
+    # k iterations may use k applies and one set-up apply, no more: a solve
+    # on the squared operator 1 + alpha^2 H^2 would need two per iteration
+    import hallsim.dynamics as dyn
+    from hallsim import SolverError
+    calls = []
+    make = dyn.make_hamiltonian
+
+    def counting(*args):
+        apply_h = make(*args)
+
+        def counted(v):
+            calls.append(1)
+            return apply_h(v)
+        return counted
+
+    monkeypatch.setattr(dyn, "make_hamiltonian", counting)
+    psi = SiteField(np.where(rect12.active,
+                             rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)),
+                             0.0))
+    a = LinkField(rng.normal(size=(11, 12)) * rect12.h_active,
+                  rng.normal(size=(12, 11)) * rect12.v_active)
+    for maxiter in range(1, 100):
+        calls.clear()
+        try:
+            cayley_step(psi, a, rect12, Params(solver_maxiter=maxiter), 0.05)
+        except SolverError:
+            assert len(calls) <= maxiter + 1
+            continue
+        break
+    # maxiter is now the iteration count of the converged solve
+    assert maxiter > 3
+    assert len(calls) <= maxiter + 1

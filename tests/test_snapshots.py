@@ -34,6 +34,18 @@ def test_read_rejects_bad_header(tmp_path):
         read_field(path)
 
 
+@pytest.mark.parametrize("text, match", [
+    ("HSFIELD v1 psi 4.5 4 1.0\n0 0 0.0 0.0\n", "malformed header"),
+    # checked before the nan-filled result (144 MB here) is allocated
+    ("HSFIELD v1 psi 3000 3000 1.0\n0 0 0.0 0.0\n", "more lines than the file"),
+], ids=["non-integer-size", "grid-larger-than-file"])
+def test_read_rejects_bad_header_grid(tmp_path, text, match):
+    path = tmp_path / "psi.hsfield"
+    path.write_text(text)
+    with pytest.raises(SnapshotError, match=match):
+        read_field(path)
+
+
 def test_read_rejects_truncated_file(tmp_path, rect12):
     psi = SiteField.zeros(rect12)
     path = tmp_path / "psi.hsfield"
@@ -63,6 +75,37 @@ def test_read_rejects_repeated_entry(tmp_path, rect12):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(SnapshotError, match=r"entry \(0, 4\) .* missing"):
         read_field(path)
+
+
+@pytest.mark.parametrize("line, match", [
+    ("1 7 abc 0.0", "abc"),
+    ("1 7 0.0", "numbers per line|columns"),
+    ("1 7 0.0 0.0 0.0", "numbers per line|columns"),
+    ("4.5 7 0.0 0.0", r"index \(4.5, 7.0\)"),
+    ("12 7 0.0 0.0", r"index \(12.0, 7.0\)"),
+    ("1 -1 0.0 0.0", r"index \(1.0, -1.0\)"),
+], ids=["not-a-number", "short-line", "long-line", "non-integer-index",
+        "index-past-end", "negative-index"])
+def test_read_rejects_malformed_line(tmp_path, rect12, line, match):
+    path = tmp_path / "psi.hsfield"
+    write_field(path, "psi", SiteField.zeros(rect12).values, rect12)
+    lines = path.read_text().splitlines()
+    lines[20] = line
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SnapshotError, match=match):
+        read_field(path)
+
+
+def test_write_field_shortest_repr_per_entry(tmp_path, rect12):
+    # one line per entry, row-major, each float in its shortest repr
+    vals = np.array([0.1, -0.0, 1e-300, -2.5e17, 1 / 3, 0.0])
+    psi = np.resize(vals, 144).reshape(12, 12) + 1j * np.resize(vals[::-1], 144).reshape(12, 12)
+    path = tmp_path / "psi.hsfield"
+    write_field(path, "psi", psi, rect12)
+    want = ["HSFIELD v1 psi 12 12 1.0"] + [
+        f"{ix} {iy} {repr(float(psi[ix, iy].real))} {repr(float(psi[ix, iy].imag))}"
+        for ix in range(12) for iy in range(12)]
+    assert path.read_text() == "\n".join(want) + "\n"
 
 
 def test_write_rejects_wrong_shape(tmp_path, rect12):
