@@ -46,20 +46,26 @@ def _read_snapshot(path, want: str, d: Domain) -> np.ndarray:
 def _initial_psi(cfg: RunConfig, d: Domain, p: Params) -> SiteField:
     if cfg.psi0 == "zero":
         return SiteField.zeros(d)
-    if cfg.psi0 == "uniform":
-        psi = uniform_state(d, cfg.psi0_norm)
-    elif cfg.psi0 == "gaussian":
-        center = cfg.psi0_center
-        if center is None:
-            center = ((d.nx - 1) * d.dx / 2.0, (d.ny - 1) * d.dx / 2.0)
-        width = cfg.psi0_width if cfg.psi0_width > 0 else 4.0 * d.dx
-        psi = gaussian_packet(d, center, width, cfg.psi0_k, cfg.psi0_norm)
-    elif cfg.psi0 == "rim":
-        psi = rim_pair_state(d, p, cfg.psi0_norm, band=cfg.rim_band)
-    else:
-        psi = SiteField(np.where(d.active, _read_snapshot(cfg.psi0_file, "psi", d), 0.0))
-    if cfg.psi0_ecut > 0:
-        psi = band_limited(psi, d, p, cfg.psi0_ecut, cfg.psi0_norm)
+    try:
+        if cfg.psi0 == "uniform":
+            psi = uniform_state(d, cfg.psi0_norm)
+        elif cfg.psi0 == "gaussian":
+            center = cfg.psi0_center
+            if center is None:
+                center = ((d.nx - 1) * d.dx / 2.0, (d.ny - 1) * d.dx / 2.0)
+            width = cfg.psi0_width if cfg.psi0_width > 0 else 4.0 * d.dx
+            psi = gaussian_packet(d, center, width, cfg.psi0_k, cfg.psi0_norm)
+        elif cfg.psi0 == "rim":
+            psi = rim_pair_state(d, p, cfg.psi0_norm, band=cfg.rim_band)
+        else:
+            psi = SiteField(np.where(d.active,
+                                     _read_snapshot(cfg.psi0_file, "psi", d), 0.0))
+        if cfg.psi0_ecut > 0:
+            psi = band_limited(psi, d, p, cfg.psi0_ecut, cfg.psi0_norm)
+    except (DomainError, SnapshotError):    # ValueErrors that keep exit 3
+        raise
+    except ValueError as err:   # e.g. a packet that underflows on the domain
+        raise ConfigError([f"psi0: {err}"]) from err
     return psi
 
 
@@ -84,14 +90,14 @@ def simulate_run(cfg: RunConfig):
             raise ConfigError(["flux: domain has no hole to thread flux through"])
         state = SimState(d, p, state.psi, insert_flux(state.a, d, 0, cfg.flux), 0.0)
 
-    records = [state.copy()]
+    records = [state]
     for step in range(1, cfg.steps + 1):
         try:
             state = advance(state)
         except SolverError as err:
             raise SolverError(f"step {step}: {err}") from err
         if step % cfg.record_every == 0:
-            records.append(state.copy())
+            records.append(state)
     return d, p, records
 
 
@@ -149,6 +155,8 @@ def cmd_simulate(cfg: RunConfig, outdir: str) -> int:
 def cmd_quantize(cfg: RunConfig, outdir: str, smin: float, smax: float,
                  sstep: float, tol: float) -> int:
     problems = []
+    if not np.isfinite([smin, smax, sstep]).all():
+        problems.append("--sigma-min, --sigma-max and --sigma-step must be finite")
     if sstep <= 0:
         problems.append(f"--sigma-step must be positive, got {sstep}")
     if smax < smin:

@@ -21,7 +21,8 @@ Keys (defaults in parentheses):
     solver_maxiter (500)     matter step: Krylov iterations (one H apply each)
   initial state
     psi0 (zero)              zero | gaussian | uniform | rim | file
-    psi0_center_x/_y         packet center (physical units; default domain center)
+    psi0_center_x/_y         packet center, both or neither (physical units;
+                             default domain center)
     psi0_width (4*dx)        packet density sigma
     psi0_kx, psi0_ky (0)     packet momentum
     psi0_norm (1.0)          total integrated density
@@ -39,6 +40,7 @@ Keys (defaults in parentheses):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .domain import Domain, DomainError, build_corbino, build_rectangle
@@ -191,6 +193,9 @@ def build_config(values: dict) -> RunConfig:
         except ValueError:
             problems.append(f"{key}: not a number: {raw!r}")
             return default
+        if not math.isfinite(v):
+            problems.append(f"{key}: must be finite, got {raw!r}")
+            return default
         if positive and not v > 0:
             problems.append(f"{key}: must be positive, got {v}")
         if nonzero and v == 0:
@@ -252,6 +257,8 @@ def build_config(values: dict) -> RunConfig:
             f"psi0: must be zero|gaussian|uniform|rim|file, got {merged['psi0']!r}")
     cx = get_float("psi0_center_x")
     cy = get_float("psi0_center_y")
+    if (cx is None) != (cy is None):
+        problems.append("psi0_center_x and psi0_center_y must be given together")
     center = None if cx is None or cy is None else (cx, cy)
     width = get_float("psi0_width", default=0.0)
     if width is not None and width < 0:

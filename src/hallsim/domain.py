@@ -76,10 +76,6 @@ class Domain:
         """Sample area: active site count times the cell area."""
         return self.n_active * self.dx ** 2
 
-    def site_xy(self, ix, iy):
-        """Physical coordinates of a site."""
-        return ix * self.dx, iy * self.dx
-
     def hole_centroid(self, k: int) -> tuple:
         """Centroid (physical coordinates) of hole k's inactive cells."""
         cells = self.holes[k]

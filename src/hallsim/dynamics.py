@@ -46,7 +46,7 @@ import numpy as np
 from .domain import Domain
 from .fields import (CurrentField, LinkField, SiteField, current_density,
                      density_to_plaquettes, j1_at_vlinks, j2_at_hlinks,
-                     link_phases, stencil_matrix)
+                     link_phases, restrict, stencil_matrix)
 
 
 class SolverError(RuntimeError):
@@ -84,36 +84,22 @@ class SimState:
     a: LinkField
     t: float = 0.0
 
-    def copy(self) -> "SimState":
-        return SimState(self.domain, self.params, self.psi.copy(),
-                        self.a.copy(), self.t)
+
+def _h_matrix(phases, d: Domain, p: Params):
+    """H over the whole grid; the phases and Domain.degree vanish off-domain."""
+    pref = p.hbar ** 2 / (2.0 * p.mu * d.dx ** 2)
+    return stencil_matrix((d.nx, d.ny), *phases, d.degree, pref)
 
 
 def make_hamiltonian(phases, d: Domain, p: Params):
     """Closure applying H for fixed link phases (u1, u2) from link_phases.
 
-    H is held as a sparse matrix of five diagonals over the row-major
-    flattened grid (offsets +-ny for the e1 hops, +-1 for the e2 hops, 0),
-    so an apply is one compiled call that allocates only its result.  The
-    phases vanish on inactive links and Domain.degree on inactive sites, so
-    H maps onto active sites without a separate mask; the e2 diagonals are
-    zero where they would join the end of one grid row to the next row.
+    H is fields.stencil_matrix with hops u, diagonal Domain.degree and scale
+    hbar^2 / 2 mu dx^2, built once per call: an apply is one compiled sparse
+    product over the flattened grid that allocates only its result, and H
+    maps onto active sites without a separate mask.
     """
-    from scipy.sparse import dia_matrix
-
-    u1, u2 = phases
-    nx, ny = d.nx, d.ny
-    pref = p.hbar ** 2 / (2.0 * p.mu * d.dx ** 2)
-    # diagonal k holds at column c the entry H[c - offsets[k], c]
-    offsets = (ny, -ny, 1, -1, 0)
-    diags = np.zeros((5, nx, ny), dtype=np.complex128)
-    np.multiply(u1, -pref, out=diags[1, :-1, :])        # H[x + e1, x]
-    np.conjugate(diags[1, :-1, :], out=diags[0, 1:, :])  # H[x, x + e1]
-    np.multiply(u2, -pref, out=diags[3, :, :-1])        # H[x + e2, x]
-    np.conjugate(diags[3, :, :-1], out=diags[2, :, 1:])  # H[x, x + e2]
-    np.multiply(d.degree, pref, out=diags[4].real)
-    n = nx * ny
-    h = dia_matrix((diags.reshape(5, n), offsets), shape=(n, n))
+    h = _h_matrix(phases, d, p)
 
     def apply_h(v: np.ndarray) -> np.ndarray:
         return (h @ v.ravel()).reshape(v.shape)
@@ -137,12 +123,11 @@ def hamiltonian_apply(psi: SiteField, a: LinkField, d: Domain, p: Params) -> Sit
 def dense_hamiltonian(a: LinkField, d: Domain, p: Params):
     """Dense matrix of the Hamiltonian on active sites.
 
-    Returns (H, sites) with sites the (m, 2) index array fixing the basis
-    order.  Intended for small domains (oracle eigensolves, rim states).
+    The matrix of make_hamiltonian restricted to the active sites; returns
+    (H, sites) with sites = np.argwhere(d.active) fixing the basis order.
+    Intended for small domains (oracle eigensolves, rim states).
     """
-    u1, u2 = link_phases(a, d, p)
-    pref = p.hbar ** 2 / (2.0 * p.mu * d.dx ** 2)
-    H, sites = stencil_matrix(d.active, -pref * u1, -pref * u2, pref * d.degree)
+    H, sites = restrict(_h_matrix(link_phases(a, d, p), d, p), d.active)
     return H.toarray(), sites
 
 
@@ -272,8 +257,8 @@ def initialize_consistent(d: Domain, psi0: SiteField, p: Params) -> SimState:
     if not np.any(target):
         return SimState(d, p, psi0.copy(), LinkField.zeros(d), 0.0)
 
-    inv_dx2 = 1.0 / d.dx ** 2
-    lap, _ = stencil_matrix(d.plaq_active, inv_dx2, inv_dx2, -4.0 * inv_dx2)
+    lap = stencil_matrix(target.shape, 1.0, 1.0, 4.0, -1.0 / d.dx ** 2)
+    lap, _ = restrict(lap, d.plaq_active)
     chi_vec = spsolve(lap, target[d.plaq_active])
     if not np.all(np.isfinite(chi_vec)):
         raise SolverError("stream-function Poisson solve returned non-finite values")

@@ -177,31 +177,35 @@ def current_density(psi: SiteField, a: LinkField, d: Domain, p,
     return CurrentField(j1, j2, j0)
 
 
-def stencil_matrix(mask: np.ndarray, w1, w2, diag):
-    """Sparse 5-point stencil on the cells of a mask, as (M, cells).
+def stencil_matrix(shape, hop1, hop2, diag, scale):
+    """scale * (diag - hops): the one assembler of five-point lattice stencils.
 
-    cells = np.argwhere(mask) fixes the basis order.  M[c, c] = diag[c]; for
-    masked neighbours c and c' = c + e1, M[c', c] = w1[c] and M[c, c'] =
-    conj(w1[c]), likewise w2 along e2.  Scalar weights and diagonals broadcast.
+    A scipy dia_matrix over the cells of `shape`, flattened row-major.  For
+    c' = c + e1, M[c', c] = -scale hop1[c] and M[c, c'] is its conjugate;
+    likewise hop2 along e2, never across the end of a grid row; M[c, c] =
+    scale diag[c].  Scalars broadcast; every input is multiplied straight
+    into the diagonal array, so no temporary is formed.
     """
-    from scipy.sparse import csr_matrix
+    from scipy.sparse import dia_matrix
 
-    cells = np.argwhere(mask)
-    n = len(cells)
-    index = np.full(mask.shape, -1)
-    index[mask] = np.arange(n)
-    rows, cols = [np.arange(n)], [np.arange(n)]
-    vals = [np.broadcast_to(diag, mask.shape)[mask]]
-    for tail, head, w in ((index[:-1, :], index[1:, :], w1),
-                          (index[:, :-1], index[:, 1:], w2)):
-        link = (tail >= 0) & (head >= 0)
-        wl = np.broadcast_to(w, link.shape)[link]
-        rows += [head[link], tail[link]]
-        cols += [tail[link], head[link]]
-        vals += [wl, np.conj(wl)]
-    m = csr_matrix((np.concatenate(vals),
-                    (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
-    return m, cells
+    nx, ny = shape
+    # diagonal k holds at column c the entry M[c - offsets[k], c]
+    offsets = (ny, -ny, 1, -1, 0)
+    diags = np.zeros((5, nx, ny), dtype=np.result_type(hop1, hop2, diag, scale))
+    np.multiply(hop1, -scale, out=diags[1, :-1, :])       # M[x + e1, x]
+    np.conjugate(diags[1, :-1, :], out=diags[0, 1:, :])   # M[x, x + e1]
+    np.multiply(hop2, -scale, out=diags[3, :, :-1])       # M[x + e2, x]
+    np.conjugate(diags[3, :, :-1], out=diags[2, :, 1:])   # M[x, x + e2]
+    np.multiply(diag, scale, out=diags[4])
+    n = nx * ny
+    return dia_matrix((diags.reshape(5, n), offsets), shape=(n, n))
+
+
+def restrict(m, mask: np.ndarray):
+    """(M on the cells of a mask, as CSR without explicit zeros, cells) for M
+    from stencil_matrix; cells = np.argwhere(mask) fixes the basis order."""
+    keep = np.flatnonzero(mask)
+    return m.tocsr()[keep][:, keep], np.argwhere(mask)
 
 
 def density_to_plaquettes(rho: np.ndarray, d: Domain) -> np.ndarray:

@@ -121,6 +121,15 @@ def test_quantize_huge_tol_warns(capsys):
     assert "rejected" not in out
 
 
+@pytest.mark.parametrize("flag, value", [("--sigma-min", "nan"),
+                                         ("--sigma-max", "nan"),
+                                         ("--sigma-step", "inf")])
+def test_quantize_non_finite_range_exit_2(capsys, flag, value):
+    # nan bounds gave a traceback (exit 1), an infinite step a nan candidate
+    assert run_cli(["quantize", flag, value]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_diagnose_roundtrip_matches_last_row(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE_CFG)
     out = tmp_path / "run"
@@ -311,6 +320,25 @@ psi0_width = 1.5
     err = capsys.readouterr().err
     assert err.count("warning: dt") == warnings
     assert err.count("\n") == warnings
+
+
+def test_simulate_underflowing_packet_exit_2(tmp_path, capsys):
+    # a packet with no weight on the domain is a configuration error, not
+    # a ValueError traceback (exit 1)
+    args = ["simulate", "--out", str(tmp_path / "run"), "--set", "psi0=gaussian",
+            "--set", "psi0_center_x=1e6", "--set", "psi0_center_y=5"]
+    assert run_cli(args) == 2
+    assert ("config error: psi0: cannot normalize"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "run").exists()
+
+
+def test_simulate_rim_without_pair_keeps_exit_3(tmp_path, capsys):
+    # DomainError is a ValueError too; it stays a numerical failure
+    args = ["simulate", "--out", str(tmp_path / "run"), "--set", "psi0=rim",
+            "--set", "nx=24", "--set", "ny=24", "--set", "steps=2"]
+    assert run_cli(args) == 3
+    assert "numerical failure: no degenerate rim-localized" in capsys.readouterr().err
 
 
 def test_rim_state_requires_localized_pair():

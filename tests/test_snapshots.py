@@ -134,9 +134,23 @@ def test_config_unknown_key():
 
 
 def test_config_reports_all_problems():
+    # a non-finite float is rejected like any other bad value, never
+    # replaced by the key's default
+    bad = {"sigma_h": "0", "dx": "-1", "steps": "abc", "dt": "nan",
+           "psi0_width": "nan", "rho_star": "inf", "flux": "-inf"}
     with pytest.raises(ConfigError) as err:
-        build_config({"sigma_h": "0", "dx": "-1", "steps": "abc"})
+        build_config(bad)
     assert len(err.value.problems) >= 3
+    for key in bad:
+        assert any(p.startswith(f"{key}:") for p in err.value.problems), key
+
+
+@pytest.mark.parametrize("given", ["psi0_center_x", "psi0_center_y"])
+def test_config_half_given_center_rejected(given):
+    with pytest.raises(ConfigError, match="psi0_center_x and psi0_center_y"):
+        build_config({"psi0": "gaussian", given: "2.0"})
+    cfg = build_config({"psi0_center_x": "2.0", "psi0_center_y": "3.0"})
+    assert cfg.psi0_center == (2.0, 3.0)
 
 
 def test_config_sigma_zero_rejected():
