@@ -18,7 +18,9 @@ Keys (defaults in parentheses):
     record_every (1)         recording cadence; must divide steps
     solver_tol (1e-14)       matter step: residual of the Cayley system
                              relative to its right-hand side
-    solver_maxiter (500)     matter step: Krylov iterations (one H apply each)
+    solver_maxiter (500)     iteration cap of both solves: the matter step's
+                             Krylov iterations (one H apply each) and the
+                             initial Poisson solve's CG iterations
   initial state
     psi0 (zero)              zero | gaussian | uniform | rim | file
     psi0_center_x/_y         packet center, both or neither (physical units;

@@ -32,41 +32,38 @@ class LoopPhase:
     phase: float    # (e/hbar) * raw, wrapped to (-pi, pi]
 
 
-def _loop_links(loop: np.ndarray):
-    """Yield (component, x, y, sign) for each directed step of a closed loop."""
-    n = len(loop)
-    for i in range(n):
-        x, y = int(loop[i][0]), int(loop[i][1])
-        x2, y2 = int(loop[(i + 1) % n][0]), int(loop[(i + 1) % n][1])
-        if x2 == x + 1 and y2 == y:
-            yield 1, x, y, +1.0
-        elif x2 == x - 1 and y2 == y:
-            yield 1, x - 1, y, -1.0
-        elif x2 == x and y2 == y + 1:
-            yield 2, x, y, +1.0
-        elif x2 == x and y2 == y - 1:
-            yield 2, x, y - 1, -1.0
-        else:
-            raise DomainError(
-                f"loop sites {(x, y)} and {(x2, y2)} are not 4-adjacent")
-
-
 def wilson_loop(a: LinkField, loop: np.ndarray, d: Domain, p,
                 loop_id: int = 0) -> LoopPhase:
     """Signed line integral of A along a closed lattice loop, and its phase.
 
-    Rejects loops that cross inactive links.
+    Step i runs from site loop[i] to loop[i+1] (cyclically) along the link
+    that starts at the lower of the two sites, with sign +1 forwards.
+    Rejects loops with non-adjacent consecutive sites or crossing inactive
+    links, naming the first such step.  The terms are summed one after
+    another in loop order from +0.0, so the sum is that of a plain loop.
     """
-    raw = 0.0
-    for comp, x, y, sign in _loop_links(loop):
-        if comp == 1:
-            if not d.h_active[x, y]:
-                raise DomainError(f"loop crosses inactive link ({x},{y})->({x + 1},{y})")
-            raw += sign * a.a1[x, y] * d.dx
-        else:
-            if not d.v_active[x, y]:
-                raise DomainError(f"loop crosses inactive link ({x},{y})->({x},{y + 1})")
-            raw += sign * a.a2[x, y] * d.dx
+    loop = np.asarray(loop, dtype=np.int64)
+    step = np.roll(loop, -1, axis=0) - loop
+    horiz = (np.abs(step[:, 0]) == 1) & (step[:, 1] == 0)
+    vert = (step[:, 0] == 0) & (np.abs(step[:, 1]) == 1)
+    lx, ly = (loop + np.minimum(step, 0)).T
+    ok = np.zeros(len(loop), dtype=bool)
+    ok[horiz] = d.h_active[lx[horiz], ly[horiz]]
+    ok[vert] = d.v_active[lx[vert], ly[vert]]
+    if not ok.all():
+        i = int(np.argmin(ok))
+        (x, y), (sx, sy) = loop[i].tolist(), step[i].tolist()
+        if not (horiz[i] or vert[i]):
+            raise DomainError(
+                f"loop sites {(x, y)} and {(x + sx, y + sy)} are not 4-adjacent")
+        x, y = int(lx[i]), int(ly[i])
+        raise DomainError(f"loop crosses inactive link ({x},{y})->"
+                          f"({x + abs(sx)},{y + abs(sy)})")
+    vals = np.empty(len(loop))
+    vals[horiz] = a.a1[lx[horiz], ly[horiz]]
+    vals[vert] = a.a2[lx[vert], ly[vert]]
+    terms = step.sum(axis=1) * vals * d.dx
+    raw = np.cumsum(np.concatenate(([0.0], terms)))[-1]
     return LoopPhase(loop_id, float(raw), wrap_phase(p.e * raw / p.hbar))
 
 

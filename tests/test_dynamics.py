@@ -415,3 +415,82 @@ def test_cayley_step_one_h_apply_per_iteration(rect12, rng, monkeypatch):
     # maxiter is now the iteration count of the converged solve
     assert maxiter > 3
     assert len(calls) <= maxiter + 1
+
+
+def spsolve_potential(d, psi, p):
+    """Reference potential of the consistent init: a direct sparse solve of
+    the masked plaquette Poisson problem, assembled plaquette by plaquette."""
+    from scipy.sparse import lil_matrix
+    from scipy.sparse.linalg import spsolve
+    rho = p.e * np.where(d.active, psi.density(), 0.0)
+    target = 0.25 * (rho[:-1, :-1] + rho[1:, :-1] + rho[:-1, 1:] + rho[1:, 1:]) / p.sigma_h
+    cells = [tuple(c) for c in np.argwhere(d.plaq_active)]
+    index = {c: k for k, c in enumerate(cells)}
+    lap = lil_matrix((len(cells), len(cells)))
+    for k, (x, y) in enumerate(cells):
+        lap[k, k] = -4.0 / d.dx ** 2
+        for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+            if nb in index:
+                lap[k, index[nb]] = 1.0 / d.dx ** 2
+    chi = np.zeros((d.nx + 1, d.ny + 1))       # zero on the uncounted dual sites
+    chi[1:-1, 1:-1][d.plaq_active] = spsolve(
+        lap.tocsc(), np.array([target[c] for c in cells]))
+    return LinkField(-(chi[1:-1, 1:] - chi[1:-1, :-1]) / d.dx * d.h_active,
+                     (chi[1:, 1:-1] - chi[:-1, 1:-1]) / d.dx * d.v_active)
+
+
+def check_consistent_init(d, sigma_h, seed, maxiter=500):
+    p = Params(sigma_h=sigma_h, dt=0.05, solver_maxiter=maxiter)
+    psi, _ = random_fields(d, seed)
+    s = initialize_consistent(d, psi, p)
+    assert gauss_residual(s)[1] <= 1e-10
+    assert not s.a.a1[~d.h_active].any() and not s.a.a2[~d.v_active].any()
+    want = spsolve_potential(d, psi, p)
+    scale = max(np.abs(want.a1).max(), np.abs(want.a2).max())
+    assert np.abs(s.a.a1 - want.a1).max() <= 1e-9 * scale
+    assert np.abs(s.a.a2 - want.a2).max() <= 1e-9 * scale
+
+
+@given(d=masked_domains(), sigma_h=st.sampled_from([0.5, 1.0, 3.0]),
+       seed=st.integers(0, 2 ** 31))
+@settings(max_examples=30, deadline=None)
+def test_initialize_consistent_matches_direct_solve_random_domains(d, sigma_h, seed):
+    check_consistent_init(d, sigma_h, seed)
+
+
+@pytest.mark.parametrize("dx", [0.5, 1.7])
+@pytest.mark.parametrize("shape", ["holed", "annulus", "plain"])
+def test_initialize_consistent_matches_direct_solve_scaled_dx(dx, shape):
+    # the preconditioner's eigenvalues carry 1/dx^2 like the Laplacian; CG
+    # corrects a wrong scale, but then the start is no longer the solution
+    # on a hole-free rectangle and one iteration does not suffice
+    if shape == "holed":
+        d = build_rectangle(15, 13, dx, [(3, 3, 2, 3), (9, 7, 3, 2)])
+    elif shape == "annulus":
+        d = build_corbino(16, dx, 2.0 * dx, 7.6 * dx)
+    else:
+        d = build_rectangle(15, 13, dx, [])
+    check_consistent_init(d, 1.0, 11, maxiter=1 if shape == "plain" else 500)
+
+
+def test_initialize_consistent_solver_abort():
+    from hallsim import SolverError
+    d = build_rectangle(32, 32, 1.0, [(12, 14, 6, 5)])
+    psi = gaussian_packet(d, (8.0, 9.0), 3.0, (0.2, 0.0), norm=1.0)
+    with pytest.raises(SolverError,
+                       match=r"consistent initialization.*relative residual"):
+        initialize_consistent(d, psi, Params(solver_maxiter=1))
+    # without holes the full-grid solve that starts CG is already the solution
+    d = build_rectangle(32, 32, 1.0, [])
+    s = initialize_consistent(d, gaussian_packet(d, (8.0, 9.0), 3.0, (0.2, 0.0)),
+                              Params(solver_maxiter=1))
+    assert gauss_residual(s)[1] <= 1e-10
+
+
+def test_initialize_consistent_rejects_nan_state():
+    from hallsim import SolverError
+    d = build_rectangle(32, 32, 1.0, [(12, 14, 6, 5)])
+    psi = gaussian_packet(d, (8.0, 9.0), 3.0, (0.2, 0.0), norm=1.0)
+    psi.values[20, 21] = np.nan
+    with pytest.raises(SolverError, match="consistent initialization: non-finite"):
+        initialize_consistent(d, psi, Params())

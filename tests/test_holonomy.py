@@ -9,6 +9,7 @@ from hallsim import (DomainError, GaugeTransform, LinkField, Params, SimState,
                      holonomy_drift, insert_flux, plaquette_curl,
                      site_gradient, wilson_loop, wrap_phase)
 from hallsim.domain import _rect_ring
+from test_dynamics import masked_domains
 
 
 def test_wrap_phase_range_and_values():
@@ -50,6 +51,94 @@ def test_wilson_rejects_inactive_links(corbino32, params):
     loop = _rect_ring(14, 17, 14, 17)
     with pytest.raises(DomainError):
         wilson_loop(LinkField.zeros(corbino32), loop, corbino32, params)
+
+
+def plain_loop_raw(a, loop, d):
+    """Reference: the line integral as a plain loop over the steps, in order."""
+    raw = 0.0
+    n = len(loop)
+    for i in range(n):
+        x, y = int(loop[i][0]), int(loop[i][1])
+        x2, y2 = int(loop[(i + 1) % n][0]), int(loop[(i + 1) % n][1])
+        if x2 == x + 1 and y2 == y:
+            comp, lx, ly, sign = 1, x, y, +1.0
+        elif x2 == x - 1 and y2 == y:
+            comp, lx, ly, sign = 1, x - 1, y, -1.0
+        elif x2 == x and y2 == y + 1:
+            comp, lx, ly, sign = 2, x, y, +1.0
+        elif x2 == x and y2 == y - 1:
+            comp, lx, ly, sign = 2, x, y - 1, -1.0
+        else:
+            raise DomainError(
+                f"loop sites {(x, y)} and {(x2, y2)} are not 4-adjacent")
+        if comp == 1:
+            if not d.h_active[lx, ly]:
+                raise DomainError(
+                    f"loop crosses inactive link ({lx},{ly})->({lx + 1},{ly})")
+            raw += sign * a.a1[lx, ly] * d.dx
+        else:
+            if not d.v_active[lx, ly]:
+                raise DomainError(
+                    f"loop crosses inactive link ({lx},{ly})->({lx},{ly + 1})")
+            raw += sign * a.a2[lx, ly] * d.dx
+    return raw
+
+
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+def negative_zero_terms(d, loop):
+    """Signed zeros that make every term of the loop's sum -0.0."""
+    a = LinkField(np.full((d.nx - 1, d.ny), -0.0), np.full((d.nx, d.ny - 1), -0.0))
+    for (x, y), (sx, sy) in zip(loop, np.roll(loop, -1, axis=0) - loop):
+        if sx == -1:
+            a.a1[x - 1, y] = 0.0
+        if sy == -1:
+            a.a2[x, y - 1] = 0.0
+    return a
+
+
+@given(d=masked_domains(), seed=st.integers(0, 2 ** 31),
+       zeros=st.sampled_from(["none", "some", "all"]))
+@settings(max_examples=40, deadline=None)
+def test_wilson_loop_bitwise_equals_plain_loop(d, seed, zeros):
+    # "all": the plain loop's sum starts from +0.0, so it is +0.0, not -0.0
+    rng = np.random.default_rng(seed)
+    p = Params(e=1.3, hbar=0.7)
+    a = LinkField(rng.normal(size=(d.nx - 1, d.ny)) * d.h_active,
+                  rng.normal(size=(d.nx, d.ny - 1)) * d.v_active)
+    if zeros == "some":
+        for x in (a.a1, a.a2):
+            pick = rng.random(x.shape) < 0.5
+            x[pick] = rng.choice([0.0, -0.0], size=int(pick.sum()))
+    for loop in d.generator_loops + tuple(lp[::-1] for lp in d.generator_loops):
+        if zeros == "all":
+            a = negative_zero_terms(d, loop)
+        got = wilson_loop(a, loop, d, p, loop_id=3)
+        raw = plain_loop_raw(a, loop, d)
+        assert bits(got.raw) == bits(raw)
+        assert bits(got.phase) == bits(wrap_phase(p.e * raw / p.hbar))
+        assert got.loop_id == 3
+
+
+@pytest.mark.parametrize("bad", ["skip_site", "through_hole", "reversed", "both"])
+def test_wilson_loop_errors_match_plain_loop(corbino32, params, bad):
+    # the first bad step along the loop is the one reported
+    if bad == "skip_site":
+        loop = np.delete(corbino32.generator_loops[0], 5, axis=0)
+    elif bad == "through_hole":
+        loop = _rect_ring(14, 17, 14, 17)
+    elif bad == "reversed":
+        loop = _rect_ring(14, 17, 14, 17)[::-1]
+    else:
+        loop = np.delete(_rect_ring(14, 17, 14, 17), 9, axis=0)
+    a = LinkField.zeros(corbino32)
+    with pytest.raises(DomainError) as want:
+        plain_loop_raw(a, loop, corbino32)
+    with pytest.raises(DomainError) as got:
+        wilson_loop(a, loop, corbino32, params)
+    assert str(got.value) == str(want.value)
 
 
 def test_flux_insertion_aharonov_bohm(corbino32, params):
