@@ -30,9 +30,12 @@ from .snapshots import SnapshotError, check_grid, read_field, write_state
 
 def _params(cfg: RunConfig, d: Domain) -> Params:
     dt = cfg.dt if cfg.dt > 0 else default_dt(d, cfg.mu, cfg.hbar)
-    return Params(sigma_h=cfg.sigma_h, hbar=cfg.hbar, e=cfg.e, mu=cfg.mu,
-                  dt=dt, solver_tol=cfg.solver_tol,
-                  solver_maxiter=cfg.solver_maxiter)
+    try:
+        return Params(sigma_h=cfg.sigma_h, hbar=cfg.hbar, e=cfg.e, mu=cfg.mu,
+                      dt=dt, solver_tol=cfg.solver_tol,
+                      solver_maxiter=cfg.solver_maxiter)
+    except ValueError as err:   # e.g. a default dt that underflows to 0
+        raise ConfigError([str(err)]) from err
 
 
 def _read_snapshot(path, want: str, d: Domain) -> np.ndarray:
@@ -117,8 +120,7 @@ def records_to_rows(cfg: RunConfig, records) -> list:
         j_next = current(records[i + 1]) if i + 1 < len(records) else None
         cont = None
         if j_prev is not None and j_next is not None:
-            cont = continuity_of(j_prev, j_next,
-                                 records[i + 1].t - records[i - 1].t, s.domain)
+            cont = continuity_of(records[i - 1], records[i + 1], j_prev, j_next)
         rows.append(record_state(s, cfg.edge_k, cfg.rho_star, cfg.b_star,
                                  cfg.sigma_floor, continuity=cont,
                                  current=j_cur))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import Domain
-from .fields import (CurrentField, LinkField, current_density,
+from .fields import (CurrentField, LinkField, charge_density, current_density,
                      density_to_plaquettes, j1_at_vlinks, j2_at_hlinks,
                      link_divergence, plaquette_curl)
 
@@ -89,14 +89,15 @@ def norm_total(s) -> float:
     return _norm(_density(s.psi, s.domain), s.domain)
 
 
-def continuity_of(jp: CurrentField, jn: CurrentField, dt: float,
-                  d: Domain) -> float:
-    """continuity_residual for the currents of two states dt apart."""
+def continuity_of(prev, nxt, jp: CurrentField, jn: CurrentField) -> float:
+    """continuity_residual for two states and their link currents."""
+    d, p, dt = prev.domain, prev.params, nxt.t - prev.t
     if dt <= 0:
         raise ValueError("continuity_residual needs next.t > prev.t")
     j1b = 0.5 * (jp.j1 + jn.j1)
     j2b = 0.5 * (jp.j2 + jn.j2)
-    resid = (jn.j0 - jp.j0) / dt + link_divergence(j1b, j2b, d)
+    resid = ((charge_density(nxt.psi, d, p) - charge_density(prev.psi, d, p))
+             / dt + link_divergence(j1b, j2b, d))
     scale = max(np.abs(j1b).max(initial=0.0), np.abs(j2b).max(initial=0.0)) / d.dx
     return float(np.abs(resid[d.active]).max(initial=0.0) / max(scale, FLOOR))
 
@@ -109,9 +110,8 @@ def continuity_residual(prev, nxt) -> float:
     current scale max(|j_bar|)/dx.  Second order in the recording interval.
     """
     d, p = prev.domain, prev.params
-    return continuity_of(current_density(prev.psi, prev.a, d, p),
-                         current_density(nxt.psi, nxt.a, d, p),
-                         nxt.t - prev.t, d)
+    return continuity_of(prev, nxt, current_density(prev.psi, prev.a, d, p),
+                         current_density(nxt.psi, nxt.a, d, p))
 
 
 def pure_gauge_residual(a: LinkField, d: Domain) -> float:

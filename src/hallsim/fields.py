@@ -6,7 +6,7 @@ Conventions (fixed once, used everywhere):
 * The matter field psi is site-centered (complex, dimension 1/length so that
   |psi|^2 is an areal density); the gauge potential components a1, a2 are
   real link values on horizontal/vertical links; currents j1, j2 live on the
-  same links, the charge density j0 = e |psi|^2 on sites.
+  same links, the charge density j0 = e |psi|^2 on sites (charge_density).
 * Link (x, y) -> (x+1, y) carries a1[x, y]; link (x, y) -> (x, y+1) carries
   a2[x, y].  Values on links touching inactive sites are identically zero.
 * The plaquette curl is the counterclockwise circulation divided by the cell
@@ -60,10 +60,9 @@ class LinkField:
 
 @dataclass
 class CurrentField:
-    """Charge current per link (j1, j2) and charge density per site (j0)."""
+    """Charge current per link: j1 on horizontal, j2 on vertical links."""
     j1: np.ndarray
     j2: np.ndarray
-    j0: np.ndarray
 
 
 @dataclass
@@ -150,15 +149,14 @@ def link_phases(a: LinkField, d: Domain, p) -> tuple:
 
 def current_density(psi: SiteField, a: LinkField, d: Domain, p,
                     phases=None) -> CurrentField:
-    """Gauge-invariant link current and site charge density.
+    """Gauge-invariant charge current on the links,
 
        j(link) = (e hbar / mu dx) Im[ psi*(tail) conj(u) psi(head) ]
-       j0(site) = e |psi|^2
 
     with u = link_phases(a, d, p), or `phases` when given.  In the continuum
     limit this is (e hbar/mu) Im(psi* d_m psi) - (e^2/mu) A_m |psi|^2.
     Because u is the hopping phase of the Hamiltonian, d_t j0 + div j = 0
-    holds exactly for the semi-discrete evolution.
+    (j0 from charge_density) holds exactly for the semi-discrete evolution.
     """
     u1, u2 = link_phases(a, d, p) if phases is None else phases
     v = psi.values
@@ -172,9 +170,12 @@ def current_density(psi: SiteField, a: LinkField, d: Domain, p,
         jl = np.multiply(w.imag, scale)
         jl *= mask
         j.append(jl)
-    j1, j2 = j
-    j0 = p.e * np.where(d.active, np.abs(v) ** 2, 0.0)
-    return CurrentField(j1, j2, j0)
+    return CurrentField(*j)
+
+
+def charge_density(psi: SiteField, d: Domain, p) -> np.ndarray:
+    """Site charge density j0 = e |psi|^2, zero on inactive sites."""
+    return p.e * np.where(d.active, psi.density(), 0.0)
 
 
 def stencil_matrix(shape, hop1, hop2, diag, scale):

@@ -333,6 +333,20 @@ def test_simulate_underflowing_packet_exit_2(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("override, key", [
+    ("dx=1e-200", "dt"),                # 0.05 mu dx^2 / hbar underflows to 0
+    ("solver_tol=1e-16", "solver_tol"),
+    ("solver_tol=2e-16", "solver_tol")])
+def test_simulate_params_rejected_exit_2(tmp_path, capsys, override, key):
+    # values that pass the config checks but not Params are configuration
+    # errors too, not a traceback (exit 1)
+    args = ["simulate", "--out", str(tmp_path / "run"), "--set", "steps=2",
+            "--set", "psi0=gaussian", "--set", override]
+    assert run_cli(args) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+    assert not (tmp_path / "run").exists()
+
+
 def test_simulate_rim_without_pair_keeps_exit_3(tmp_path, capsys):
     # DomainError is a ValueError too; it stays a numerical failure
     args = ["simulate", "--out", str(tmp_path / "run"), "--set", "psi0=rim",

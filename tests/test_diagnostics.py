@@ -126,7 +126,7 @@ def test_edge_fraction_rim_only_current(corbino32, params):
     bm = corbino32.boundary_mask
     j1[(bm[:-1, :] & bm[1:, :]) & corbino32.h_active] = 1.0
     j2[(bm[:, :-1] & bm[:, 1:]) & corbino32.v_active] = 1.0
-    j = CurrentField(j1, j2, np.zeros((32, 32)))
+    j = CurrentField(j1, j2)
     assert edge_fraction_of(j, corbino32, 1) == 1.0
 
 
@@ -135,7 +135,7 @@ def test_edge_fraction_uniform_current_counting():
     # cross-checked by a brute-force distance scan
     d = build_rectangle(20, 20, 1.0, [])
     j = CurrentField(np.ones((19, 20)) * d.h_active,
-                     np.ones((20, 19)) * d.v_active, np.zeros((20, 20)))
+                     np.ones((20, 19)) * d.v_active)
     k = 2
     got = edge_fraction_of(j, d, k)
 

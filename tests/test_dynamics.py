@@ -107,7 +107,7 @@ def test_step_gauge_zero_current(rect12, params, rng):
     a = LinkField(rng.normal(size=(11, 12)) * rect12.h_active,
                   rng.normal(size=(12, 11)) * rect12.v_active)
     s = SimState(rect12, params, SiteField.zeros(rect12), a, 0.0)
-    j = CurrentField(np.zeros((11, 12)), np.zeros((12, 11)), np.zeros((12, 12)))
+    j = CurrentField(np.zeros((11, 12)), np.zeros((12, 11)))
     out = step_gauge(s, j)
     assert np.array_equal(out.a1, a.a1) and np.array_equal(out.a2, a.a2)
 
@@ -118,8 +118,7 @@ def test_step_gauge_uniform_current():
     d = build_rectangle(10, 10, 1.0, [])
     p = Params(sigma_h=1.0, dt=0.1)
     c = 0.8
-    j = CurrentField(np.full((9, 10), c) * d.h_active, np.zeros((10, 9)),
-                     np.zeros((10, 10)))
+    j = CurrentField(np.full((9, 10), c) * d.h_active, np.zeros((10, 9)))
     s = SimState(d, p, SiteField.zeros(d), LinkField.zeros(d), 0.0)
     out = step_gauge(s, j)
     adot2 = (out.a2 - s.a.a2) / p.dt
@@ -130,7 +129,7 @@ def test_step_gauge_uniform_current():
 def test_step_gauge_sign_flip():
     d = build_rectangle(10, 10, 1.0, [])
     j = CurrentField(np.ones((9, 10)) * d.h_active,
-                     np.ones((10, 9)) * d.v_active, np.zeros((10, 10)))
+                     np.ones((10, 9)) * d.v_active)
     r_pos = gauge_rate(j, d, Params(sigma_h=2.0, dt=0.1))
     r_neg = gauge_rate(j, d, Params(sigma_h=-2.0, dt=0.1))
     assert np.abs(r_pos.a1 + r_neg.a1).max() == 0.0
@@ -140,6 +139,15 @@ def test_step_gauge_sign_flip():
 def test_sigma_zero_rejected():
     with pytest.raises(ValueError, match="sigma_h"):
         Params(sigma_h=0.0, dt=0.05)
+
+
+@pytest.mark.parametrize("tol", [1e-16, 2e-16, np.nextafter(2.0 ** -52, 0.0)])
+def test_solver_tol_below_machine_epsilon_rejected(tol):
+    # the Cayley stopping threshold (solver_tol - eps) |b| would be negative,
+    # and the Krylov loop would run into an exact zero pivot
+    with pytest.raises(ValueError, match="^solver_tol: "):
+        Params(solver_tol=tol)
+    Params(solver_tol=2.0 ** -52)
 
 
 def test_matter_step_solver_abort(rect12, rng):
@@ -484,6 +492,20 @@ def test_initialize_consistent_solver_abort():
     d = build_rectangle(32, 32, 1.0, [])
     s = initialize_consistent(d, gaussian_packet(d, (8.0, 9.0), 3.0, (0.2, 0.0)),
                               Params(solver_maxiter=1))
+    assert gauss_residual(s)[1] <= 1e-10
+
+
+def test_initialize_consistent_converged_on_last_iteration():
+    # CG converges in exactly 14 iterations here; scipy's cg returns the
+    # 14th iterate unchecked (info > 0) when maxiter is 14
+    from hallsim import SolverError
+    d = build_rectangle(32, 32, 1.0, [(10, 12, 6, 5)])
+    psi = gaussian_packet(d, (12.0, 9.0), 3.0, (0.0, 0.0))
+    with pytest.raises(SolverError, match="relative residual"):
+        initialize_consistent(d, psi, Params(solver_maxiter=13))
+    s = initialize_consistent(d, psi, Params(solver_maxiter=14))
+    ref = initialize_consistent(d, psi, Params())
+    assert np.array_equal(s.a.a1, ref.a.a1) and np.array_equal(s.a.a2, ref.a.a2)
     assert gauss_residual(s)[1] <= 1e-10
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from hallsim import (GaugeTransform, LinkField, Params, SiteField, apply_gauge,
                      current_density, build_rectangle, link_divergence,
                      plaquette_curl, site_gradient)
+from hallsim.fields import charge_density
 
 
 def random_state(d, rng, scale=1.0):
@@ -91,7 +92,8 @@ def test_current_zero_for_real_constant(rect12, params):
     psi = SiteField(np.where(rect12.active, 0.37 + 0j, 0.0))
     j = current_density(psi, LinkField.zeros(rect12), rect12, params)
     assert np.all(j.j1 == 0.0) and np.all(j.j2 == 0.0)
-    assert j.j0[rect12.active] == pytest.approx(params.e * 0.37 ** 2)
+    rho = charge_density(psi, rect12, params)
+    assert rho[rect12.active] == pytest.approx(params.e * 0.37 ** 2)
 
 
 def test_current_plane_wave(params):
@@ -132,7 +134,9 @@ def test_current_is_real_and_zero_off_domain(params, rng):
     assert j.j1.dtype == np.float64 and j.j2.dtype == np.float64
     assert np.all(j.j1[~d.h_active] == 0.0)
     assert np.all(j.j2[~d.v_active] == 0.0)
-    assert np.all(j.j0[~d.active] == 0.0)
+    # nonzero amplitude off the domain must not leak into the density
+    psi.values[~d.active] = 1.0
+    assert np.all(charge_density(psi, d, params)[~d.active] == 0.0)
 
 
 @given(seed=st.integers(0, 2 ** 31))

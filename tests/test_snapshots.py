@@ -1,8 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from hallsim import LinkField, SiteField
-from hallsim.config import ConfigError, build_config, parse_config_text
+import hallsim.config
+from hallsim.config import (DEFAULTS, ConfigError, build_config,
+                            parse_config_text, parse_overrides)
 from hallsim.snapshots import SnapshotError, read_field, write_field, write_state
 
 
@@ -170,3 +174,51 @@ def test_config_echo_roundtrip():
     assert cfg2.nx == 24 and cfg2.psi0 == "gaussian"
     assert cfg2.psi0_k == cfg.psi0_k
     assert cfg2.echo() == cfg.echo()
+
+
+# a valid non-default value per key, with the keys it needs to stay valid
+NON_DEFAULT = {
+    "shape": {"shape": "corbino", "r_inner": "3.5", "r_outer": "12.0"},
+    "nx": {"nx": "24"}, "ny": {"ny": "20"}, "n": {"n": "40"},
+    "dx": {"dx": "0.5"}, "holes": {"holes": "3,3,2,2; 10,10,3,2"},
+    "r_inner": {"r_inner": "3.5"}, "r_outer": {"r_outer": "12.0"},
+    "sigma_h": {"sigma_h": "-2.0"}, "hbar": {"hbar": "0.7"},
+    "e": {"e": "1.3"}, "mu": {"mu": "2.0"}, "dt": {"dt": "0.01"},
+    "steps": {"steps": "7"}, "record_every": {"record_every": "5"},
+    "solver_tol": {"solver_tol": "1e-12"},
+    "solver_maxiter": {"solver_maxiter": "50"},
+    "psi0": {"psi0": "File", "psi0_file": "psi.hsfield"},
+    "psi0_center_x": {"psi0_center_x": "2.0", "psi0_center_y": "3.0"},
+    "psi0_center_y": {"psi0_center_x": "-1", "psi0_center_y": "1e1"},
+    "psi0_width": {"psi0_width": "2.5"}, "psi0_kx": {"psi0_kx": "0.25"},
+    "psi0_ky": {"psi0_ky": "-0.5"}, "psi0_norm": {"psi0_norm": "2.0"},
+    "psi0_ecut": {"psi0_ecut": "3.0"}, "psi0_file": {"psi0_file": "a b.txt"},
+    "rim_band": {"rim_band": "2"}, "consistent_init": {"consistent_init": "no"},
+    "flux": {"flux": "0.5"}, "edge_k": {"edge_k": "2"},
+    "rho_star": {"rho_star": "1e-3"}, "b_star": {"b_star": "2e-3"},
+    "sigma_floor": {"sigma_floor": "1e-10"},
+}
+
+
+def test_non_default_table_covers_every_key():
+    assert set(NON_DEFAULT) == set(DEFAULTS)
+
+
+@pytest.mark.parametrize("key", sorted(NON_DEFAULT))
+def test_config_echo_roundtrip_every_key(key):
+    values = NON_DEFAULT[key]
+    cfg = build_config(values)
+    assert getattr(cfg, key) != getattr(build_config({}), key)
+    assert parse_overrides([f"{k}={v}" for k, v in values.items()]) == values
+    echo = cfg.echo()
+    cfg2 = build_config(parse_config_text(echo))
+    assert {k: getattr(cfg2, k) for k in DEFAULTS} == {k: getattr(cfg, k)
+                                                        for k in DEFAULTS}
+    assert (cfg2.psi0_center, cfg2.psi0_k) == (cfg.psi0_center, cfg.psi0_k)
+    assert cfg2.echo() == echo
+
+
+def test_module_docstring_names_every_key():
+    doc = hallsim.config.__doc__
+    missing = [k for k in DEFAULTS if not re.search(rf"\b{k}\b", doc)]
+    assert missing == []
