@@ -16,9 +16,9 @@ from .dynamics import (Params, SimState, SolverError, advance, cayley_step,
                        default_dt, dense_hamiltonian, gauge_rate,
                        hamiltonian_apply, initialize_consistent, step_gauge,
                        step_matter)
-from .fields import (CurrentField, GaugeTransform, LinkField, SiteField,
-                     apply_gauge, current_density, density_to_plaquettes,
-                     link_divergence, plaquette_curl, site_gradient)
+from .fields import (CurrentField, LinkField, apply_gauge, current_density,
+                     density_to_plaquettes, link_divergence, plaquette_curl,
+                     site_density, site_gradient)
 from .holonomy import LoopPhase, holonomy_drift, insert_flux, wilson_loop, wrap_phase
 from .initial import (band_limited, gaussian_packet, normalize,
                       rim_pair_state, uniform_state)

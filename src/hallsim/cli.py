@@ -21,11 +21,13 @@ from .diagnostics import DiagnosticsRecord, continuity_of, record_state
 from .domain import Domain, DomainError
 from .dynamics import (Params, SimState, SolverError, advance, default_dt,
                        initialize_consistent)
-from .fields import LinkField, SiteField, current_density
+from .fields import LinkField, current_density
 from .holonomy import insert_flux
 from .initial import band_limited, gaussian_packet, rim_pair_state, uniform_state
 from .quantization import single_valuedness_scan
 from .snapshots import SnapshotError, check_grid, read_field, write_state
+
+MAX_CANDIDATES = 1_000_000      # sigma_H candidates one quantize scan may build
 
 
 def _params(cfg: RunConfig, d: Domain) -> Params:
@@ -46,9 +48,9 @@ def _read_snapshot(path, want: str, d: Domain) -> np.ndarray:
     return arr
 
 
-def _initial_psi(cfg: RunConfig, d: Domain, p: Params) -> SiteField:
+def _initial_psi(cfg: RunConfig, d: Domain, p: Params) -> np.ndarray:
     if cfg.psi0 == "zero":
-        return SiteField.zeros(d)
+        return np.zeros((d.nx, d.ny), dtype=np.complex128)
     try:
         if cfg.psi0 == "uniform":
             psi = uniform_state(d, cfg.psi0_norm)
@@ -61,8 +63,7 @@ def _initial_psi(cfg: RunConfig, d: Domain, p: Params) -> SiteField:
         elif cfg.psi0 == "rim":
             psi = rim_pair_state(d, p, cfg.psi0_norm, band=cfg.rim_band)
         else:
-            psi = SiteField(np.where(d.active,
-                                     _read_snapshot(cfg.psi0_file, "psi", d), 0.0))
+            psi = np.where(d.active, _read_snapshot(cfg.psi0_file, "psi", d), 0.0)
         if cfg.psi0_ecut > 0:
             psi = band_limited(psi, d, p, cfg.psi0_ecut, cfg.psi0_norm)
     except (DomainError, SnapshotError):    # ValueErrors that keep exit 3
@@ -163,13 +164,17 @@ def cmd_quantize(cfg: RunConfig, outdir: str, smin: float, smax: float,
         problems.append(f"--sigma-step must be positive, got {sstep}")
     if smax < smin:
         problems.append(f"--sigma-max {smax} below --sigma-min {smin}")
+    count = 0 if problems else np.floor((smax - smin) / sstep + 1e-9) + 1
+    if not count <= MAX_CANDIDATES:     # also an infinite count
+        problems.append(f"--sigma-step {sstep} gives more than "
+                        f"{MAX_CANDIDATES} candidates from --sigma-min to "
+                        "--sigma-max")
     if not tol > 0:
         problems.append(f"--tol must be positive, got {tol}")
     if problems:
         raise ConfigError(problems)
 
-    count = int(np.floor((smax - smin) / sstep + 1e-9)) + 1
-    candidates = [smin + i * sstep for i in range(count)]
+    candidates = [smin + i * sstep for i in range(int(count))]
     spec = single_valuedness_scan(candidates, l=1.0, hbar=cfg.hbar, tol=tol)
     allowed = set(spec.allowed)
 
@@ -204,7 +209,7 @@ def cmd_diagnose(cfg: RunConfig, psi_path, a1_path, a2_path) -> int:
 
     psi = a = None
     if psi_path:
-        psi = SiteField(np.where(d.active, _read_snapshot(psi_path, "psi", d), 0.0))
+        psi = np.where(d.active, _read_snapshot(psi_path, "psi", d), 0.0)
     if a1_path:
         a = LinkField(_read_snapshot(a1_path, "a1", d),
                       _read_snapshot(a2_path, "a2", d))

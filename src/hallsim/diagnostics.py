@@ -25,14 +25,9 @@ import numpy as np
 from .domain import Domain
 from .fields import (CurrentField, LinkField, charge_density, current_density,
                      density_to_plaquettes, j1_at_vlinks, j2_at_hlinks,
-                     link_divergence, plaquette_curl)
+                     link_divergence, plaquette_curl, site_density)
 
 FLOOR = 1e-300
-
-
-def _density(psi, d: Domain) -> np.ndarray:
-    """|psi|^2 on active sites, zero elsewhere."""
-    return np.where(d.active, psi.density(), 0.0)
 
 
 def gauss_residual_of(rho: np.ndarray, curl: np.ndarray, d: Domain, p) -> tuple:
@@ -51,7 +46,7 @@ def gauss_residual(s) -> tuple:
     max(e ||rho||_inf, |sigma_H| ||curl||_inf).
     """
     d = s.domain
-    return gauss_residual_of(_density(s.psi, d), plaquette_curl(s.a, d), d,
+    return gauss_residual_of(site_density(s.psi, d), plaquette_curl(s.a, d), d,
                              s.params)
 
 
@@ -86,7 +81,7 @@ def _norm(rho: np.ndarray, d: Domain) -> float:
 
 def norm_total(s) -> float:
     """Total squared norm of psi: sum |psi|^2 dx^2."""
-    return _norm(_density(s.psi, s.domain), s.domain)
+    return _norm(site_density(s.psi, s.domain), s.domain)
 
 
 def continuity_of(prev, nxt, jp: CurrentField, jn: CurrentField) -> float:
@@ -157,7 +152,7 @@ def _interior_mean(rho: np.ndarray, d: Domain, k: int) -> float:
 
 def interior_mean_density(s, k: int) -> float:
     """Mean |psi|^2 over sites deeper than the k-cell edge shell (0 if none)."""
-    return _interior_mean(_density(s.psi, s.domain), s.domain, k)
+    return _interior_mean(site_density(s.psi, s.domain), s.domain, k)
 
 
 def _breakdown(interior: float, pure: float, rho_star: float,
@@ -256,15 +251,15 @@ def record_state(s, k: int, rho_star: float, b_star: float,
     rec = DiagnosticsRecord(t=s.t, continuity_rel=continuity,
                             holonomies=(None,) * d.g)
     if s.psi is not None:
-        rho = _density(s.psi, d)
+        rho = site_density(s.psi, d)
         rec.norm = _norm(rho, d)
         rec.n_global = rec.norm / d.area
     if s.a is not None:
         curl = plaquette_curl(s.a, d)
         rec.B_mean = _plaquette_mean(curl, d)
         rec.pure_gauge_max = float(np.abs(curl).max(initial=0.0))
-        rec.holonomies = tuple(wilson_loop(s.a, loop, d, p, loop_id=i).phase
-                               for i, loop in enumerate(d.generator_loops))
+        rec.holonomies = tuple(wilson_loop(s.a, loop, d, p).phase
+                               for loop in d.generator_loops)
     if s.psi is not None and s.a is not None:
         _, rec.gauss_rel = gauss_residual_of(rho, curl, d, p)
         rec.sigma_est = _hall_ratio(rec.n_global, rec.B_mean, p.e, sigma_floor)

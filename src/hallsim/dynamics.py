@@ -49,9 +49,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import Domain
-from .fields import (CurrentField, LinkField, SiteField, charge_density,
-                     current_density, density_to_plaquettes, j1_at_vlinks,
-                     j2_at_hlinks, link_phases, restrict, stencil_matrix)
+from .fields import (CurrentField, LinkField, charge_density, current_density,
+                     density_to_plaquettes, j1_at_vlinks, j2_at_hlinks,
+                     link_phases, restrict, stencil_matrix)
 
 
 class SolverError(RuntimeError):
@@ -96,7 +96,7 @@ def default_dt(d: Domain, mu: float = 1.0, hbar: float = 1.0) -> float:
 class SimState:
     domain: Domain
     params: Params
-    psi: SiteField
+    psi: np.ndarray     # complex, shape (nx, ny)
     a: LinkField
     t: float = 0.0
 
@@ -123,7 +123,8 @@ def make_hamiltonian(phases, d: Domain, p: Params):
     return apply_h
 
 
-def hamiltonian_apply(psi: SiteField, a: LinkField, d: Domain, p: Params) -> SiteField:
+def hamiltonian_apply(psi: np.ndarray, a: LinkField, d: Domain,
+                      p: Params) -> np.ndarray:
     """Kinetic Hamiltonian with Peierls link phases and reflecting boundaries.
 
     (H psi)(x) = (hbar^2 / 2 mu dx^2) *
@@ -133,22 +134,24 @@ def hamiltonian_apply(psi: SiteField, a: LinkField, d: Domain, p: Params) -> Sit
     link orientation relative to x (the phase of the line integral from the
     neighbor to x).  Hermitian, and gauge-covariant under apply_gauge.
     """
-    return SiteField(make_hamiltonian(link_phases(a, d, p), d, p)(psi.values))
+    return make_hamiltonian(link_phases(a, d, p), d, p)(psi)
 
 
-def dense_hamiltonian(a: LinkField, d: Domain, p: Params):
+def dense_hamiltonian(phases, d: Domain, p: Params):
     """Dense matrix of the Hamiltonian on active sites.
 
-    The matrix of make_hamiltonian restricted to the active sites; returns
-    (H, sites) with sites = np.argwhere(d.active) fixing the basis order.
-    Intended for small domains (oracle eigensolves, rim states).
+    The matrix of make_hamiltonian for the same link phases (u1, u2),
+    restricted to the active sites; returns (H, sites) with
+    sites = np.argwhere(d.active) fixing the basis order.  Real phases, such
+    as the link masks (d.h_active, d.v_active) of the zero potential, give a
+    real matrix.  Intended for small domains (oracle eigensolves, rim states).
     """
-    H, sites = restrict(_h_matrix(link_phases(a, d, p), d, p), d.active)
+    H, sites = restrict(_h_matrix(phases, d, p), d.active)
     return H.toarray(), sites
 
 
-def cayley_step(psi: SiteField, a: LinkField, d: Domain, p: Params,
-                dt: float, phases=None) -> SiteField:
+def cayley_step(psi: np.ndarray, a: LinkField, d: Domain, p: Params,
+                dt: float, phases=None) -> np.ndarray:
     """One trapezoidal step (1 + i dt H/2hbar) psi' = (1 - i dt H/2hbar) psi.
 
     H takes `phases` when given, else link_phases(a, d, p).  With
@@ -176,12 +179,12 @@ def cayley_step(psi: SiteField, a: LinkField, d: Domain, p: Params,
     alpha = dt / (2.0 * p.hbar)
 
     # residual of y = 0; C order, so ravel() below gives views for BLAS
-    r = np.ascontiguousarray(np.where(d.active, psi.values, 0.0))
+    r = np.ascontiguousarray(np.where(d.active, psi, 0.0))
     rr = np.vdot(r, r).real
     if not np.isfinite(rr):
         raise SolverError(f"matter step: non-finite state (norm^2 {rr})")
     if rr == 0.0:
-        return SiteField(np.zeros_like(psi.values))
+        return np.zeros_like(psi)
     y = np.zeros_like(r)
     q = r.copy()
     r1, y1, q1 = r.ravel(), y.ravel(), q.ravel()
@@ -205,8 +208,8 @@ def cayley_step(psi: SiteField, a: LinkField, d: Domain, p: Params,
         res = 2.0 * np.sqrt(rr_new)
         if res <= tol:
             y *= 2.0
-            np.subtract(y, psi.values, out=y, where=d.active)
-            return SiteField(y)
+            np.subtract(y, psi, out=y, where=d.active)
+            return y
         if not np.isfinite(res):
             raise SolverError(f"matter step: non-finite residual {res} "
                               f"after {it + 1} iterations")
@@ -219,7 +222,7 @@ def cayley_step(psi: SiteField, a: LinkField, d: Domain, p: Params,
         f"after {p.solver_maxiter} iterations")
 
 
-def step_matter(s: SimState, dt: float | None = None) -> SiteField:
+def step_matter(s: SimState, dt: float | None = None) -> np.ndarray:
     """Matter step with the state's potential frozen (dt < 0 runs backward)."""
     if dt is None:
         dt = s.params.dt
@@ -251,13 +254,13 @@ def advance(s: SimState) -> SimState:
     a_half = _gauge_update(s.a, gauge_rate(j0, d, p), 0.5 * dt)
     u_half = link_phases(a_half, d, p)
     psi_new = cayley_step(s.psi, a_half, d, p, dt, phases=u_half)
-    psi_mid = SiteField(0.5 * (s.psi.values + psi_new.values))
+    psi_mid = 0.5 * (s.psi + psi_new)
     j_mid = current_density(psi_mid, a_half, d, p, phases=u_half)
     a_new = _gauge_update(s.a, gauge_rate(j_mid, d, p), dt)
     return SimState(d, p, psi_new, a_new, s.t + dt)
 
 
-def initialize_consistent(d: Domain, psi0: SiteField, p: Params) -> SimState:
+def initialize_consistent(d: Domain, psi0: np.ndarray, p: Params) -> SimState:
     """Build a state whose potential satisfies the Gauss constraint.
 
     Solves a discrete Poisson problem for a plaquette stream function chi

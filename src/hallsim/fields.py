@@ -1,12 +1,14 @@
-"""Field containers and discrete differential operators.
+"""Link-field containers and discrete differential operators.
 
 Conventions (fixed once, used everywhere):
 
 * epsilon_{12} = +1 = -epsilon_{21}.
-* The matter field psi is site-centered (complex, dimension 1/length so that
-  |psi|^2 is an areal density); the gauge potential components a1, a2 are
-  real link values on horizontal/vertical links; currents j1, j2 live on the
-  same links, the charge density j0 = e |psi|^2 on sites (charge_density).
+* The matter field psi is a plain complex array of shape (nx, ny), one
+  value per site (dimension 1/length so that |psi|^2 is an areal density);
+  site_density is the one owner of the masked |psi|^2.  The gauge potential
+  components a1, a2 are real link values on horizontal/vertical links
+  (LinkField); currents j1, j2 live on the same links (CurrentField), the
+  charge density j0 = e |psi|^2 on sites (charge_density).
 * Link (x, y) -> (x+1, y) carries a1[x, y]; link (x, y) -> (x, y+1) carries
   a2[x, y].  Values on links touching inactive sites are identically zero.
 * The plaquette curl is the counterclockwise circulation divided by the cell
@@ -29,22 +31,6 @@ from .domain import Domain
 
 
 @dataclass
-class SiteField:
-    """Complex amplitude per site; zero on inactive sites."""
-    values: np.ndarray
-
-    @classmethod
-    def zeros(cls, d: Domain) -> "SiteField":
-        return cls(np.zeros((d.nx, d.ny), dtype=np.complex128))
-
-    def copy(self) -> "SiteField":
-        return SiteField(self.values.copy())
-
-    def density(self) -> np.ndarray:
-        return np.abs(self.values) ** 2
-
-
-@dataclass
 class LinkField:
     """Real value per link: a1 on horizontal links, a2 on vertical links."""
     a1: np.ndarray  # (nx-1, ny)
@@ -63,26 +49,6 @@ class CurrentField:
     """Charge current per link: j1 on horizontal, j2 on vertical links."""
     j1: np.ndarray
     j2: np.ndarray
-
-
-@dataclass
-class GaugeTransform:
-    """Gauge function lambda per site (units: phase times hbar/e).
-
-    When boundary_constrained is set, lambda must vanish on all boundary
-    sites; this is the class of transformations the dynamics is insensitive
-    to on a domain with boundary.
-    """
-    lam: np.ndarray
-    boundary_constrained: bool = True
-
-    def validate(self, d: Domain):
-        if self.boundary_constrained:
-            worst = np.abs(self.lam[d.boundary_mask]).max(initial=0.0)
-            if worst != 0.0:
-                raise ValueError(
-                    f"boundary-constrained gauge function is nonzero on the "
-                    f"boundary (max |lambda| = {worst})")
 
 
 def plaquette_curl(a: LinkField, d: Domain) -> np.ndarray:
@@ -116,15 +82,25 @@ def link_divergence(j1: np.ndarray, j2: np.ndarray, d: Domain) -> np.ndarray:
     return np.where(d.active, div / d.dx, 0.0)
 
 
-def apply_gauge(a: LinkField, psi: SiteField, g: GaugeTransform, d: Domain,
-                p) -> tuple:
-    """Gauge transform: A -> A + grad(lambda), psi -> exp(i e lambda/hbar) psi."""
-    g.validate(d)
-    g1, g2 = site_gradient(g.lam, d)
+def apply_gauge(a: LinkField, psi: np.ndarray, lam: np.ndarray, d: Domain,
+                p, boundary_constrained: bool = True) -> tuple:
+    """Gauge transform: A -> A + grad(lambda), psi -> exp(i e lambda/hbar) psi.
+
+    lam is the gauge function per site (units: phase times hbar/e).  When
+    boundary_constrained is set, lambda must vanish on all boundary sites;
+    this is the class of transformations the dynamics is insensitive to on a
+    domain with boundary.
+    """
+    if boundary_constrained:
+        worst = np.abs(lam[d.boundary_mask]).max(initial=0.0)
+        if worst != 0.0:
+            raise ValueError(
+                f"boundary-constrained gauge function is nonzero on the "
+                f"boundary (max |lambda| = {worst})")
+    g1, g2 = site_gradient(lam, d)
     a_new = LinkField(a.a1 + g1, a.a2 + g2)
-    phase = np.exp(1j * p.e * g.lam / p.hbar)
-    psi_new = SiteField(np.where(d.active, psi.values * phase, 0.0))
-    return a_new, psi_new
+    phase = np.exp(1j * p.e * lam / p.hbar)
+    return a_new, np.where(d.active, psi * phase, 0.0)
 
 
 def link_phases(a: LinkField, d: Domain, p) -> tuple:
@@ -147,7 +123,7 @@ def link_phases(a: LinkField, d: Domain, p) -> tuple:
     return tuple(out)
 
 
-def current_density(psi: SiteField, a: LinkField, d: Domain, p,
+def current_density(psi: np.ndarray, a: LinkField, d: Domain, p,
                     phases=None) -> CurrentField:
     """Gauge-invariant charge current on the links,
 
@@ -159,11 +135,10 @@ def current_density(psi: SiteField, a: LinkField, d: Domain, p,
     (j0 from charge_density) holds exactly for the semi-discrete evolution.
     """
     u1, u2 = link_phases(a, d, p) if phases is None else phases
-    v = psi.values
     scale = p.e * p.hbar / (p.mu * d.dx)
     j = []
-    for tail, u, head, mask in ((v[:-1, :], u1, v[1:, :], d.h_active),
-                                (v[:, :-1], u2, v[:, 1:], d.v_active)):
+    for tail, u, head, mask in ((psi[:-1, :], u1, psi[1:, :], d.h_active),
+                                (psi[:, :-1], u2, psi[:, 1:], d.v_active)):
         w = np.conjugate(tail)
         w *= np.conjugate(u)
         w *= head
@@ -173,9 +148,14 @@ def current_density(psi: SiteField, a: LinkField, d: Domain, p,
     return CurrentField(*j)
 
 
-def charge_density(psi: SiteField, d: Domain, p) -> np.ndarray:
+def site_density(psi: np.ndarray, d: Domain) -> np.ndarray:
+    """|psi|^2 on active sites, zero elsewhere."""
+    return np.where(d.active, np.abs(psi) ** 2, 0.0)
+
+
+def charge_density(psi: np.ndarray, d: Domain, p) -> np.ndarray:
     """Site charge density j0 = e |psi|^2, zero on inactive sites."""
-    return p.e * np.where(d.active, psi.density(), 0.0)
+    return p.e * site_density(psi, d)
 
 
 def stencil_matrix(shape, hop1, hop2, diag, scale):

@@ -27,13 +27,11 @@ def wrap_phase(x: float) -> float:
 
 @dataclass(frozen=True)
 class LoopPhase:
-    loop_id: int
     raw: float      # unwrapped line integral of A (times dx) along the loop
     phase: float    # (e/hbar) * raw, wrapped to (-pi, pi]
 
 
-def wilson_loop(a: LinkField, loop: np.ndarray, d: Domain, p,
-                loop_id: int = 0) -> LoopPhase:
+def wilson_loop(a: LinkField, loop: np.ndarray, d: Domain, p) -> LoopPhase:
     """Signed line integral of A along a closed lattice loop, and its phase.
 
     Step i runs from site loop[i] to loop[i+1] (cyclically) along the link
@@ -64,7 +62,7 @@ def wilson_loop(a: LinkField, loop: np.ndarray, d: Domain, p,
     vals[vert] = a.a2[lx[vert], ly[vert]]
     terms = step.sum(axis=1) * vals * d.dx
     raw = np.cumsum(np.concatenate(([0.0], terms)))[-1]
-    return LoopPhase(loop_id, float(raw), wrap_phase(p.e * raw / p.hbar))
+    return LoopPhase(float(raw), wrap_phase(p.e * raw / p.hbar))
 
 
 def holonomy_drift(states, loop: np.ndarray) -> float:

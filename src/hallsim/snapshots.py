@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 
 from .domain import Domain
-from .fields import LinkField, SiteField
+from .fields import LinkField
 
 KINDS = ("psi", "a1", "a2")
 CHUNK_LINES = 1 << 12       # body lines parsed per np.loadtxt call
@@ -125,10 +125,10 @@ def read_field(path):
     return kind, nx, ny, dx, arr
 
 
-def write_state(outdir, tag: str, psi: SiteField, a: LinkField, d: Domain):
+def write_state(outdir, tag: str, psi: np.ndarray, a: LinkField, d: Domain):
     """Write psi/a1/a2 snapshots with a common tag; returns the three paths."""
     paths = []
-    for kind, arr in (("psi", psi.values), ("a1", a.a1), ("a2", a.a2)):
+    for kind, arr in (("psi", psi), ("a1", a.a1), ("a2", a.a2)):
         path = os.path.join(outdir, f"{tag}_{kind}.hsfield")
         write_field(path, kind, arr, d)
         paths.append(path)

@@ -1,4 +1,5 @@
 import filecmp
+import math
 
 import numpy as np
 import pytest
@@ -412,3 +413,87 @@ def test_diagnose_non_integer_snapshot_index_exit_3(tmp_path, capsys):
                     "--a1", str(out / "final_a1.hsfield"),
                     "--a2", str(out / "final_a2.hsfield")]) == 3
     assert "final_psi.hsfield" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, fragment", [
+    (["simulate", "OUT", "--set", "shape=corbino", "--set", "n=16"],
+     "corbino shape needs r_inner and r_outer"),
+    (["simulate", "OUT", "--set", "psi0=file"], "psi0 = file needs psi0_file"),
+    (["simulate", "OUT", "--set", "shape=corbino", "--set", "n=16",
+      "--set", "r_inner=2", "--set", "r_outer=20"],
+     "config error: domain: r_outer=20.0 exceeds half the grid extent"),
+    (["simulate", "OUT", "--set", "shape=disc"],
+     "shape: must be rectangle or corbino, got 'disc'"),
+    (["simulate", "OUT", "--set", "consistent_init=maybe"],
+     "consistent_init: expected a boolean, got 'maybe'"),
+    (["simulate", "OUT", "--set", "holes=1,2,3"],
+     "holes: expected 'x0,y0,w,h', got '1,2,3'"),
+    (["simulate", "OUT", "--set", "holes=1,2,3,x"],
+     "holes: non-integer entry in '1,2,3,x'"),
+    (["simulate", "OUT", "--config", "CFG"],
+     "line 2: expected 'key = value', got 'steps 4'"),
+    (["simulate", "OUT", "--config", "MISSING"], "missing.txt: "),
+    (["simulate"], "simulate needs --out DIR"),
+    (["quantize", "--sigma-step", "0"], "--sigma-step must be positive"),
+    (["quantize", "--sigma-min", "2", "--sigma-max", "1"],
+     "--sigma-max 1.0 below --sigma-min 2.0"),
+    (["quantize", "--tol", "0"], "--tol must be positive"),
+    # an infinite candidate count was an OverflowError traceback (exit 1);
+    # a finite count of about 2e23 started building every candidate
+    (["quantize", "--sigma-min=-1e308", "--sigma-max=1e308", "--sigma-step",
+      "1"], "more than 1000000 candidates from --sigma-min to --sigma-max"),
+    (["quantize", "--sigma-max", "1e-300", "--sigma-step", "5e-324"],
+     "more than 1000000 candidates from --sigma-min to --sigma-max"),
+    (["diagnose", "--a1", "a1.hsfield"], "--a1 and --a2 must be given together"),
+    (["diagnose"], "need --psi and/or --a1/--a2"),
+], ids=["corbino-no-radii", "psi0-file-no-path", "domain-error", "bad-choice",
+        "bad-bool", "holes-three-entries", "holes-non-integer",
+        "line-without-equals", "unreadable-config", "simulate-no-out",
+        "quantize-step-zero", "quantize-max-below-min", "quantize-tol-zero",
+        "quantize-count-overflows", "quantize-count-too-large",
+        "diagnose-a1-alone", "diagnose-no-fields"])
+def test_config_and_argument_errors_exit_2(tmp_path, capsys, args, fragment):
+    write_cfg(tmp_path, "nx = 12\nsteps 4\n")
+    where = {"OUT": ["--out", str(tmp_path / "run")],
+             "CFG": [str(tmp_path / "cfg.txt")],
+             "MISSING": [str(tmp_path / "missing.txt")]}
+    argv = [x for arg in args for x in where.get(arg, [arg])]
+    assert run_cli(argv) == 2
+    assert fragment in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_quantize_loose_tol_warns_and_writes_spectrum(tmp_path, capsys):
+    out = tmp_path / "q"
+    assert run_cli(["quantize", "--sigma-min", "0", "--sigma-max", "1",
+                    "--sigma-step", "0.5", "--tol", "1.5", "--out", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert text.startswith("warning: tol = 1.5 is too loose to separate")
+    assert (out / "spectrum.txt").read_text() == text
+
+
+def test_simulate_uniform_psi0(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli(["simulate", "--out", str(out), "--set", "nx=8",
+                    "--set", "ny=8", "--set", "steps=2",
+                    "--set", "psi0=uniform"]) == 0
+    header, *rows = (out / "diagnostics.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), rows[0].split(",")))
+    assert len(rows) == 3 and float(cells["norm"]) == pytest.approx(1.0)
+
+
+def test_simulate_corbino_records_holonomy(tmp_path):
+    out = tmp_path / "run"
+    sets = ["shape=corbino", "n=24", "r_inner=4", "r_outer=10", "psi0=gaussian",
+            "psi0_center_x=18.5", "psi0_center_y=11.5", "psi0_width=1.5",
+            "steps=10", "record_every=5", "flux=0.3"]
+    argv = ["simulate", "--out", str(out)]
+    for s in sets:
+        argv += ["--set", s]
+    assert run_cli(argv) == 0
+    header, *rows = (out / "diagnostics.csv").read_text().splitlines()
+    names = header.split(",")
+    assert [n for n in names if n.startswith("holonomy_")] == ["holonomy_1"]
+    col = names.index("holonomy_1")
+    assert len(rows) == 3
+    assert all(math.isfinite(float(r.split(",")[col])) for r in rows)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hallsim import (CurrentField, GaugeTransform, LinkField, Params, SimState,
-                     SiteField, advance, apply_gauge, build_rectangle,
+from hallsim import (CurrentField, LinkField, Params, SimState, advance,
+                     apply_gauge, build_rectangle,
                      dense_hamiltonian, gaussian_packet,
                      initialize_consistent, site_gradient, step_matter,
                      uniform_state)
@@ -23,7 +23,8 @@ def test_gauss_scalar_consistent_state(params):
 def test_gauss_scalar_pure_gauge_zero_psi(rect12, params, rng):
     lam = rng.integers(-5, 5, size=(12, 12)).astype(float)
     g1, g2 = site_gradient(lam, rect12)
-    s = SimState(rect12, params, SiteField.zeros(rect12), LinkField(g1, g2))
+    s = SimState(rect12, params, np.zeros((12, 12), dtype=complex),
+                 LinkField(g1, g2))
     r, rel = gauss_residual(s)
     assert np.all(r == 0.0)
 
@@ -46,7 +47,8 @@ def test_global_sigma_consistent_uniform():
 
 
 def test_global_sigma_missing_for_zero_state(rect12, params):
-    s = SimState(rect12, params, SiteField.zeros(rect12), LinkField.zeros(rect12))
+    s = SimState(rect12, params, np.zeros((12, 12), dtype=complex),
+                 LinkField.zeros(rect12))
     assert global_sigma(s) is None
 
 
@@ -54,14 +56,16 @@ def test_global_sigma_scale_invariance(params):
     d = build_rectangle(16, 16, 1.0, [])
     s = initialize_consistent(d, uniform_state(d, norm=1.0), params)
     est1 = global_sigma(s)
-    s2 = SimState(d, params, SiteField(np.sqrt(2.0) * s.psi.values),
+    s2 = SimState(d, params, np.sqrt(2.0) * s.psi,
                   LinkField(2.0 * s.a.a1, 2.0 * s.a.a2))
     assert global_sigma(s2) == pytest.approx(est1, rel=1e-12)
 
 
 def test_continuity_static_zero(rect12, params):
-    s1 = SimState(rect12, params, SiteField.zeros(rect12), LinkField.zeros(rect12), 0.0)
-    s2 = SimState(rect12, params, SiteField.zeros(rect12), LinkField.zeros(rect12), 0.1)
+    s1 = SimState(rect12, params, np.zeros((12, 12), dtype=complex),
+                  LinkField.zeros(rect12), 0.0)
+    s2 = SimState(rect12, params, np.zeros((12, 12), dtype=complex),
+                  LinkField.zeros(rect12), 0.1)
     assert continuity_residual(s1, s2) == 0.0
 
 
@@ -70,7 +74,7 @@ def test_continuity_eigenstate_stationary():
     # nonzero circulating current; the residual stays at solver level
     d = build_rectangle(4, 4, 1.0, [])
     p = Params(dt=0.05, solver_tol=1e-14)
-    H, sites = dense_hamiltonian(LinkField.zeros(d), d, p)
+    H, sites = dense_hamiltonian((d.h_active, d.v_active), d, p)
     w, V = np.linalg.eigh(H)
     pair = None
     for i in range(len(w) - 1):
@@ -78,9 +82,9 @@ def test_continuity_eigenstate_stationary():
             pair = i
             break
     assert pair is not None
-    psi = SiteField.zeros(d)
+    psi = np.zeros((d.nx, d.ny), dtype=complex)
     vec = (V[:, pair] + 1j * V[:, pair + 1]) / np.sqrt(2)
-    psi.values[sites[:, 0], sites[:, 1]] = vec
+    psi[sites[:, 0], sites[:, 1]] = vec
     s = SimState(d, p, psi, LinkField.zeros(d), 0.0)
     states = [s]
     for _ in range(4):
@@ -158,7 +162,8 @@ def test_edge_fraction_uniform_current_counting():
 
 
 def test_edge_fraction_missing_for_zero_current(rect12, params):
-    s = SimState(rect12, params, SiteField.zeros(rect12), LinkField.zeros(rect12))
+    s = SimState(rect12, params, np.zeros((12, 12), dtype=complex),
+                 LinkField.zeros(rect12))
     assert edge_fraction(s, 3) is None
 
 
@@ -175,7 +180,8 @@ def test_edge_fraction_monotone_in_k(params, rng):
 
 def test_breakdown_indicator_regimes(params):
     d = build_rectangle(24, 24, 1.0, [])
-    s0 = SimState(d, params, SiteField.zeros(d), LinkField.zeros(d))
+    s0 = SimState(d, params, np.zeros((d.nx, d.ny), dtype=complex),
+                  LinkField.zeros(d))
     assert breakdown_indicator(s0, 1e-4, 1e-4, 3) is False
 
     dense = initialize_consistent(d, gaussian_packet(d, (11.5, 11.5), 3.0, norm=10.0),
@@ -204,7 +210,7 @@ def test_diagnostics_gauge_invariant(params, rng):
         lam = rng.normal(size=(16, 16)) * 2.0
         lam[d.boundary_mask] = 0.0
         lam[~d.active] = 0.0
-        a2, psi2 = apply_gauge(s.a, s.psi, GaugeTransform(lam), d, params)
+        a2, psi2 = apply_gauge(s.a, s.psi, lam, d, params)
         s2 = SimState(d, params, psi2, a2)
         assert gauss_residual(s2)[1] == pytest.approx(base["gauss"], abs=1e-12)
         assert global_sigma(s2) == pytest.approx(base["sigma"], rel=1e-12)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hallsim import (CurrentField, GaugeTransform, LinkField, Params, SimState,
-                     SiteField, advance, apply_gauge, build_rectangle,
+from hallsim import (CurrentField, LinkField, Params, SimState, advance,
+                     apply_gauge, build_rectangle,
                      cayley_step, dense_hamiltonian, gauge_rate,
                      gaussian_packet, hamiltonian_apply,
                      initialize_consistent, plaquette_curl, step_gauge,
@@ -17,40 +17,40 @@ from hallsim.fields import current_density, link_phases
 def test_hamiltonian_zero_potential_constant_psi_interior(params):
     # on sites with all four neighbors active the stencil annihilates constants
     d = build_rectangle(8, 8, 1.0, [])
-    psi = SiteField(np.where(d.active, 1.0 + 0j, 0.0))
+    psi = np.where(d.active, 1.0 + 0j, 0.0)
     h = hamiltonian_apply(psi, LinkField.zeros(d), d, params)
     interior = d.active & ~d.boundary_mask
-    assert np.abs(h.values[interior]).max() == 0.0
+    assert np.abs(h[interior]).max() == 0.0
 
 
 def test_hamiltonian_delta_stencil(params):
     d = build_rectangle(9, 9, 1.0, [])
-    psi = SiteField.zeros(d)
-    psi.values[4, 4] = 1.0
+    psi = np.zeros((d.nx, d.ny), dtype=complex)
+    psi[4, 4] = 1.0
     h = hamiltonian_apply(psi, LinkField.zeros(d), d, params)
     pref = params.hbar ** 2 / (2 * params.mu * d.dx ** 2)
-    assert h.values[4, 4] == pytest.approx(4 * pref)
+    assert h[4, 4] == pytest.approx(4 * pref)
     for x, y in ((3, 4), (5, 4), (4, 3), (4, 5)):
-        assert h.values[x, y] == pytest.approx(-pref)
+        assert h[x, y] == pytest.approx(-pref)
     mask = np.ones((9, 9), dtype=bool)
     mask[3:6, 4] = False
     mask[4, 3:6] = False
-    assert np.abs(h.values[mask]).max() == 0.0
+    assert np.abs(h[mask]).max() == 0.0
 
 
 def test_hamiltonian_gauge_covariance(rect12, params, rng):
-    psi = SiteField(np.where(rect12.active,
-                             rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)),
-                             0.0))
+    psi = np.where(rect12.active,
+                   rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)),
+                   0.0)
     a = LinkField(rng.normal(size=(11, 12)) * rect12.h_active,
                   rng.normal(size=(12, 11)) * rect12.v_active)
     lam = rng.normal(size=(12, 12))
     lam[rect12.boundary_mask] = 0.0
-    a2, psi2 = apply_gauge(a, psi, GaugeTransform(lam), rect12, params)
-    lhs = hamiltonian_apply(psi2, a2, rect12, params).values
+    a2, psi2 = apply_gauge(a, psi, lam, rect12, params)
+    lhs = hamiltonian_apply(psi2, a2, rect12, params)
     rhs = np.where(rect12.active,
                    np.exp(1j * params.e * lam / params.hbar)
-                   * hamiltonian_apply(psi, a, rect12, params).values, 0.0)
+                   * hamiltonian_apply(psi, a, rect12, params), 0.0)
     scale = np.abs(rhs).max()
     assert np.abs(lhs - rhs).max() / scale < 1e-12
 
@@ -61,16 +61,16 @@ def test_matter_step_eigenstate_phase():
     # -E dt/hbar to O(dt^3)
     d = build_rectangle(4, 4, 1.0, [])
     p = Params(dt=0.05)
-    H, sites = dense_hamiltonian(LinkField.zeros(d), d, p)
+    H, sites = dense_hamiltonian((d.h_active, d.v_active), d, p)
     w, V = np.linalg.eigh(H)
     E = w[5]
-    u = SiteField.zeros(d)
-    u.values[sites[:, 0], sites[:, 1]] = V[:, 5]
+    u = np.zeros((d.nx, d.ny), dtype=complex)
+    u[sites[:, 0], sites[:, 1]] = V[:, 5]
     out = cayley_step(u, LinkField.zeros(d), d, p, p.dt)
     x = E * p.dt / (2 * p.hbar)
     cayley_factor = (1 - 1j * x) / (1 + 1j * x)
-    assert np.abs(out.values - cayley_factor * u.values).max() < 1e-12
-    theta = np.angle(np.vdot(u.values, out.values))
+    assert np.abs(out - cayley_factor * u).max() < 1e-12
+    theta = np.angle(np.vdot(u, out))
     assert abs(theta - (-E * p.dt / p.hbar)) <= abs(E * p.dt / p.hbar) ** 3 / 10
 
 
@@ -80,33 +80,34 @@ def test_matter_step_unitary(rect12, params, rng):
                   rng.normal(size=(12, 11)) * rect12.v_active)
     s = SimState(rect12, params, psi, a, 0.0)
     out = step_matter(s)
-    n0 = np.vdot(psi.values, psi.values).real
-    n1 = np.vdot(out.values, out.values).real
+    n0 = np.vdot(psi, psi).real
+    n1 = np.vdot(out, out).real
     assert abs(n1 - n0) / n0 < 1e-12
 
 
 def test_matter_step_zero_stays_zero(rect12, params):
-    s = SimState(rect12, params, SiteField.zeros(rect12), LinkField.zeros(rect12))
+    s = SimState(rect12, params, np.zeros((12, 12), dtype=complex),
+                 LinkField.zeros(rect12))
     out = step_matter(s)
-    assert np.all(out.values == 0.0)
+    assert np.all(out == 0.0)
 
 
 def test_matter_step_time_reversal(rect12, params, rng):
-    psi = SiteField(np.where(rect12.active,
-                             rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)),
-                             0.0))
+    psi = np.where(rect12.active,
+                   rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)),
+                   0.0)
     a = LinkField(rng.normal(size=(11, 12)) * rect12.h_active,
                   rng.normal(size=(12, 11)) * rect12.v_active)
     s = SimState(rect12, params, psi, a, 0.0)
     fwd = step_matter(s)
     back = step_matter(SimState(rect12, params, fwd, a, params.dt), dt=-params.dt)
-    assert np.abs(back.values - psi.values).max() < 1e-12
+    assert np.abs(back - psi).max() < 1e-12
 
 
 def test_step_gauge_zero_current(rect12, params, rng):
     a = LinkField(rng.normal(size=(11, 12)) * rect12.h_active,
                   rng.normal(size=(12, 11)) * rect12.v_active)
-    s = SimState(rect12, params, SiteField.zeros(rect12), a, 0.0)
+    s = SimState(rect12, params, np.zeros((12, 12), dtype=complex), a, 0.0)
     j = CurrentField(np.zeros((11, 12)), np.zeros((12, 11)))
     out = step_gauge(s, j)
     assert np.array_equal(out.a1, a.a1) and np.array_equal(out.a2, a.a2)
@@ -119,7 +120,8 @@ def test_step_gauge_uniform_current():
     p = Params(sigma_h=1.0, dt=0.1)
     c = 0.8
     j = CurrentField(np.full((9, 10), c) * d.h_active, np.zeros((10, 9)))
-    s = SimState(d, p, SiteField.zeros(d), LinkField.zeros(d), 0.0)
+    s = SimState(d, p, np.zeros((d.nx, d.ny), dtype=complex),
+                 LinkField.zeros(d), 0.0)
     out = step_gauge(s, j)
     adot2 = (out.a2 - s.a.a2) / p.dt
     assert adot2[4:6, 4:6] == pytest.approx(-c, rel=1e-14)
@@ -153,9 +155,9 @@ def test_solver_tol_below_machine_epsilon_rejected(tol):
 def test_matter_step_solver_abort(rect12, rng):
     from hallsim import SolverError
     p = Params(dt=0.05, solver_maxiter=0)
-    psi = SiteField(np.where(rect12.active,
-                             rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)),
-                             0.0))
+    psi = np.where(rect12.active,
+                   rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)),
+                   0.0)
     s = SimState(rect12, p, psi, LinkField.zeros(rect12))
     with pytest.raises(SolverError, match="did not converge"):
         step_matter(s)
@@ -165,16 +167,17 @@ def test_matter_step_rejects_nan_state(rect12, params, rng):
     # a nan residual fails every `residual > tol` test, so without an explicit
     # finiteness check the nan state would pass through unreported
     from hallsim import SolverError
-    psi = SiteField(np.where(rect12.active,
-                             rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)),
-                             0.0))
-    psi.values[5, 6] = np.nan
+    psi = np.where(rect12.active,
+                   rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)),
+                   0.0)
+    psi[5, 6] = np.nan
     with pytest.raises(SolverError, match="non-finite"):
         cayley_step(psi, LinkField.zeros(rect12), rect12, params, params.dt)
 
 
 def test_initialize_consistent_zero_psi(rect12, params):
-    s = initialize_consistent(rect12, SiteField.zeros(rect12), params)
+    s = initialize_consistent(rect12, np.zeros((12, 12), dtype=complex),
+                              params)
     assert np.all(s.a.a1 == 0.0) and np.all(s.a.a2 == 0.0)
 
 
@@ -230,11 +233,11 @@ def test_norm_conserved_along_run():
 def test_advance_static_for_zero_psi(rect12, params, rng):
     a = LinkField(rng.normal(size=(11, 12)) * rect12.h_active,
                   rng.normal(size=(12, 11)) * rect12.v_active)
-    s = SimState(rect12, params, SiteField.zeros(rect12), a, 0.0)
+    s = SimState(rect12, params, np.zeros((12, 12), dtype=complex), a, 0.0)
     out = advance(s)
     assert np.array_equal(out.a.a1, a.a1)
     assert np.array_equal(out.a.a2, a.a2)
-    assert np.all(out.psi.values == 0.0)
+    assert np.all(out.psi == 0.0)
 
 
 def test_ohm_law_internal_consistency():
@@ -274,8 +277,8 @@ def masked_domains(draw):
 
 def random_fields(d, seed):
     rng = np.random.default_rng(seed)
-    psi = SiteField(np.where(d.active, rng.normal(size=(d.nx, d.ny))
-                             + 1j * rng.normal(size=(d.nx, d.ny)), 0.0))
+    psi = np.where(d.active, rng.normal(size=(d.nx, d.ny))
+                   + 1j * rng.normal(size=(d.nx, d.ny)), 0.0)
     a = LinkField(rng.normal(size=(d.nx - 1, d.ny)) * d.h_active,
                   rng.normal(size=(d.nx, d.ny - 1)) * d.v_active)
     return psi, a
@@ -287,8 +290,9 @@ def test_dense_hamiltonian_matches_apply(d, seed):
     # reference: H built column by column from the apply closure
     p = Params(dt=0.05)
     _, a = random_fields(d, seed)
-    H, sites = dense_hamiltonian(a, d, p)
-    apply_h = make_hamiltonian(link_phases(a, d, p), d, p)
+    phases = link_phases(a, d, p)
+    H, sites = dense_hamiltonian(phases, d, p)
+    apply_h = make_hamiltonian(phases, d, p)
     basis = np.zeros((d.nx, d.ny), dtype=np.complex128)
     for k, (ix, iy) in enumerate(sites):
         basis[ix, iy] = 1.0
@@ -308,11 +312,10 @@ def test_cayley_step_continuity_with_own_phases(d, seed):
     psi, a = random_fields(d, seed)
     phases = link_phases(a, d, p)
     new = cayley_step(psi, a, d, p, p.dt, phases=phases)
-    j_mid = current_density(SiteField(0.5 * (psi.values + new.values)), a,
-                            d, p, phases=phases)
-    res = (p.e * (new.density() - psi.density()) / p.dt
+    j_mid = current_density(0.5 * (psi + new), a, d, p, phases=phases)
+    res = (p.e * (np.abs(new) ** 2 - np.abs(psi) ** 2) / p.dt
            + link_divergence(j_mid.j1, j_mid.j2, d))
-    scale = p.e * psi.density().max() / p.dt
+    scale = p.e * (np.abs(psi) ** 2).max() / p.dt
     assert np.abs(res).max() <= 1e-12 * scale
 
 
@@ -320,8 +323,8 @@ def cayley_residual(psi, new, phases, d, p, dt):
     """|(1 + i a H) new - (1 - i a H) psi| and |(1 - i a H) psi|, a = dt/2hbar."""
     apply_h = make_hamiltonian(phases, d, p)
     alpha = dt / (2.0 * p.hbar)
-    rhs = psi.values - 1j * alpha * apply_h(psi.values)
-    res = new.values + 1j * alpha * apply_h(new.values) - rhs
+    rhs = psi - 1j * alpha * apply_h(psi)
+    res = new + 1j * alpha * apply_h(new) - rhs
     return np.linalg.norm(res), np.linalg.norm(rhs)
 
 
@@ -336,7 +339,7 @@ def test_cayley_step_residual_within_tolerance(d, seed, dt):
     new = cayley_step(psi, a, d, p, dt, phases=phases)
     res, rhs = cayley_residual(psi, new, phases, d, p, dt)
     assert res <= p.solver_tol * rhs
-    assert not new.values[~d.active].any()
+    assert not new[~d.active].any()
 
 
 @given(d=masked_domains(), seed=st.integers(0, 2 ** 31))
@@ -347,7 +350,7 @@ def test_cayley_step_time_reversal_random_domains(d, seed):
     psi, a = random_fields(d, seed)
     fwd = cayley_step(psi, a, d, p, p.dt)
     back = cayley_step(fwd, a, d, p, -p.dt)
-    assert np.abs(back.values - psi.values).max() <= 1e-12 * np.abs(psi.values).max()
+    assert np.abs(back - psi).max() <= 1e-12 * np.abs(psi).max()
 
 
 @given(d=masked_domains(), seed=st.integers(0, 2 ** 31))
@@ -378,14 +381,13 @@ def test_advance_commutes_with_gauge_random_domains(d, seed):
     psi, a = random_fields(d, seed)
     lam = np.random.default_rng(seed + 1).normal(size=(d.nx, d.ny))
     lam[d.boundary_mask] = 0.0
-    g = GaugeTransform(lam)
     s = SimState(d, p, psi, a)
-    a_g, psi_g = apply_gauge(a, psi, g, d, p)
+    a_g, psi_g = apply_gauge(a, psi, lam, d, p)
     s_g = SimState(d, p, psi_g, a_g)
     for _ in range(3):
         s, s_g = advance(s), advance(s_g)
-    a_want, psi_want = apply_gauge(s.a, s.psi, g, d, p)
-    for got, want in ((s_g.psi.values, psi_want.values), (s_g.a.a1, a_want.a1),
+    a_want, psi_want = apply_gauge(s.a, s.psi, lam, d, p)
+    for got, want in ((s_g.psi, psi_want), (s_g.a.a1, a_want.a1),
                       (s_g.a.a2, a_want.a2)):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -407,9 +409,9 @@ def test_cayley_step_one_h_apply_per_iteration(rect12, rng, monkeypatch):
         return counted
 
     monkeypatch.setattr(dyn, "make_hamiltonian", counting)
-    psi = SiteField(np.where(rect12.active,
-                             rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)),
-                             0.0))
+    psi = np.where(rect12.active,
+                   rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)),
+                   0.0)
     a = LinkField(rng.normal(size=(11, 12)) * rect12.h_active,
                   rng.normal(size=(12, 11)) * rect12.v_active)
     for maxiter in range(1, 100):
@@ -430,7 +432,7 @@ def spsolve_potential(d, psi, p):
     the masked plaquette Poisson problem, assembled plaquette by plaquette."""
     from scipy.sparse import lil_matrix
     from scipy.sparse.linalg import spsolve
-    rho = p.e * np.where(d.active, psi.density(), 0.0)
+    rho = p.e * np.where(d.active, np.abs(psi) ** 2, 0.0)
     target = 0.25 * (rho[:-1, :-1] + rho[1:, :-1] + rho[:-1, 1:] + rho[1:, 1:]) / p.sigma_h
     cells = [tuple(c) for c in np.argwhere(d.plaq_active)]
     index = {c: k for k, c in enumerate(cells)}
@@ -513,6 +515,6 @@ def test_initialize_consistent_rejects_nan_state():
     from hallsim import SolverError
     d = build_rectangle(32, 32, 1.0, [(12, 14, 6, 5)])
     psi = gaussian_packet(d, (8.0, 9.0), 3.0, (0.2, 0.0), norm=1.0)
-    psi.values[20, 21] = np.nan
+    psi[20, 21] = np.nan
     with pytest.raises(SolverError, match="consistent initialization: non-finite"):
         initialize_consistent(d, psi, Params())

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from hallsim import LinkField, SiteField
+from hallsim import LinkField
 import hallsim.config
 from hallsim.config import (DEFAULTS, ConfigError, build_config,
                             parse_config_text, parse_overrides)
@@ -11,20 +11,21 @@ from hallsim.snapshots import SnapshotError, read_field, write_field, write_stat
 
 
 def test_site_field_roundtrip(tmp_path, rect12, rng):
-    psi = SiteField(np.where(rect12.active,
-                             rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)),
-                             0.0))
+    psi = np.where(rect12.active,
+                   rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)),
+                   0.0)
     path = tmp_path / "psi.hsfield"
-    write_field(path, "psi", psi.values, rect12)
+    write_field(path, "psi", psi, rect12)
     kind, nx, ny, dx, arr = read_field(path)
     assert (kind, nx, ny, dx) == ("psi", 12, 12, 1.0)
-    assert np.array_equal(arr, psi.values)  # lossless, bit for bit
+    assert np.array_equal(arr, psi)  # lossless, bit for bit
 
 
 def test_link_field_roundtrip(tmp_path, rect12, rng):
     a = LinkField(rng.normal(size=(11, 12)) * rect12.h_active,
                   rng.normal(size=(12, 11)) * rect12.v_active)
-    paths = write_state(tmp_path, "x", SiteField.zeros(rect12), a, rect12)
+    paths = write_state(tmp_path, "x", np.zeros((12, 12), dtype=complex), a,
+                        rect12)
     _, _, _, _, a1 = read_field(paths[1])
     _, _, _, _, a2 = read_field(paths[2])
     assert np.array_equal(a1, a.a1)
@@ -51,9 +52,9 @@ def test_read_rejects_bad_header_grid(tmp_path, text, match):
 
 
 def test_read_rejects_truncated_file(tmp_path, rect12):
-    psi = SiteField.zeros(rect12)
+    psi = np.zeros((12, 12), dtype=complex)
     path = tmp_path / "psi.hsfield"
-    write_field(path, "psi", psi.values, rect12)
+    write_field(path, "psi", psi, rect12)
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-3]) + "\n")
     with pytest.raises(SnapshotError, match="value lines"):
@@ -62,7 +63,7 @@ def test_read_rejects_truncated_file(tmp_path, rect12):
 
 def test_read_rejects_non_finite_value(tmp_path, rect12):
     path = tmp_path / "psi.hsfield"
-    write_field(path, "psi", SiteField.zeros(rect12).values, rect12)
+    write_field(path, "psi", np.zeros((12, 12), dtype=complex), rect12)
     lines = path.read_text().splitlines()
     lines[20] = "1 7 nan 0.0"
     path.write_text("\n".join(lines) + "\n")
@@ -92,7 +93,7 @@ def test_read_rejects_repeated_entry(tmp_path, rect12):
         "index-past-end", "negative-index"])
 def test_read_rejects_malformed_line(tmp_path, rect12, line, match):
     path = tmp_path / "psi.hsfield"
-    write_field(path, "psi", SiteField.zeros(rect12).values, rect12)
+    write_field(path, "psi", np.zeros((12, 12), dtype=complex), rect12)
     lines = path.read_text().splitlines()
     lines[20] = line
     path.write_text("\n".join(lines) + "\n")
