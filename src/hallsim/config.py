@@ -38,7 +38,9 @@ Keys (defaults in parentheses):
     psi0_norm (1.0)          total integrated density
     psi0_ecut (off)          band-limit: project onto free modes with E <= ecut
     psi0_file                HSFIELD psi snapshot path (psi0 = file)
-    rim_band (3)             boundary band (cells) for psi0 = rim
+    rim_band (3)             boundary band (cells) for psi0 = rim; the rim
+                             state's zero-potential current circulates
+                             counter-clockwise about the grid centre
   run
     consistent_init (true)   solve the Gauss constraint for the initial A
     flux (0.0)               flux threaded through hole 0 after initialization

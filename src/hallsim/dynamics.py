@@ -144,7 +144,7 @@ def dense_hamiltonian(phases, d: Domain, p: Params):
     restricted to the active sites; returns (H, sites) with
     sites = np.argwhere(d.active) fixing the basis order.  Real phases, such
     as the link masks (d.h_active, d.v_active) of the zero potential, give a
-    real matrix.  Intended for small domains (oracle eigensolves, rim states).
+    real matrix.  Intended for small domains (the tests' eigensolve oracle).
     """
     H, sites = restrict(_h_matrix(phases, d, p), d.active)
     return H.toarray(), sites

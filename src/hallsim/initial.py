@@ -1,15 +1,31 @@
-"""Initial matter-field builders: Gaussian packets, uniform fill, rim states."""
+"""Initial matter-field builders: Gaussian packets, uniform fill, rim states.
+
+The rim state and the band limit use the eigenmodes of the free
+(zero-potential) Hamiltonian.  _free_modes block-diagonalises it by the
+sectors of the mask's rotation group (Faessler & Stiefel, Group Theoretical
+Methods and Their Applications, 1992): C4 about the grid centre when the
+mask maps onto itself under a 90 degree rotation, otherwise the trivial
+group.  Each sector block is eigensolved densely, so a C4-invariant domain
+needs three solves of a quarter of its sites (the sector -1 block is the
+conjugate of the sector +1 block) instead of one of all of them.
+"""
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 from .domain import Domain, DomainError
-from .dynamics import Params, dense_hamiltonian
-from .fields import site_density
+from .dynamics import Params, _h_matrix
+from .fields import LinkField, current_density, site_density
 
 DEGENERACY_TOL = 1e-9     # relative gap below which two eigenvalues pair
 MIN_RIM_WEIGHT = 0.9      # least band weight of each vector of a rim pair
+MAX_BLOCK_SITES = 4000    # rows of the largest sector block eigensolved densely
+PEAK_TOL = 1e-6           # sites this close to the peak |psi| tie for the phase
+
+_I_POW = np.array([1.0, -1j, -1.0, 1j])   # i^(-n), indexed by n mod 4
 
 
 def normalize(psi: np.ndarray, d: Domain, norm: float) -> np.ndarray:
@@ -41,18 +57,80 @@ def uniform_state(d: Domain, norm: float = 1.0) -> np.ndarray:
     return normalize(np.where(d.active, 1.0 + 0.0j, 0.0), d, norm)
 
 
-def _free_modes(d: Domain, p: Params, purpose: str):
-    """(w, V, sites) of the real zero-potential H on the active sites.
+class Sector(NamedTuple):
+    """Eigenmodes of one rotation sector m of the free Hamiltonian.
 
-    Dense eigensolve, capped at 4000 sites; `purpose` names the caller.
+    basis is the sparse (grid sites x orbits) matrix B_m, flat grid indices
+    by row; its column for the orbit s, Rs, R^2 s, ... holds
+    i^(-mk)/sqrt(|orbit|) at R^k s.  w and V are the eigenvalues and
+    eigenvectors (orbits x modes) of the block B_m^H H B_m, so basis @ V
+    holds full-grid eigenvectors of H.  reps are the flat grid indices of
+    the orbits' first sites.
     """
-    if d.n_active > 4000:
+    basis: object
+    reps: np.ndarray
+    w: np.ndarray
+    V: np.ndarray
+
+
+def _orbits(d: Domain) -> np.ndarray:
+    """Flat grid indices of R^k s in column k, one row per orbit of sites.
+
+    R is the 90 degree rotation about the grid centre (C4, four columns)
+    when nx == ny and R maps the mask onto itself; otherwise it is the
+    identity (the trivial group, one column).  Each orbit is listed once,
+    at its least flat index, in grid order.
+    """
+    c4 = d.nx == d.ny and np.array_equal(d.active, np.rot90(d.active))
+    idx = np.arange(d.nx * d.ny).reshape(d.nx, d.ny)
+    images = np.stack([np.rot90(idx, k)[d.active] for k in range(4 if c4 else 1)],
+                      axis=1)
+    return images[images[:, 0] == images.min(axis=1)]
+
+
+def _free_modes(d: Domain, p: Params, purpose: str) -> list:
+    """Sectors m = 0 .. g-1 of the real zero-potential H on the active sites.
+
+    H commutes with the rotation group of the mask (see _orbits), so it is
+    block diagonal in the orbit bases B_m.  An orbit of g sites enters
+    every sector; the centre of an odd C4 grid is its own orbit and enters
+    sector 0 only.  Sectors 0 and g/2 have real bases and real blocks; for
+    C4 the block of sector -1 (m = 3) is the conjugate of sector +1's and is
+    not solved again.  The trivial group is the same loop with one orbit per
+    site and one sector, the dense H itself.  Each block is eigensolved
+    densely; the largest (sector 0, one row per orbit) is capped at
+    MAX_BLOCK_SITES.  `purpose` names the caller in the error.
+    """
+    from scipy.sparse import coo_matrix
+
+    orbits = _orbits(d)
+    n_orbits, g = orbits.shape
+    if n_orbits > MAX_BLOCK_SITES:
         raise DomainError(
-            f"{purpose} uses a dense eigensolve; {d.n_active} active sites "
-            "is too large")
-    H, sites = dense_hamiltonian((d.h_active, d.v_active), d, p)
-    w, V = np.linalg.eigh(H)
-    return w, V, sites
+            f"{purpose} eigensolves dense symmetry blocks of the free "
+            f"Hamiltonian; the largest block here has {n_orbits} sites, "
+            f"above the cap of {MAX_BLOCK_SITES}")
+    full = (orbits[:, 1:] != orbits[:, :1]).all(axis=1)
+    # sqrt(|orbit|)/g per listed image: the centre's g images sum to 1
+    scale = np.where(full, 1.0 / np.sqrt(g), 1.0 / g)[:, None]
+    h = _h_matrix((d.h_active, d.v_active), d, p)
+    sectors = []
+    for m in range(g):
+        keep = full | (m == 0)
+        n = int(keep.sum())
+        phase = _I_POW[(m * np.arange(g)) % 4]
+        if (2 * m) % g == 0:
+            phase = phase.real
+        basis = coo_matrix(((scale[keep] * phase).ravel(),
+                            (orbits[keep].ravel(), np.repeat(np.arange(n), g))),
+                           shape=(d.nx * d.ny, n)).tocsr()
+        partner = (-m) % g
+        if partner < m:
+            w, V = sectors[partner].w, sectors[partner].V.conj()
+        else:
+            w, V = np.linalg.eigh((basis.conj().T @ (h @ basis)).toarray())
+        sectors.append(Sector(basis, orbits[keep, 0], w, V))
+    return sectors
 
 
 def band_limited(psi: np.ndarray, d: Domain, p: Params, ecut: float,
@@ -63,40 +141,64 @@ def band_limited(psi: np.ndarray, d: Domain, p: Params, ecut: float,
     and frame-truncated packet inevitably carries, so that every beat
     frequency of the evolving bilinears satisfies omega * dt << 1 and the
     second-order time-discretization diagnostics sit far below their
-    tolerances.  Dense eigensolve: meant for modest domains.
+    tolerances.  The projector is summed sector by sector,
+    sum_m B_m V_keep V_keep^H B_m^H psi (see _free_modes).
     """
     if ecut <= 0:
         raise ValueError("ecut must be positive")
-    w, V, sites = _free_modes(d, p, "band limiting")
-    keep = w <= ecut
-    if not keep.any():
+    sectors = _free_modes(d, p, "band limiting")
+    if not any((s.w <= ecut).any() for s in sectors):
         raise ValueError(f"no modes below ecut = {ecut}")
-    vec = psi[sites[:, 0], sites[:, 1]]
-    vec = V[:, keep] @ (V[:, keep].T @ vec)
-    out = np.zeros((d.nx, d.ny), dtype=np.complex128)
-    out[sites[:, 0], sites[:, 1]] = vec
-    return normalize(out, d, norm)
+    vec = psi.ravel()
+    out = np.zeros(d.nx * d.ny, dtype=np.complex128)
+    for s in sectors:
+        V = s.V[:, s.w <= ecut]
+        out += s.basis @ (V @ (V.conj().T @ (s.basis.conj().T @ vec)))
+    return normalize(out.reshape(d.nx, d.ny), d, norm)
+
+
+def circulation(psi: np.ndarray, d: Domain, p: Params) -> float:
+    """sum (x - c_x) j2 - (y - c_y) j1 of the zero-potential current.
+
+    j1 sits at the midpoints of horizontal links and j2 of vertical links;
+    (c_x, c_y) is the grid centre.  Positive means counter-clockwise.
+    """
+    j = current_density(psi, LinkField.zeros(d), d, p)
+    x = (np.arange(d.nx) - (d.nx - 1) / 2.0) * d.dx
+    y = (np.arange(d.ny) - (d.ny - 1) / 2.0) * d.dx
+    return float((x[:, None] * j.j2).sum() - (y[None, :] * j.j1).sum())
 
 
 def rim_pair_state(d: Domain, p: Params, norm: float = 1.0,
                    band: int = 3) -> np.ndarray:
     """Stationary circulating state supported on the boundary band.
 
-    Finds a degenerate pair (u, v) of free-Hamiltonian eigenvectors whose
-    density is concentrated within `band` cells of the boundary, combines
-    them as (u + i v)/sqrt(2) to obtain a circulating current, and truncates
-    the result to the band so the interior support is exactly empty.  The
+    Finds a degenerate pair of free-Hamiltonian eigenvectors whose density
+    is concentrated within `band` cells of the boundary: the sector
+    eigenvalues of _free_modes are merged and sorted, adjacent values within
+    DEGENERACY_TOL pair up, and the first pair of highest band weight (the
+    least, over the pair, of the weight of a vector within the band) is
+    taken.  Of the pair's two circulating combinations, phi and conj(phi)
+    for a C4 sector +-1 pair, (u +- i v)/sqrt(2) for a real pair (u, v),
+    the state is the one whose zero-potential charge current circulates
+    counter-clockwise about the grid centre (circulation >= 0).  It is
+    truncated to the band so the interior support is exactly empty; the
     truncation removes only the exponential tail, so the state stays close
     to an exact stationary pair and its current remains rim-localized under
-    evolution.
-
-    Dense eigensolve: meant for domains up to a few thousand active sites.
+    evolution.  The global phase makes the first site, in grid order, whose
+    |psi| is within PEAK_TOL of the peak real and positive.  Neither the
+    direction nor the phase depends on the basis the eigensolver picks.
     """
-    w, V, sites = _free_modes(d, p, "rim state construction")
-    dist = d.boundary_distance[sites[:, 0], sites[:, 1]]
-    in_band = dist <= band
+    sectors = _free_modes(d, p, "rim state construction")
+    dist = d.boundary_distance.ravel()
+    w = np.concatenate([s.w for s in sectors])
+    weights = np.concatenate(
+        [(np.abs(s.V[dist[s.reps] <= band]) ** 2).sum(axis=0) for s in sectors])
+    which = np.concatenate([np.full(len(s.w), k) for k, s in enumerate(sectors)])
+    col = np.concatenate([np.arange(len(s.w)) for s in sectors])
+    order = np.argsort(w, kind="stable")
+    w, weights = w[order], weights[order]
 
-    weights = (np.abs(V) ** 2 * in_band[:, None]).sum(axis=0)
     scale = max(abs(w[0]), abs(w[-1]), 1.0)
     paired = np.abs(np.diff(w)) <= DEGENERACY_TOL * scale
     score = np.where(paired, np.minimum(weights[:-1], weights[1:]), -1.0)
@@ -107,8 +209,15 @@ def rim_pair_state(d: Domain, p: Params, norm: float = 1.0,
             f"{max(score[i], 0.0):.3f} < {MIN_RIM_WEIGHT}); widen the band or "
             "change the domain")
 
-    vec = (V[:, i] + 1j * V[:, i + 1]) / np.sqrt(2.0)
-    vec = np.where(in_band, vec, 0.0)
-    psi = np.zeros((d.nx, d.ny), dtype=np.complex128)
-    psi[sites[:, 0], sites[:, 1]] = vec
-    return normalize(psi, d, norm)
+    u, v = (sectors[which[k]].basis @ sectors[which[k]].V[:, col[k]]
+            for k in order[i:i + 2])
+    # a complex sector vector circulates already, its partner is its conjugate
+    vec = u if np.iscomplexobj(u) else (u + 1j * v) / np.sqrt(2.0)
+    vec = np.where(d.active & (d.boundary_distance <= band),
+                   vec.reshape(d.nx, d.ny), 0.0)
+    if circulation(vec, d, p) < 0.0:
+        vec = vec.conj()
+    mag = np.abs(vec)
+    k = np.argmax(mag >= (1.0 - PEAK_TOL) * mag.max())
+    vec = vec * (vec.flat[k].conjugate() / mag.flat[k])
+    return normalize(vec, d, norm)

@@ -1,0 +1,189 @@
+"""Rim states and band limits from the rotation sectors of the free H."""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from hallsim import (Domain, DomainError, Params, band_limited, build_corbino,
+                     build_rectangle, dense_hamiltonian, gaussian_packet,
+                     normalize, rim_pair_state)
+from hallsim.initial import (DEGENERACY_TOL, MAX_BLOCK_SITES, MIN_RIM_WEIGHT,
+                             _free_modes, _orbits, circulation)
+
+from test_dynamics import masked_domains
+
+P = Params(dt=0.05)
+
+
+def padded_corbino():
+    """The acceptance annulus on a 33 x 32 grid: C4-symmetric about a point
+    that is not the grid centre, so the trivial group applies."""
+    d = build_corbino(32, 1.0, 5.0, 14.0)
+    return Domain(33, 32, 1.0, np.pad(d.active, ((0, 1), (0, 0))), d.holes,
+                  d.generator_loops)
+
+
+@st.composite
+def c4_domains(draw):
+    """Masks a 90 degree rotation maps onto themselves: squares of even or
+    odd side, squares with a centred square hole, Corbino annuli."""
+    kind = draw(st.sampled_from(["square", "holed", "corbino"]))
+    try:
+        if kind == "square":
+            n = draw(st.integers(5, 15))
+            return build_rectangle(n, n, 1.0, [])
+        if kind == "holed":
+            n = draw(st.integers(5, 16))
+            a = draw(st.integers(1, (n - 1) // 2))
+            return build_rectangle(n, n, 1.0, [(a, a, n - 2 * a, n - 2 * a)])
+        n = draw(st.integers(12, 20))
+        r_outer = draw(st.floats(n / 2 - 1.5, n / 2))
+        r_inner = draw(st.floats(1.0, r_outer - 3.5))
+        return build_corbino(n, 1.0, r_inner, r_outer)
+    except DomainError:         # annulus too thin for its generator loop
+        assume(False)
+
+
+def unit(v):
+    return v / np.linalg.norm(v)
+
+
+def sign_matched_overlap(ref, got):
+    """|<ref|got>| for unit vectors, ref or its conjugate, whichever is larger."""
+    ref, got = unit(ref.ravel()), unit(got.ravel())
+    return max(abs(np.vdot(ref, got)), abs(np.vdot(ref.conj(), got)))
+
+
+def dense_rim_oracle(d, w, V, sites, band=3):
+    """(state, clear) of the whole-domain dense path: the first adjacent pair
+    of highest least band weight, (u + i v)/sqrt(2) truncated to the band;
+    state is None when no pair reaches MIN_RIM_WEIGHT.
+
+    clear is False when roundoff or the basis inside an eigenspace could
+    change the pairing or the choice.  For any orthonormal pair of vectors
+    in a cluster of degenerate eigenvalues, the lesser band weight is at most
+    the mean of the two largest eigenvalues of the cluster's band-weight
+    matrix; in a cluster of two it is at least the smallest one."""
+    in_band = d.boundary_distance[sites[:, 0], sites[:, 1]] <= band
+    tol = DEGENERACY_TOL * max(abs(w[0]), abs(w[-1]), 1.0)
+    gaps = np.abs(np.diff(w))
+    clear = not np.any((gaps > 0.1 * tol) & (gaps < 10 * tol))
+    pairs = np.flatnonzero(gaps <= tol)
+    if not pairs.size:
+        return None, clear
+    score = [min((V[in_band, i] ** 2).sum(), (V[in_band, i + 1] ** 2).sum())
+             for i in pairs]
+    i = pairs[int(np.argmax(score))]
+    starts = np.flatnonzero(np.r_[True, gaps > tol])
+    hi, lo = {}, None
+    for a, b in zip(starts, np.r_[starts[1:], len(w)]):
+        if b - a >= 2:
+            lam = np.linalg.eigvalsh(V[in_band, a:b].T @ V[in_band, a:b])
+            hi[a] = lam[-2:].mean()
+            if a == i and b - a == 2:
+                lo = lam[0]
+    if max(score) < MIN_RIM_WEIGHT:
+        return None, clear and max(hi.values()) < MIN_RIM_WEIGHT - 1e-9
+    others = [h for a, h in hi.items() if a != i]
+    clear &= lo is not None and lo > max([MIN_RIM_WEIGHT] + others) + 1e-9
+    vec = np.where(in_band, (V[:, i] + 1j * V[:, i + 1]) / np.sqrt(2.0), 0.0)
+    psi = np.zeros((d.nx, d.ny), dtype=complex)
+    psi[sites[:, 0], sites[:, 1]] = vec
+    return psi, clear
+
+
+@pytest.mark.parametrize("n, r_inner, r_outer", [(64, 10.0, 30.0), (32, 5.0, 14.0)])
+def test_rim_state_circulates_counter_clockwise(n, r_inner, r_outer):
+    d = build_corbino(n, 1.0, r_inner, r_outer)
+    psi = rim_pair_state(d, P, norm=1.0)
+    assert circulation(psi, d, P) > 0.0
+    assert circulation(psi.conj(), d, P) == -circulation(psi, d, P)
+
+
+def test_padded_annulus_uses_trivial_group_and_same_state():
+    d = padded_corbino()
+    assert _orbits(d).shape[1] == 1
+    assert _orbits(build_corbino(32, 1.0, 5.0, 14.0)).shape[1] == 4
+    psi = rim_pair_state(d, P, norm=1.0)
+    ref = rim_pair_state(build_corbino(32, 1.0, 5.0, 14.0), P, norm=1.0)
+    assert circulation(psi, d, P) > 0.0
+    assert np.abs(psi[:32] - ref).max() <= 1e-12
+    assert np.all(psi[32] == 0.0)
+
+
+@pytest.mark.parametrize("domain", [lambda: build_corbino(32, 1.0, 5.0, 14.0),
+                                    padded_corbino],
+                         ids=["c4", "trivial"])
+def test_rim_state_independent_of_eigensolver_basis(domain, monkeypatch):
+    # eigenvectors come back with arbitrary unit phases (signs for real
+    # blocks) and, inside each degenerate real pair, an arbitrary rotation
+    d = domain()
+    ref = rim_pair_state(d, P, norm=1.0)
+    rng = np.random.default_rng(7)
+    eigh = np.linalg.eigh
+
+    def scrambled_eigh(a):
+        w, V = eigh(a)
+        if np.iscomplexobj(V):
+            return w, V * np.exp(2j * np.pi * rng.random(V.shape[1]))
+        V = V * rng.choice([-1.0, 1.0], V.shape[1])
+        tol = DEGENERACY_TOL * max(abs(w[0]), abs(w[-1]), 1.0)
+        for i in np.flatnonzero(np.abs(np.diff(w)) <= tol):
+            theta = 2 * np.pi * rng.random()
+            c, s = np.cos(theta), np.sin(theta)
+            V[:, i:i + 2] = V[:, i:i + 2] @ np.array([[c, s], [-s, c]])
+        return w, V
+
+    monkeypatch.setattr(np.linalg, "eigh", scrambled_eigh)
+    for _ in range(3):
+        assert np.abs(rim_pair_state(d, P, norm=1.0) - ref).max() <= 1e-12
+
+
+@given(d=st.one_of(c4_domains(), masked_domains()), seed=st.integers(0, 2 ** 31),
+       band=st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_sector_modes_match_dense_oracle(d, seed, band):
+    H, sites = dense_hamiltonian((d.h_active, d.v_active), d, P)
+    w, V = np.linalg.eigh(H)
+    scale = max(abs(w[0]), abs(w[-1]), 1.0)
+    sectors = _free_modes(d, P, "test")
+    merged = np.sort(np.concatenate([s.w for s in sectors]))
+    assert np.abs(merged - np.linalg.eigvalsh(H)).max() <= 1e-12 * scale
+
+    # band limit with the cut inside a gap of the spectrum
+    rng = np.random.default_rng(seed)
+    gaps = np.flatnonzero(np.diff(w) > 1e-3 * scale)
+    k = rng.choice(gaps)
+    ecut = 0.5 * (w[k] + w[k + 1])
+    psi = np.where(d.active, rng.normal(size=(d.nx, d.ny))
+                   + 1j * rng.normal(size=(d.nx, d.ny)), 0.0)
+    keep = V[:, w <= ecut]
+    ref = np.zeros_like(psi)
+    ref[sites[:, 0], sites[:, 1]] = keep @ (keep.T @ psi[sites[:, 0], sites[:, 1]])
+    ref = normalize(ref, d, 1.0)
+    assert np.abs(band_limited(psi, d, P, ecut, norm=1.0) - ref).max() <= 1e-12
+
+    rim, clear = dense_rim_oracle(d, w, V, sites, band)
+    if not clear:
+        return
+    if rim is None:
+        with pytest.raises(DomainError, match="rim"):
+            rim_pair_state(d, P, norm=1.0, band=band)
+    else:
+        got = rim_pair_state(d, P, norm=1.0, band=band)
+        assert sign_matched_overlap(rim, got) >= 1 - 1e-12
+
+
+def test_dense_block_cap_applies_per_sector():
+    # 4,096 active sites: each C4 block has 1,024 rows
+    d = build_corbino(74, 1.0, 8.0, 37.0)
+    assert MAX_BLOCK_SITES < d.n_active < 4 * MAX_BLOCK_SITES
+    psi = rim_pair_state(d, P, norm=1.0)
+    assert np.isfinite(psi).all() and circulation(psi, d, P) > 0.0
+
+
+def test_dense_block_cap_without_symmetry():
+    d = build_rectangle(64, 65, 1.0, [])
+    packet = gaussian_packet(d, (32.0, 32.0), 4.0)
+    with pytest.raises(DomainError, match="band limiting .* 4160 sites"):
+        band_limited(packet, d, P, 0.1)
