@@ -8,6 +8,7 @@ identical configurations produce byte-identical diagnostics and snapshots.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -74,7 +75,10 @@ def _initial_psi(cfg: RunConfig, d: Domain, p: Params) -> np.ndarray:
 
 
 def simulate_run(cfg: RunConfig):
-    """Run one simulation; returns (domain, params, recorded states)."""
+    """Run one simulation; returns (domain, params, recorded states).
+
+    Every recorded state has rate None (see dynamics.SimState).
+    """
     d = make_domain(cfg)
     p = _params(cfg, d)
     # Gershgorin bound ||H|| <= hbar^2 max(degree) / (mu dx^2); the ratio is
@@ -101,7 +105,8 @@ def simulate_run(cfg: RunConfig):
         except SolverError as err:
             raise SolverError(f"step {step}: {err}") from err
         if step % cfg.record_every == 0:
-            records.append(state)
+            # a record does not keep the predictor: the rows never read it
+            records.append(dataclasses.replace(state, rate=None))
     return d, p, records
 
 

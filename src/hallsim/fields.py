@@ -107,17 +107,20 @@ def link_phases(a: LinkField, d: Domain, p) -> tuple:
     """Peierls phases (u1, u2) = exp(i e dx a / hbar), zero on inactive links.
 
     The only place a link field is exponentiated: H and the current share it.
-    The real phase is written straight into the imaginary part of the result
-    and exponentiated and masked in place.  It is scaled by the reciprocal of
-    hbar, which is how numpy divides a complex array by a real scalar, so the
-    phases are bit for bit those of np.exp(1j * e * dx * a / hbar) * mask.
+    The phase theta = e dx a (1/hbar) is formed once per component; its
+    cosine and sine are written straight into the real and imaginary parts of
+    the result, which is then masked in place.  theta is scaled by the
+    reciprocal of hbar, which is how numpy divides a complex array by a real
+    scalar, and exp(0 + i theta) is (cos theta, sin theta) bit for bit, so
+    the phases are those of np.exp(1j * e * dx * a / hbar) * mask.
     """
     out = []
     for x, mask in ((a.a1, d.h_active), (a.a2, d.v_active)):
-        u = np.zeros(x.shape, dtype=np.complex128)
-        np.multiply(x, p.e * d.dx, out=u.imag)
-        u.imag *= 1.0 / p.hbar
-        np.exp(u, out=u)
+        theta = np.multiply(x, p.e * d.dx)
+        theta *= 1.0 / p.hbar
+        u = np.empty(x.shape, dtype=np.complex128)
+        np.cos(theta, out=u.real)
+        np.sin(theta, out=u.imag)
         u *= mask
         out.append(u)
     return tuple(out)

@@ -24,6 +24,7 @@ DEGENERACY_TOL = 1e-9     # relative gap below which two eigenvalues pair
 MIN_RIM_WEIGHT = 0.9      # least band weight of each vector of a rim pair
 MAX_BLOCK_SITES = 4000    # rows of the largest sector block eigensolved densely
 PEAK_TOL = 1e-6           # sites this close to the peak |psi| tie for the phase
+SCORE_TOL = 1e-12         # rim pairs this close to the best band weight tie
 
 _I_POW = np.array([1.0, -1j, -1.0, 1j])   # i^(-n), indexed by n mod 4
 
@@ -175,17 +176,20 @@ def rim_pair_state(d: Domain, p: Params, norm: float = 1.0,
 
     Finds a degenerate pair of free-Hamiltonian eigenvectors whose density
     is concentrated within `band` cells of the boundary: the sector
-    eigenvalues of _free_modes are merged and sorted, adjacent values within
-    DEGENERACY_TOL pair up, and the first pair of highest band weight (the
-    least, over the pair, of the weight of a vector within the band) is
-    taken.  Of the pair's two circulating combinations, phi and conj(phi)
-    for a C4 sector +-1 pair, (u +- i v)/sqrt(2) for a real pair (u, v),
-    the state is the one whose zero-potential charge current circulates
-    counter-clockwise about the grid centre (circulation >= 0).  It is
-    truncated to the band so the interior support is exactly empty; the
-    truncation removes only the exponential tail, so the state stays close
-    to an exact stationary pair and its current remains rim-localized under
-    evolution.  The global phase makes the first site, in grid order, whose
+    eigenvalues of _free_modes are merged and sorted, each run of values
+    whose neighbours lie within DEGENERACY_TOL is ordered by sector label
+    (and by position within the sector), adjacent values of a run pair up,
+    and the first pair whose band weight (the least, over the pair, of the
+    weight of a vector within the band) lies within SCORE_TOL of the highest
+    is taken, so roundoff in degenerate eigenvalues or in the weights does
+    not move the choice.  Of the pair's two circulating combinations, phi
+    and conj(phi) for a C4 sector +-1 pair, (u +- i v)/sqrt(2) for a real
+    pair (u, v), the state is the one whose zero-potential charge current
+    circulates counter-clockwise about the grid centre (circulation >= 0).
+    It is truncated to the band so the interior support is exactly empty;
+    the truncation removes only the exponential tail, so the state stays
+    close to an exact stationary pair and its current remains rim-localized
+    under evolution.  The global phase makes the first site, in grid order, whose
     |psi| is within PEAK_TOL of the peak real and positive.  Neither the
     direction nor the phase depends on the basis the eigensolver picks.
     """
@@ -197,12 +201,14 @@ def rim_pair_state(d: Domain, p: Params, norm: float = 1.0,
     which = np.concatenate([np.full(len(s.w), k) for k, s in enumerate(sectors)])
     col = np.concatenate([np.arange(len(s.w)) for s in sectors])
     order = np.argsort(w, kind="stable")
-    w, weights = w[order], weights[order]
+    scale = max(abs(w[order[0]]), abs(w[order[-1]]), 1.0)
+    run = np.r_[0, np.cumsum(np.diff(w[order]) > DEGENERACY_TOL * scale)]
+    order = order[np.lexsort((col[order], which[order], run))]
+    weights = weights[order]
 
-    scale = max(abs(w[0]), abs(w[-1]), 1.0)
-    paired = np.abs(np.diff(w)) <= DEGENERACY_TOL * scale
+    paired = run[1:] == run[:-1]
     score = np.where(paired, np.minimum(weights[:-1], weights[1:]), -1.0)
-    i = int(np.argmax(score))           # the first pair of highest rim weight
+    i = int(np.argmax(score >= score.max() - SCORE_TOL))
     if score[i] < MIN_RIM_WEIGHT:
         raise DomainError(
             f"no degenerate rim-localized eigenpair found (best rim weight "

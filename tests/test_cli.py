@@ -237,6 +237,24 @@ def test_diagnose_partial_inputs_na_columns_two_holes(tmp_path, capsys, inputs,
     assert {n for n, c in zip(names, cells) if c == "NA"} == missing
 
 
+def test_simulate_run_records_drop_the_predictor(monkeypatch):
+    # every record, the flux-threaded start included, has rate None; the
+    # stepping still predicts from the stored rate after the first step
+    from hallsim.config import build_config, parse_config_text
+    cfg = build_config(parse_config_text(TWO_HOLE_CFG))
+    has_rate = []
+    real = hallsim.cli.advance
+
+    def spied(s):
+        has_rate.append(s.rate is not None)
+        return real(s)
+
+    monkeypatch.setattr(hallsim.cli, "advance", spied)
+    _, _, records = hallsim.cli.simulate_run(cfg)
+    assert len(records) == 5 and all(s.rate is None for s in records)
+    assert has_rate == [False] + [True] * 19
+
+
 def test_records_to_rows_one_current_per_record(monkeypatch):
     from hallsim.config import build_config, parse_config_text
     from hallsim.diagnostics import continuity_residual, record_state

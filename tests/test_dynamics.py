@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hallsim import (CurrentField, LinkField, Params, SimState, advance,
-                     apply_gauge, build_rectangle,
+                     apply_gauge, band_limited, build_rectangle,
                      cayley_step, dense_hamiltonian, gauge_rate,
                      gaussian_packet, hamiltonian_apply,
                      initialize_consistent, plaquette_curl, step_gauge,
@@ -238,6 +238,55 @@ def test_advance_static_for_zero_psi(rect12, params, rng):
     assert np.array_equal(out.a.a1, a.a1)
     assert np.array_equal(out.a.a2, a.a2)
     assert np.all(out.psi == 0.0)
+
+
+def assert_step_predicted_from(out, s, rate):
+    """out is the coupled step from s written out, with A_half from `rate`."""
+    d, p, dt = s.domain, s.params, s.params.dt
+    a_half = LinkField(s.a.a1 + 0.5 * dt * rate.a1, s.a.a2 + 0.5 * dt * rate.a2)
+    phases = link_phases(a_half, d, p)
+    psi = cayley_step(s.psi, a_half, d, p, dt, phases=phases)
+    j_mid = current_density(0.5 * (s.psi + psi), a_half, d, p, phases=phases)
+    assert np.array_equal(out.psi, psi)
+    for got, want in ((out.a, step_gauge(s, j_mid)),
+                      (out.rate, gauge_rate(j_mid, d, p))):
+        assert np.array_equal(got.a1, want.a1)
+        assert np.array_equal(got.a2, want.a2)
+
+
+def test_advance_predicts_from_fresh_current_then_stored_rate(rect12, params, rng):
+    # a state without a stored rate (the first step of every run) predicts
+    # from its own current; the state advance returns predicts from its rate
+    psi = np.where(rect12.active, rng.normal(size=(12, 12))
+                   + 1j * rng.normal(size=(12, 12)), 0.0)
+    a = LinkField(rng.normal(size=(11, 12)) * rect12.h_active,
+                  rng.normal(size=(12, 11)) * rect12.v_active)
+    s = SimState(rect12, params, psi, a, 0.0)
+    assert s.rate is None
+    first = advance(s)
+    j0 = current_density(psi, a, rect12, params)
+    assert_step_predicted_from(first, s, gauge_rate(j0, rect12, params))
+    assert_step_predicted_from(advance(first), first, first.rate)
+
+
+def _packet_psi_at(dt, total_time=2.0):
+    """psi at total_time of the dt_convergence set-up (32x32 rectangle)."""
+    d = build_rectangle(32, 32, 1.0, [])
+    p = Params(sigma_h=1.0, dt=dt)
+    psi = gaussian_packet(d, (15.5, 15.5), 3.0, (0.12, 0.0), norm=1.0)
+    s = initialize_consistent(d, band_limited(psi, d, p, ecut=0.05, norm=1.0), p)
+    for _ in range(int(round(total_time / dt))):
+        s = advance(s)
+    return s.psi
+
+
+def test_advance_psi_second_order_in_dt():
+    # the predicted A_half keeps the scheme second order: the error of psi
+    # against a dt/32 reference falls by about 4 per halving of dt
+    ref = _packet_psi_at(0.1 / 32)
+    err = [np.abs(_packet_psi_at(dt) - ref).max() for dt in (0.1, 0.05, 0.025)]
+    for coarse, fine in zip(err, err[1:]):
+        assert 3.6 <= coarse / fine <= 4.4, err
 
 
 def test_ohm_law_internal_consistency():

@@ -172,3 +172,41 @@ def test_divergence_adjoint_identity(rect12, rng):
     lhs = float((f * div).sum()) * rect12.dx ** 2
     rhs = -float((g1 * j1).sum() + (g2 * j2).sum()) * rect12.dx ** 2
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+def exp_link_phases(a, d, p):
+    """The link phases as exp(0 + i theta), theta = e dx a (1/hbar), masked."""
+    out = []
+    for x, mask in ((a.a1, d.h_active), (a.a2, d.v_active)):
+        u = np.zeros(x.shape, dtype=np.complex128)
+        np.multiply(x, p.e * d.dx, out=u.imag)
+        u.imag *= 1.0 / p.hbar
+        np.exp(u, out=u)
+        u *= mask
+        out.append(u)
+    return out
+
+
+@pytest.mark.parametrize("e", [1.0, -1.0, 2.5])
+@pytest.mark.parametrize("dx", [1.0, 0.3, 1.7])
+@pytest.mark.parametrize("hbar", [1.0, 0.7, 3.0])
+def test_link_phases_bit_identical_to_complex_exp(e, dx, hbar):
+    # cos/sin written into the real and imaginary parts give exactly the
+    # bits of the complex exponential, signed zeros included
+    from hallsim.fields import link_phases
+    d = build_rectangle(40, 40, dx, [(10, 12, 6, 5)])
+    p = Params(e=e, hbar=hbar, dt=0.05)
+    rng = np.random.default_rng(5)
+    mags = np.logspace(-3, 8, 600)
+    special = [0.0, -0.0, np.pi, -np.pi, np.pi / 2, -np.pi / 2, 2 * np.pi,
+               np.nextafter(np.pi, 0.0), 5e-324, -5e-324, 1e-300, 1e8, -1e8]
+    pool = np.concatenate([special, mags, -mags,
+                           rng.uniform(-1e8, 1e8, 400), rng.normal(size=400)])
+    a = LinkField(rng.choice(pool, (39, 40)), rng.choice(pool, (40, 39)))
+    # every special value at least once on each component
+    a.a1.flat[:len(special)] = special
+    a.a2.flat[:len(special)] = special
+    got = link_phases(a, d, p)
+    for u, want in zip(got, exp_link_phases(a, d, p)):
+        assert u.dtype == np.complex128
+        assert np.array_equal(u.view(np.int64), want.view(np.int64))

@@ -139,6 +139,42 @@ def test_rim_state_independent_of_eigensolver_basis(domain, monkeypatch):
         assert np.abs(rim_pair_state(d, P, norm=1.0) - ref).max() <= 1e-12
 
 
+@pytest.mark.parametrize("domain, band", [
+    (lambda: build_rectangle(12, 12, 1.0, []), 2),
+    (lambda: build_rectangle(15, 15, 1.0, []), 3),
+    (lambda: build_corbino(64, 1.0, 10.0, 30.0), 3),
+], ids=["square12-band2", "square15-band3", "corbino64"])
+def test_rim_state_independent_of_eigenvalue_roundoff(domain, band, monkeypatch):
+    # exactly degenerate eigenvalues of different sectors, and pairs of equal
+    # band weight, come back in an order roundoff decides: moving every
+    # eigenvalue by one ulp, up or down, leaves the state (or the error) as is
+    d = domain()
+
+    def rim():
+        try:
+            return rim_pair_state(d, P, norm=1.0, band=band)
+        except DomainError as err:
+            return str(err)
+
+    ref = rim()
+    rng = np.random.default_rng(3)
+    signs = {"up": lambda n: np.ones(n), "down": lambda n: -np.ones(n),
+             "alternate": lambda n: (-1.0) ** np.arange(n),
+             "random": lambda n: rng.choice([-1.0, 1.0], n)}
+    eigh = np.linalg.eigh
+    for pattern in ("up", "down", "alternate", "random", "random"):
+        def nudged_eigh(a, sign=signs[pattern]):
+            w, V = eigh(a)
+            return np.nextafter(w, sign(len(w)) * np.inf), V
+
+        monkeypatch.setattr(np.linalg, "eigh", nudged_eigh)
+        got = rim()
+        if isinstance(ref, str):
+            assert got == ref
+        else:
+            assert not isinstance(got, str) and np.array_equal(got, ref)
+
+
 @given(d=st.one_of(c4_domains(), masked_domains()), seed=st.integers(0, 2 ** 31),
        band=st.integers(1, 3))
 @settings(max_examples=40, deadline=None)
