@@ -1,8 +1,9 @@
 """Command line interface: simulate / quantize / diagnose.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
-All floating output uses shortest round-trip decimal formatting, so
-identical configurations produce byte-identical diagnostics and snapshots.
+Diagnostics print floats in shortest round-trip decimal form and snapshots
+hold the raw doubles, so identical configurations produce byte-identical
+diagnostics and snapshots.
 """
 
 from __future__ import annotations

@@ -22,3 +22,18 @@ def params():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+def write_v1(path, kind, array, d):
+    """``array`` as an HSFIELD v1 text snapshot of domain ``d``: the header,
+    then one ``ix iy re`` (``ix iy re im`` for psi) line per entry in
+    row-major order, each float in its shortest round-trip repr."""
+    with open(path, "w") as f:
+        f.write(f"HSFIELD v1 {kind} {d.nx} {d.ny} {float(d.dx)!r}\n")
+        for ix, row in enumerate(array.tolist()):
+            if kind == "psi":
+                f.write("".join(f"{ix} {iy} {v.real!r} {v.imag!r}\n"
+                                for iy, v in enumerate(row)))
+            else:
+                f.write("".join(f"{ix} {iy} {v!r}\n"
+                                for iy, v in enumerate(row)))

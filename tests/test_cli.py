@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from conftest import write_v1
 
 import hallsim.cli
+from hallsim import build_rectangle
 from hallsim.cli import main
+from hallsim.snapshots import read_field, write_field
 
 
 def run_cli(args):
@@ -53,8 +56,8 @@ consistent_init = false
     out = tmp_path / "run"
     assert run_cli(["simulate", "--config", cfg, "--out", str(out)]) == 0
     for kind in ("a1", "a2"):
-        assert ((out / f"initial_{kind}.hsfield").read_text()
-                == (out / f"final_{kind}.hsfield").read_text())
+        assert ((out / f"initial_{kind}.hsfield").read_bytes()
+                == (out / f"final_{kind}.hsfield").read_bytes())
 
 
 def test_simulate_deterministic_byte_identical(tmp_path):
@@ -281,8 +284,6 @@ def test_records_to_rows_one_current_per_record(monkeypatch):
 
 
 def test_simulate_nan_snapshot_exit_3_without_csv(tmp_path, capsys):
-    from hallsim import build_rectangle
-    from hallsim.snapshots import write_field
     psi = np.full((12, 12), 0.1 + 0j)
     psi[4, 5] = np.nan
     write_field(tmp_path / "psi0.hsfield", "psi", psi,
@@ -305,8 +306,6 @@ consistent_init = false
                          ids=["a1-snapshot", "16x16-on-12x12"])
 def test_simulate_psi0_file_wrong_snapshot_exit_3(tmp_path, capsys, kind, n):
     # psi0_file is read through the same kind-and-grid check as diagnose
-    from hallsim import build_rectangle
-    from hallsim.snapshots import write_field
     shape = (n - 1, n) if kind == "a1" else (n, n)
     write_field(tmp_path / "psi0.hsfield", kind, np.full(shape, 0.1),
                 build_rectangle(n, n, 1.0, []))
@@ -397,12 +396,10 @@ def test_manifest_echo_reproduces_run(tmp_path):
 
 
 def test_simulate_malformed_snapshot_value_exit_3(tmp_path, capsys):
-    # a value that is no number is a snapshot error, not a traceback
-    from hallsim import build_rectangle
-    from hallsim.snapshots import write_field
+    # a v1 value that is no number is a snapshot error, not a traceback
     path = tmp_path / "psi0.hsfield"
-    write_field(path, "psi", np.full((12, 12), 0.1 + 0j),
-                build_rectangle(12, 12, 1.0, []))
+    write_v1(path, "psi", np.full((12, 12), 0.1 + 0j),
+             build_rectangle(12, 12, 1.0, []))
     lines = path.read_text().splitlines()
     lines[30] = lines[30].rsplit(" ", 1)[0] + " abc"
     path.write_text("\n".join(lines) + "\n")
@@ -418,19 +415,98 @@ psi0_file = {path}
     assert "psi0.hsfield" in capsys.readouterr().err
 
 
+def rewrite_as_v1(out, tag="final"):
+    """Rewrite a run's tag_{psi,a1,a2}.hsfield into v1 text copies tag_*.v1."""
+    paths = {}
+    for kind in ("psi", "a1", "a2"):
+        _, nx, ny, dx, arr = read_field(out / f"{tag}_{kind}.hsfield")
+        paths[kind] = out / f"{tag}_{kind}.v1"
+        write_v1(paths[kind], kind, arr, build_rectangle(nx, ny, dx, []))
+    return paths
+
+
+def diagnose_args(cfg, paths):
+    return ["diagnose", "--config", cfg] + [
+        arg for kind in ("psi", "a1", "a2") for arg in (f"--{kind}", str(paths[kind]))]
+
+
 def test_diagnose_non_integer_snapshot_index_exit_3(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE_CFG)
     out = tmp_path / "run"
     assert run_cli(["simulate", "--config", cfg, "--out", str(out)]) == 0
-    path = out / "final_psi.hsfield"
-    lines = path.read_text().splitlines()
+    paths = rewrite_as_v1(out)
+    lines = paths["psi"].read_text().splitlines()
     lines[70] = "4.5 " + lines[70].split(" ", 1)[1]
-    path.write_text("\n".join(lines) + "\n")
+    paths["psi"].write_text("\n".join(lines) + "\n")
     capsys.readouterr()
-    assert run_cli(["diagnose", "--config", cfg, "--psi", str(path),
-                    "--a1", str(out / "final_a1.hsfield"),
-                    "--a2", str(out / "final_a2.hsfield")]) == 3
-    assert "final_psi.hsfield" in capsys.readouterr().err
+    assert run_cli(diagnose_args(cfg, paths)) == 3
+    assert "final_psi.v1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, cut, fragment", [
+    ("psi", slice(None, -16), "body holds 4080 bytes"),
+    ("a1", slice(None, -1), "body holds 1919 bytes"),
+    ("a2", slice(None), "entry (7, 2) is non-finite"),
+], ids=["psi-one-value-short", "a1-one-byte-short", "a2-nan"])
+def test_diagnose_corrupt_v2_body_exit_3(tmp_path, capsys, kind, cut, fragment):
+    cfg = write_cfg(tmp_path, BASE_CFG)
+    out = tmp_path / "run"
+    assert run_cli(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    path = out / f"final_{kind}.hsfield"
+    head, body = path.read_bytes().split(b"\n", 1)
+    body = bytearray(body[cut])
+    if kind == "a2":            # entry (7, 2) of the 16 x 15 a2 grid
+        body[8 * (7 * 15 + 2):8 * (7 * 15 + 3)] = np.array([np.nan]).tobytes()
+    path.write_bytes(head + b"\n" + body)
+    capsys.readouterr()
+    paths = {k: out / f"final_{k}.hsfield" for k in ("psi", "a1", "a2")}
+    assert run_cli(diagnose_args(cfg, paths)) == 3
+    err = capsys.readouterr().err
+    assert f"final_{kind}.hsfield" in err and fragment in err
+
+
+@pytest.mark.parametrize("flag, given", [("psi", "a1"), ("a1", "a2"),
+                                         ("a2", "psi")])
+def test_diagnose_wrong_snapshot_kind_exit_3(tmp_path, capsys, flag, given):
+    cfg = write_cfg(tmp_path, BASE_CFG)
+    out = tmp_path / "run"
+    assert run_cli(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    paths = {k: out / f"final_{k}.hsfield" for k in ("psi", "a1", "a2")}
+    paths[flag] = paths[given]
+    capsys.readouterr()
+    assert run_cli(diagnose_args(cfg, paths)) == 3
+    assert f"holds {given!r}, expected {flag}" in capsys.readouterr().err
+
+
+def test_diagnose_same_row_from_v1_and_v2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, TWO_HOLE_CFG)
+    out = tmp_path / "run"
+    assert run_cli(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    rows = []
+    for paths in ({k: out / f"final_{k}.hsfield" for k in ("psi", "a1", "a2")},
+                  rewrite_as_v1(out)):
+        capsys.readouterr()
+        assert run_cli(diagnose_args(cfg, paths)) == 0
+        rows.append(capsys.readouterr().out)
+    assert rows[0] == rows[1]
+
+
+def test_psi0_file_v1_and_v2_same_diagnostics(tmp_path):
+    # one packet as a v1 and a v2 psi0_file: byte-identical runs
+    d = build_rectangle(24, 24, 1.0, [(5, 5, 4, 4), (14, 14, 4, 4)])
+    x, y = np.meshgrid(np.arange(24.0), np.arange(24.0), indexing="ij")
+    psi = np.exp(-((x - 11) ** 2 + (y - 3) ** 2) / 8 + 0.2j * x) * d.active
+    write_v1(tmp_path / "psi0.v1", "psi", psi, d)
+    write_field(tmp_path / "psi0.v2", "psi", psi, d)
+    csv = []
+    for name in ("psi0.v1", "psi0.v2"):
+        cfg = write_cfg(tmp_path, TWO_HOLE_CFG.replace(
+            "psi0 = gaussian", f"psi0 = file\npsi0_file = {tmp_path / name}"),
+            f"{name}.txt")
+        out = tmp_path / f"run_{name}"
+        assert run_cli(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        csv.append((out / "diagnostics.csv").read_bytes())
+    assert csv[0] == csv[1]
 
 
 @pytest.mark.parametrize("args, fragment", [

@@ -368,6 +368,21 @@ def test_cayley_step_continuity_with_own_phases(d, seed):
     assert np.abs(res).max() <= 1e-12 * scale
 
 
+@given(d=masked_domains(), seed=st.integers(0, 2 ** 31),
+       sigma_h=st.floats(0.05, 20.0) | st.floats(-20.0, -0.05))
+@settings(max_examples=40, deadline=None)
+def test_hall_law_does_no_work(d, seed, sigma_h):
+    # sum over links of j . dA/dt vanishes: the transverse interpolations
+    # j2_at_hlinks and j1_at_vlinks are transposes of each other, so the
+    # matter energy Re<psi|H(A)|psi> is an invariant of the semi-discrete flow
+    p = Params(sigma_h=sigma_h, dt=0.05)
+    psi, a = random_fields(d, seed)
+    j = current_density(psi, a, d, p)
+    rate = gauge_rate(j, d, p)
+    terms = np.concatenate([(j.j1 * rate.a1).ravel(), (j.j2 * rate.a2).ravel()])
+    assert abs(terms.sum()) <= 1e-13 * np.abs(terms).sum()
+
+
 def cayley_residual(psi, new, phases, d, p, dt):
     """|(1 + i a H) new - (1 - i a H) psi| and |(1 - i a H) psi|, a = dt/2hbar."""
     apply_h = make_hamiltonian(phases, d, p)

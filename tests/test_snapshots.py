@@ -2,8 +2,11 @@ import re
 
 import numpy as np
 import pytest
+from conftest import write_v1
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from hallsim import LinkField
+from hallsim import LinkField, build_rectangle
 import hallsim.config
 from hallsim.config import (DEFAULTS, ConfigError, build_config,
                             parse_config_text, parse_overrides)
@@ -54,7 +57,7 @@ def test_read_rejects_bad_header_grid(tmp_path, text, match):
 def test_read_rejects_truncated_file(tmp_path, rect12):
     psi = np.zeros((12, 12), dtype=complex)
     path = tmp_path / "psi.hsfield"
-    write_field(path, "psi", psi, rect12)
+    write_v1(path, "psi", psi, rect12)
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-3]) + "\n")
     with pytest.raises(SnapshotError, match="value lines"):
@@ -63,7 +66,7 @@ def test_read_rejects_truncated_file(tmp_path, rect12):
 
 def test_read_rejects_non_finite_value(tmp_path, rect12):
     path = tmp_path / "psi.hsfield"
-    write_field(path, "psi", np.zeros((12, 12), dtype=complex), rect12)
+    write_v1(path, "psi", np.zeros((12, 12), dtype=complex), rect12)
     lines = path.read_text().splitlines()
     lines[20] = "1 7 nan 0.0"
     path.write_text("\n".join(lines) + "\n")
@@ -74,7 +77,7 @@ def test_read_rejects_non_finite_value(tmp_path, rect12):
 def test_read_rejects_repeated_entry(tmp_path, rect12):
     # one entry given twice and another missing keeps the line count right
     path = tmp_path / "a1.hsfield"
-    write_field(path, "a1", np.ones((11, 12)), rect12)
+    write_v1(path, "a1", np.ones((11, 12)), rect12)
     lines = path.read_text().splitlines()
     lines[5] = "0 3 1.0"
     path.write_text("\n".join(lines) + "\n")
@@ -93,7 +96,7 @@ def test_read_rejects_repeated_entry(tmp_path, rect12):
         "index-past-end", "negative-index"])
 def test_read_rejects_malformed_line(tmp_path, rect12, line, match):
     path = tmp_path / "psi.hsfield"
-    write_field(path, "psi", np.zeros((12, 12), dtype=complex), rect12)
+    write_v1(path, "psi", np.zeros((12, 12), dtype=complex), rect12)
     lines = path.read_text().splitlines()
     lines[20] = line
     path.write_text("\n".join(lines) + "\n")
@@ -101,16 +104,143 @@ def test_read_rejects_malformed_line(tmp_path, rect12, line, match):
         read_field(path)
 
 
-def test_write_field_shortest_repr_per_entry(tmp_path, rect12):
-    # one line per entry, row-major, each float in its shortest repr
-    vals = np.array([0.1, -0.0, 1e-300, -2.5e17, 1 / 3, 0.0])
-    psi = np.resize(vals, 144).reshape(12, 12) + 1j * np.resize(vals[::-1], 144).reshape(12, 12)
-    path = tmp_path / "psi.hsfield"
-    write_field(path, "psi", psi, rect12)
-    want = ["HSFIELD v1 psi 12 12 1.0"] + [
-        f"{ix} {iy} {repr(float(psi[ix, iy].real))} {repr(float(psi[ix, iy].imag))}"
-        for ix in range(12) for iy in range(12)]
-    assert path.read_text() == "\n".join(want) + "\n"
+def test_write_field_v2_golden_bytes(tmp_path):
+    # the text header, then the raw little-endian body in row-major order
+    d = build_rectangle(4, 4, 0.5, [])
+    psi = np.arange(16.0).reshape(4, 4) + 1j * np.arange(16.0, 32.0).reshape(4, 4)
+    a1 = -np.arange(12.0).reshape(3, 4) / 8
+    write_field(tmp_path / "psi.hsfield", "psi", psi, d)
+    write_field(tmp_path / "a1.hsfield", "a1", a1, d)
+    psi_body = b"".join(np.array([psi[ix, iy].real, psi[ix, iy].imag],
+                                 dtype="<f8").tobytes()
+                        for ix in range(4) for iy in range(4))
+    a1_body = b"".join(np.array([a1[ix, iy]], dtype="<f8").tobytes()
+                       for ix in range(3) for iy in range(4))
+    assert (tmp_path / "psi.hsfield").read_bytes() == (
+        b"HSFIELD v2 psi 4 4 0.5\n" + psi_body)
+    assert (tmp_path / "a1.hsfield").read_bytes() == (
+        b"HSFIELD v2 a1 4 4 0.5\n" + a1_body)
+    # 1.0 as a little-endian double, spelled out once
+    assert psi_body[16:24] == bytes.fromhex("000000000000f03f")
+
+
+def v2_file(tmp_path, kind="psi", n=6, body=None, header=None):
+    """A v2 file written by write_field, then its body or header replaced."""
+    d = build_rectangle(n, n, 1.0, [])
+    shape = {"psi": (n, n), "a1": (n - 1, n), "a2": (n, n - 1)}[kind]
+    path = tmp_path / f"{kind}.hsfield"
+    write_field(path, kind, np.full(shape, 0.5), d)
+    head, old = path.read_bytes().split(b"\n", 1)
+    path.write_bytes((head if header is None else header) + b"\n"
+                     + (old if body is None else body(old)))
+    return path
+
+
+@pytest.mark.parametrize("kind, body, match", [
+    ("psi", lambda b: b[:-16], "body holds 560 bytes, header grid 6x6 needs 576"),
+    ("a1", lambda b: b[:-8], "body holds 232 bytes, header grid 6x6 needs 240"),
+    ("psi", lambda b: b + b"\0", "body holds 577 bytes"),
+    ("a2", lambda b: b + b"\n", "body holds 241 bytes"),
+    ("psi", lambda b: b"", "body holds 0 bytes"),
+], ids=["psi-one-value-short", "a1-one-value-short", "psi-trailing-byte",
+        "a2-trailing-newline", "psi-no-body"])
+def test_read_v2_rejects_wrong_body_length(tmp_path, kind, body, match):
+    with pytest.raises(SnapshotError, match=match):
+        read_field(v2_file(tmp_path, kind, body=body))
+
+
+def test_read_v2_rejects_grid_larger_than_file_before_allocating(tmp_path):
+    # 10^5 x 10^5 complex entries would take 160 GB
+    path = v2_file(tmp_path, header=b"HSFIELD v2 psi 100000 100000 1.0")
+    with pytest.raises(SnapshotError, match="needs 160000000000"):
+        read_field(path)
+
+
+@pytest.mark.parametrize("kind, value", [
+    ("psi", complex(np.nan, 0.0)), ("psi", complex(0.0, -np.inf)),
+    ("a1", np.inf), ("a2", np.nan)])
+def test_read_v2_rejects_non_finite_entry(tmp_path, kind, value):
+    d = build_rectangle(6, 6, 1.0, [])
+    shape = {"psi": (6, 6), "a1": (5, 6), "a2": (6, 5)}[kind]
+    arr = np.full(shape, 0.5, dtype=complex if kind == "psi" else float)
+    arr[3, 2] = value
+    path = tmp_path / f"{kind}.hsfield"
+    write_field(path, kind, arr, d)
+    with pytest.raises(SnapshotError, match=r"entry \(3, 2\) is non-finite$"):
+        read_field(path)
+
+
+@pytest.mark.parametrize("header, match", [
+    (b"HSFIELD v3 psi 6 6 1.0", "not an HSFIELD v1 or v2 file"),
+    (b"HSFIELD v2 phi 6 6 1.0", "unknown field kind 'phi'"),
+    (b"HSFIELD v2 psi 6 6", "malformed header"),
+    (b"HSFIELD v2 psi 0 6 1.0", "empty 0x6 grid"),
+], ids=["version-v3", "unknown-kind", "short-header", "empty-grid"])
+def test_read_v2_rejects_bad_header(tmp_path, header, match):
+    with pytest.raises(SnapshotError, match=match):
+        read_field(v2_file(tmp_path, header=header))
+
+
+def test_read_rejects_binary_without_newline(tmp_path):
+    # the header read stops after 256 bytes; the rest is never decoded
+    path = tmp_path / "x.hsfield"
+    path.write_bytes(bytes(b for b in range(256) if b != ord("\n")) * 64)
+    with pytest.raises(SnapshotError, match="malformed header"):
+        read_field(path)
+
+
+# every finite double class: signed zeros, subnormals, the largest values
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7e308,
+               -1.7e308, np.finfo(float).max, 1 / 3]
+finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    EDGE_VALUES)
+
+
+@st.composite
+def snapshot_states(draw):
+    nx, ny = draw(st.integers(4, 9)), draw(st.integers(4, 9))
+    dx = draw(st.floats(1e-3, 1e3) | st.sampled_from([1.0, 0.1, 1 / 3]))
+    # set part by part: re + 1j * im would not keep the sign of every zero
+    psi = np.empty((nx, ny), dtype=np.complex128)
+    psi.real = draw(arrays(np.float64, (nx, ny), elements=finite_floats))
+    psi.imag = draw(arrays(np.float64, (nx, ny), elements=finite_floats))
+    a1 = draw(arrays(np.float64, (nx - 1, ny), elements=finite_floats))
+    a2 = draw(arrays(np.float64, (nx, ny - 1), elements=finite_floats))
+    return build_rectangle(nx, ny, dx, []), psi, LinkField(a1, a2)
+
+
+def bits(arr):
+    return np.ascontiguousarray(arr).view(np.uint64)
+
+
+@given(state=snapshot_states())
+@settings(max_examples=40, deadline=None)
+def test_v2_roundtrip_bit_identical(tmp_path_factory, state):
+    d, psi, a = state
+    out = tmp_path_factory.mktemp("v2")
+    paths = write_state(out, "s", psi, a, d)
+    for path, kind, want in zip(paths, ("psi", "a1", "a2"), (psi, a.a1, a.a2)):
+        *header, got = read_field(path)
+        assert header == [kind, d.nx, d.ny, d.dx]
+        assert got.dtype == want.dtype and got.flags.writeable
+        assert np.array_equal(bits(got), bits(want))
+
+
+@given(state=snapshot_states())
+@settings(max_examples=25, deadline=None)
+def test_v1_to_v2_rewrite_bit_identical(tmp_path_factory, state):
+    # v1 -> read -> v2 -> read gives the arrays the v1 file holds
+    d, psi, a = state
+    out = tmp_path_factory.mktemp("v1v2")
+    for kind, want in (("psi", psi), ("a1", a.a1), ("a2", a.a2)):
+        write_v1(out / f"{kind}.v1", kind, want, d)
+        kind1, nx, ny, dx, from_v1 = read_field(out / f"{kind}.v1")
+        write_field(out / f"{kind}.v2", kind1, from_v1,
+                    build_rectangle(nx, ny, dx, []))
+        *header, from_v2 = read_field(out / f"{kind}.v2")
+        assert header == [kind, d.nx, d.ny, d.dx]
+        assert np.array_equal(bits(from_v1), bits(want))
+        assert np.array_equal(bits(from_v2), bits(from_v1))
 
 
 def test_write_rejects_wrong_shape(tmp_path, rect12):
