@@ -19,7 +19,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from hallsim import (Params, advance, band_limited, build_rectangle,
+from hallsim import (Params, Workspace, advance, band_limited, build_rectangle,
                      gaussian_packet, initialize_consistent)
 from hallsim.diagnostics import continuity_residual, ohm_residual
 
@@ -35,8 +35,9 @@ def evolve(dt, total_time):
     psi = band_limited(psi, d, p, ecut=0.05, norm=1.0)
     s = initialize_consistent(d, psi, p)
     yield s
+    work = Workspace(d)
     for _ in range(int(round(total_time / dt))):
-        s = advance(s)
+        s = advance(s, work)
         yield s
 
 

@@ -16,8 +16,8 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from hallsim import (Params, advance, build_corbino, gaussian_packet,
-                     initialize_consistent, rim_pair_state)
+from hallsim import (Params, Workspace, advance, build_corbino,
+                     gaussian_packet, initialize_consistent, rim_pair_state)
 from hallsim.diagnostics import (breakdown_indicator, edge_fraction,
                                  interior_mean_density, pure_gauge_residual)
 
@@ -29,6 +29,7 @@ EDGE_K = 3
 def run(label, state, steps, outdir):
     rows = ["t,edge_fraction,pure_gauge_max,interior_mean_density,breakdown"]
     s = state
+    work = Workspace(s.domain)
     for i in range(steps + 1):
         ef = edge_fraction(s, EDGE_K)
         rows.append(",".join([
@@ -39,7 +40,7 @@ def run(label, state, steps, outdir):
             "1" if breakdown_indicator(s, RHO_STAR, B_STAR, EDGE_K) else "0",
         ]))
         if i < steps:
-            s = advance(s)
+            s = advance(s, work)
     path = os.path.join(outdir, f"{label}.csv")
     with open(path, "w") as f:
         f.write("\n".join(rows) + "\n")

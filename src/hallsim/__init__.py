@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 
 from .domain import (Domain, DomainError, build_corbino, build_rectangle,
                      homology_generators)
-from .dynamics import (Params, SimState, SolverError, advance, cayley_step,
-                       default_dt, dense_hamiltonian, gauge_rate,
+from .dynamics import (Params, SimState, SolverError, Workspace, advance,
+                       cayley_step, default_dt, dense_hamiltonian, gauge_rate,
                        hamiltonian_apply, initialize_consistent, step_gauge,
                        step_matter)
 from .fields import (CurrentField, LinkField, apply_gauge, current_density,

@@ -21,8 +21,8 @@ from .config import (ConfigError, RunConfig, build_config, make_domain,
                      parse_config_text, parse_overrides)
 from .diagnostics import DiagnosticsRecord, continuity_of, record_state
 from .domain import Domain, DomainError
-from .dynamics import (Params, SimState, SolverError, advance, default_dt,
-                       initialize_consistent)
+from .dynamics import (Params, SimState, SolverError, Workspace, advance,
+                       default_dt, initialize_consistent)
 from .fields import LinkField, current_density
 from .holonomy import insert_flux
 from .initial import band_limited, gaussian_packet, rim_pair_state, uniform_state
@@ -78,7 +78,8 @@ def _initial_psi(cfg: RunConfig, d: Domain, p: Params) -> np.ndarray:
 def simulate_run(cfg: RunConfig):
     """Run one simulation; returns (domain, params, recorded states).
 
-    Every recorded state has rate None (see dynamics.SimState).
+    Every recorded state has rate None (see dynamics.SimState).  All steps
+    share one Workspace, built with the rest of the set-up.
     """
     d = make_domain(cfg)
     p = _params(cfg, d)
@@ -100,9 +101,10 @@ def simulate_run(cfg: RunConfig):
         state = SimState(d, p, state.psi, insert_flux(state.a, d, 0, cfg.flux), 0.0)
 
     records = [state]
+    work = Workspace(d)
     for step in range(1, cfg.steps + 1):
         try:
-            state = advance(state)
+            state = advance(state, work)
         except SolverError as err:
             raise SolverError(f"step {step}: {err}") from err
         if step % cfg.record_every == 0:

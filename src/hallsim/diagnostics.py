@@ -258,8 +258,8 @@ def record_state(s, k: int, rho_star: float, b_star: float,
         curl = plaquette_curl(s.a, d)
         rec.B_mean = _plaquette_mean(curl, d)
         rec.pure_gauge_max = float(np.abs(curl).max(initial=0.0))
-        rec.holonomies = tuple(wilson_loop(s.a, loop, d, p).phase
-                               for loop in d.generator_loops)
+        rec.holonomies = tuple(wilson_loop(s.a, links, d, p).phase
+                               for links in d.generator_links)
     if s.psi is not None and s.a is not None:
         _, rec.gauss_rel = gauss_residual_of(rho, curl, d, p)
         rec.sigma_est = _hall_ratio(rec.n_global, rec.B_mean, p.e, sigma_floor)

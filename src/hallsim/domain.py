@@ -13,6 +13,8 @@ concurrent reads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +32,7 @@ class Domain:
     holes: tuple                  # per hole: (m, 2) int array of inactive cells
     generator_loops: tuple        # per hole: (L, 2) int array, closed CCW loop
     boundary_mask: np.ndarray = field(init=False)   # active sites with an inactive/out-of-frame 4-neighbor
-    boundary_distance: np.ndarray = field(init=False)  # lattice BFS distance to boundary (-1 on inactive)
+    boundary_distance: np.ndarray = field(init=False)  # lattice (BFS) distance to boundary (-1 on inactive)
     h_active: np.ndarray = field(init=False)        # bool (nx-1, ny), link (x,y)->(x+1,y)
     v_active: np.ndarray = field(init=False)        # bool (nx, ny-1), link (x,y)->(x,y+1)
     plaq_active: np.ndarray = field(init=False)     # bool (nx-1, ny-1), all 4 corners active
@@ -52,10 +54,15 @@ class Domain:
             act[:-1, :-1] & act[1:, :-1] & act[:-1, 1:] & act[1:, 1:])
         object.__setattr__(self, "boundary_mask", _boundary_mask(act))
         object.__setattr__(
-            self, "boundary_distance", _bfs_distance(act, self.boundary_mask))
+            self, "boundary_distance", _boundary_distance(act, self.boundary_mask))
         for name in ("active", "boundary_mask", "boundary_distance",
                      "h_active", "v_active", "plaq_active", "degree"):
             getattr(self, name).setflags(write=False)
+
+    @cached_property
+    def generator_links(self) -> tuple:
+        """loop_links of each generator loop, built on first use."""
+        return tuple(loop_links(loop, self) for loop in self.generator_loops)
 
     @property
     def g(self) -> int:
@@ -92,21 +99,66 @@ def _boundary_mask(active: np.ndarray) -> np.ndarray:
     return active & ~interior
 
 
-def _bfs_distance(active: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-    """Multi-source 4-neighbor BFS distance over active sites; -1 off-domain."""
-    dist = np.full(active.shape, -1, dtype=np.int64)
-    frontier = seeds.copy()
-    k = 0
-    while frontier.any():
-        dist[frontier] = k
-        grown = np.zeros_like(frontier)
-        grown[:-1, :] |= frontier[1:, :]
-        grown[1:, :] |= frontier[:-1, :]
-        grown[:, :-1] |= frontier[:, 1:]
-        grown[:, 1:] |= frontier[:, :-1]
-        frontier = grown & active & (dist < 0)
-        k += 1
-    return dist
+def _boundary_distance(active: np.ndarray, boundary: np.ndarray) -> np.ndarray:
+    """4-neighbor path length over active sites to the nearest boundary site;
+    -1 off-domain.
+
+    This is the taxicab distance to the nearest boundary site, computed
+    exactly by separable 1-D transforms: along each axis in turn,
+    g(i) <- min_j g(j) + |i - j| is a forward running minimum of g - index
+    plus index, and a backward one of g + index minus index.  The taxicab
+    distance equals the path length over active sites: a monotone lattice
+    path from an active site to its nearest boundary site cannot leave the
+    active set, because the last site before it did would be a closer
+    boundary site.
+    """
+    nx, ny = active.shape
+    g = np.full(active.shape, nx + ny, dtype=np.int64)     # beyond any distance
+    g[boundary] = 0
+    for axis, idx in ((0, np.arange(nx)[:, None]), (1, np.arange(ny)[None, :])):
+        fwd = np.minimum.accumulate(g - idx, axis=axis) + idx
+        bwd = np.flip(np.minimum.accumulate(np.flip(g + idx, axis), axis=axis),
+                      axis) - idx
+        g = np.minimum(fwd, bwd)
+    return np.where(active, g, -1)
+
+
+class LoopLinks(NamedTuple):
+    """The links under the steps of a closed site loop (see loop_links)."""
+    horiz: np.ndarray       # bool (L,): step i runs along a horizontal link
+    h_links: tuple          # (x, y) indices into a1 of the horizontal steps
+    v_links: tuple          # (x, y) indices into a2 of the vertical steps
+    sign: np.ndarray        # float (L,): +1 forwards along the link, -1 back
+
+
+def loop_links(loop: np.ndarray, d: Domain) -> LoopLinks:
+    """The link table of a closed site loop, validated on the domain.
+
+    Step i runs from site loop[i] to loop[i+1] (cyclically) along the link
+    that starts at the lower of the two sites, with sign +1 forwards.
+    Rejects loops with non-adjacent consecutive sites or crossing inactive
+    links, naming the first such step.
+    """
+    loop = np.asarray(loop, dtype=np.int64)
+    step = np.roll(loop, -1, axis=0) - loop
+    horiz = (np.abs(step[:, 0]) == 1) & (step[:, 1] == 0)
+    vert = (step[:, 0] == 0) & (np.abs(step[:, 1]) == 1)
+    lx, ly = (loop + np.minimum(step, 0)).T
+    h_links, v_links = (lx[horiz], ly[horiz]), (lx[vert], ly[vert])
+    ok = np.zeros(len(loop), dtype=bool)
+    ok[horiz] = d.h_active[h_links]
+    ok[vert] = d.v_active[v_links]
+    if not ok.all():
+        i = int(np.argmin(ok))
+        (x, y), (sx, sy) = loop[i].tolist(), step[i].tolist()
+        if not (horiz[i] or vert[i]):
+            raise DomainError(
+                f"loop sites {(x, y)} and {(x + sx, y + sy)} are not 4-adjacent")
+        x, y = int(lx[i]), int(ly[i])
+        raise DomainError(f"loop crosses inactive link ({x},{y})->"
+                          f"({x + abs(sx)},{y + abs(sy)})")
+    return LoopLinks(horiz, h_links, v_links,
+                     step.sum(axis=1).astype(np.float64))
 
 
 def _rect_ring(x0: int, x1: int, y0: int, y1: int) -> np.ndarray:

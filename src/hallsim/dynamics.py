@@ -46,10 +46,17 @@ of A_half once and passes them to both the Cayley solve and j_mid.  How
 A_half was predicted does not enter, so the predictor leaves Gauss
 preservation as it is.
 
+A run keeps one Workspace for all its steps: the five-diagonal matrix of H,
+whose entries each step rewrites in place, and the Krylov vectors and BLAS
+kernels of the Cayley solve.  A step's result does not depend on the
+workspace it is given; advance without one builds a fresh one.
+
 The initial potential meets the Gauss constraint through a plaquette stream
 function, the solution of a Poisson problem on the counted plaquettes.  It
-is solved by conjugate gradients preconditioned with the sine-transform
-solve of the whole plaquette grid (see initialize_consistent).
+is solved by conjugate gradients on the whole plaquette grid with the masked
+Laplacian of fields.stencil_matrix, preconditioned by the exact inverse of
+the grid's Dirichlet Laplacian, which sine transforms (DST-I, computed with
+numpy.fft) apply; every iterate is tested (see initialize_consistent).
 """
 
 from __future__ import annotations
@@ -74,6 +81,8 @@ class Params:
 
     solver_maxiter caps the iterations of both linear solves: the Cayley
     matter step's and the conjugate gradients of initialize_consistent.
+    Both test their last allowed iterate, so a solve that converges in k
+    iterations succeeds with solver_maxiter = k.
     solver_tol must be at least machine epsilon: the Cayley step stops one
     unit roundoff below it.  A rejected value raises ValueError whose message
     starts with the parameter's name.
@@ -119,21 +128,24 @@ class SimState:
     rate: LinkField | None = None
 
 
-def _h_matrix(phases, d: Domain, p: Params):
-    """H over the whole grid; the phases and Domain.degree vanish off-domain."""
+def _h_matrix(phases, d: Domain, p: Params, out=None):
+    """H over the whole grid; the phases and Domain.degree vanish off-domain.
+
+    With out (a complex H of the same grid), its entries are rewritten."""
     pref = p.hbar ** 2 / (2.0 * p.mu * d.dx ** 2)
-    return stencil_matrix((d.nx, d.ny), *phases, d.degree, pref)
+    return stencil_matrix((d.nx, d.ny), *phases, d.degree, pref, out=out)
 
 
-def make_hamiltonian(phases, d: Domain, p: Params):
+def make_hamiltonian(phases, d: Domain, p: Params, out=None):
     """Closure applying H for fixed link phases (u1, u2) from link_phases.
 
     H is fields.stencil_matrix with hops u, diagonal Domain.degree and scale
-    hbar^2 / 2 mu dx^2, built once per call: an apply is one compiled sparse
-    product over the flattened grid that allocates only its result, and H
-    maps onto active sites without a separate mask.
+    hbar^2 / 2 mu dx^2, built once per call, into the matrix `out` when
+    given (Workspace.h): an apply is one compiled sparse product over the
+    flattened grid that allocates only its result, and H maps onto active
+    sites without a separate mask.
     """
-    h = _h_matrix(phases, d, p)
+    h = _h_matrix(phases, d, p, out)
 
     def apply_h(v: np.ndarray) -> np.ndarray:
         return (h @ v.ravel()).reshape(v.shape)
@@ -168,11 +180,37 @@ def dense_hamiltonian(phases, d: Domain, p: Params):
     return H.toarray(), sites
 
 
+class Workspace:
+    """The arrays one run reuses in every matter step, for one grid.
+
+    h is the complex five-diagonal matrix of H, which make_hamiltonian
+    rewrites in place; r and q are the residual and direction vectors of
+    cayley_step, zaxpy and zscal its BLAS kernels.  (Its iterate y becomes
+    the new state, so each step allocates that one.)  A step rewrites the
+    entries of H and the vectors before it reads them, so its result does
+    not depend on the workspace's history.  Building one imports
+    scipy.linalg, so a run that builds its workspace before the first step
+    imports nothing while stepping.
+    """
+
+    def __init__(self, d: Domain):
+        from scipy.linalg.blas import zaxpy, zscal
+
+        shape = (d.nx, d.ny)
+        self.zaxpy, self.zscal = zaxpy, zscal
+        self.h = stencil_matrix(shape, 0j, 0j, 0.0, 0.0)
+        self.r, self.q = (np.empty(shape, dtype=np.complex128)
+                          for _ in range(2))
+
+
 def cayley_step(psi: np.ndarray, a: LinkField, d: Domain, p: Params,
-                dt: float, phases=None) -> np.ndarray:
+                dt: float, phases=None,
+                work: Workspace | None = None) -> np.ndarray:
     """One trapezoidal step (1 + i dt H/2hbar) psi' = (1 - i dt H/2hbar) psi.
 
-    H takes `phases` when given, else link_phases(a, d, p).  With
+    H takes `phases` when given, else link_phases(a, d, p).  `work` holds
+    H and the solver's vectors; without it a fresh Workspace(d) is built.
+    With
     alpha = dt/2hbar, psi' = 2y - psi where (1 + i alpha H) y = psi, and the
     residual of the Cayley system is twice that of the y system.  The y
     system is solved by the Galerkin method on the Krylov space of H
@@ -189,22 +227,25 @@ def cayley_step(psi: np.ndarray, a: LinkField, d: Domain, p: Params,
     if that takes more than solver_maxiter iterations or the state or
     residual turns non-finite.
     """
-    from scipy.linalg.blas import zaxpy, zscal
-
+    if work is None:
+        work = Workspace(d)
     if phases is None:
         phases = link_phases(a, d, p)
-    apply_h = make_hamiltonian(phases, d, p)
+    apply_h = make_hamiltonian(phases, d, p, work.h)
     alpha = dt / (2.0 * p.hbar)
+    zaxpy, zscal, r, q = work.zaxpy, work.zscal, work.r, work.q
 
-    # residual of y = 0; C order, so ravel() below gives views for BLAS
-    r = np.ascontiguousarray(np.where(d.active, psi, 0.0))
+    # residual of y = 0, that is psi on active sites and 0 elsewhere; the
+    # buffers are C ordered, so ravel() below gives views for BLAS
+    r.fill(0.0)
+    np.copyto(r, psi, where=d.active)
     rr = np.vdot(r, r).real
     if not np.isfinite(rr):
         raise SolverError(f"matter step: non-finite state (norm^2 {rr})")
     if rr == 0.0:
         return np.zeros_like(psi)
     y = np.zeros_like(r)
-    q = r.copy()
+    np.copyto(q, r)
     r1, y1, q1 = r.ravel(), y.ravel(), q.ravel()
     res, tol = 2.0 * np.sqrt(rr), p.solver_tol * np.sqrt(rr)
     for it in range(p.solver_maxiter):
@@ -265,8 +306,11 @@ def step_gauge(s: SimState, j: CurrentField, dt: float | None = None) -> LinkFie
     return _gauge_update(s.a, gauge_rate(j, s.domain, s.params), dt)
 
 
-def advance(s: SimState) -> SimState:
+def advance(s: SimState, work: Workspace | None = None) -> SimState:
     """One full coupled step of length params.dt.
+
+    `work` is the run's Workspace; without it the matter step builds a fresh
+    one, and the result is the same bit for bit.
 
     A_half = a + (dt/2) s.rate, the midpoint Hall rate of the previous step;
     when s.rate is None, the rate of the current j(psi, a) instead, which is
@@ -280,12 +324,64 @@ def advance(s: SimState) -> SimState:
         rate = gauge_rate(current_density(s.psi, s.a, d, p), d, p)
     a_half = _gauge_update(s.a, rate, 0.5 * dt)
     u_half = link_phases(a_half, d, p)
-    psi_new = cayley_step(s.psi, a_half, d, p, dt, phases=u_half)
+    psi_new = cayley_step(s.psi, a_half, d, p, dt, phases=u_half, work=work)
     psi_mid = 0.5 * (s.psi + psi_new)
     j_mid = current_density(psi_mid, a_half, d, p, phases=u_half)
     rate_mid = gauge_rate(j_mid, d, p)
     return SimState(d, p, psi_new, _gauge_update(s.a, rate_mid, dt),
                     s.t + dt, rate_mid)
+
+
+def _sine_transform(m: int, n: int):
+    """T x = Im rfft([0, x, 0, -x reversed])[1:n+1] along each row of an
+    (m, n) array, so T = -2 S for the DST-I S[k, j] = sin(pi (j+1)(k+1)/(n+1)),
+    and S^2 = (n+1)/2.
+
+    The rows go through in blocks of 64, so the odd extension (one buffer
+    whose zeros are written once) and rfft's result stay small enough for
+    the allocator to reuse; whole-array rfft results were fresh pages on
+    every call, ten times the page faults of a first 512^2 solve.  A
+    transposed argument is transposed by the copy into the extension.  The
+    result goes to one (m, n) array that every call overwrites; the
+    argument may be that array.
+    """
+    block = 64
+    ext = np.zeros((min(block, m), 2 * n + 2))
+    out = np.empty((m, n))
+
+    def t(x: np.ndarray) -> np.ndarray:
+        for i in range(0, m, block):
+            e = ext[:min(block, m - i)]
+            e[:, 1:n + 1] = x[i:i + block]
+            np.negative(e[:, n:0:-1], out=e[:, n + 2:])
+            out[i:i + block] = np.fft.rfft(e).imag[:, 1:n + 1]
+        return out
+    return t
+
+
+def _dirichlet_inverse(m: int, n: int, dx: float):
+    """Closure applying L^-1 to (m, n) arrays, L the Dirichlet -laplace of an
+    m x n grid of spacing dx (diagonal 4/dx^2, hops -1/dx^2).
+
+    L = (S x S) diag(lam) (S x S) 4/((m+1)(n+1)) in the DST-I S of each
+    axis, so two sine transforms per axis apply its inverse exactly: along
+    the rows, along the columns through a transpose, divide, and back.  The
+    result is a buffer that the next call overwrites.
+    """
+    rows, cols = _sine_transform(m, n), _sine_transform(n, m)
+    # 1/lam in the (n, m) layout of the transformed array, times the factor
+    # 4/((m+1)(n+1)) and the four factors -1/2 of S = -T/2; lam in the form
+    # 4 sin^2 + 4 sin^2, which keeps the small eigenvalues to full precision
+    s1 = np.sin(0.5 * np.pi * np.arange(1, m + 1) / (m + 1)) ** 2
+    s2 = np.sin(0.5 * np.pi * np.arange(1, n + 1) / (n + 1)) ** 2
+    lam = 4.0 * (s2[:, None] + s1) / dx ** 2
+    inv_lam = 1.0 / (4.0 * (m + 1) * (n + 1) * lam)
+
+    def apply(r: np.ndarray) -> np.ndarray:
+        g = cols(rows(r).T)
+        g *= inv_lam
+        return rows(cols(g).T)
+    return apply
 
 
 def initialize_consistent(d: Domain, psi0: np.ndarray, p: Params) -> SimState:
@@ -296,22 +392,23 @@ def initialize_consistent(d: Domain, psi0: np.ndarray, p: Params) -> SimState:
     constraint target e <|psi0|^2>_plaquette / sigma_H on every counted
     plaquette (chi = 0 on uncounted dual sites).
 
-    The masked Laplacian is the Dirichlet Laplacian L of the whole
-    (nx-1) x (ny-1) plaquette grid restricted to the counted plaquettes.  The
-    SPD system -laplace chi = -target is solved by conjugate gradients
-    preconditioned with the same restriction of L^-1 (Concus & Golub 1973),
-    which a 2-D sine transform (DST-I) applies exactly.  CG starts from the
-    preconditioned right-hand side, which is the solution on a hole-free
-    rectangle, and stops at a relative residual of 1e-13 within
-    solver_maxiter iterations; an iterate that cg returns unconverged is
-    accepted when its true relative residual meets 1e-13.  The acceptance
-    test of the result is the relative Gauss residual of the returned state,
-    at most 1e-10.  Raises SolverError on a non-finite density, when CG does
-    not converge, and when that test fails.
+    The operator is the masked -laplace on the whole (nx-1) x (ny-1)
+    plaquette grid, assembled by fields.stencil_matrix: hops 1 between two
+    counted plaquettes, diagonal 4 on counted ones, scale 1/dx^2.  It is the
+    Dirichlet Laplacian L of the grid restricted to the counted plaquettes,
+    and zero off them.  The SPD system -laplace chi = -target is solved by
+    conjugate gradients on grid arrays that vanish off the counted
+    plaquettes, preconditioned with the same restriction of L^-1 (Concus &
+    Golub 1973), which a 2-D sine transform (DST-I, from numpy.fft.rfft of
+    the odd extension, rows and then columns) applies exactly.  CG starts
+    from the preconditioned right-hand side, which is the solution on a
+    hole-free rectangle.  Every iterate, the start and the solver_maxiter-th
+    included, is accepted once its recurred relative residual is at most
+    1e-13.  The acceptance test of the result is the relative Gauss residual
+    of the returned state, at most 1e-10.  Raises SolverError on a
+    non-finite density, when CG meets a non-finite value or does not
+    converge (naming the true relative residual), and when that test fails.
     """
-    from scipy.fft import dstn, idstn
-    from scipy.sparse.linalg import LinearOperator, cg
-
     rho_p = density_to_plaquettes(charge_density(psi0, d, p), d)
     target = rho_p / p.sigma_h
     if not np.all(np.isfinite(target)):
@@ -320,36 +417,52 @@ def initialize_consistent(d: Domain, psi0: np.ndarray, p: Params) -> SimState:
         return SimState(d, p, psi0.copy(), LinkField.zeros(d), 0.0)
 
     m, n = target.shape
-    neg_lap, _ = restrict(stencil_matrix((m, n), 1.0, 1.0, 4.0, 1.0 / d.dx ** 2),
-                          d.plaq_active)
-    b = -target[d.plaq_active]
-    # eigenvalues of L on the whole grid, in the order of the DST-I modes
-    lam = (4.0 - 2.0 * np.cos(np.pi * np.arange(1, m + 1) / (m + 1))[:, None]
-           - 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))) / d.dx ** 2
+    mask = d.plaq_active
+    neg_lap = stencil_matrix((m, n), mask[:-1, :] & mask[1:, :],
+                             mask[:, :-1] & mask[:, 1:], 4.0 * mask,
+                             1.0 / d.dx ** 2)
 
-    def full_grid_inverse(r):
-        g = np.zeros((m, n))
-        g[d.plaq_active] = r
-        g = dstn(g, type=1, overwrite_x=True)
-        g /= lam
-        return idstn(g, type=1, overwrite_x=True)[d.plaq_active]
+    full_inverse = _dirichlet_inverse(m, n, d.dx)
 
-    precond = LinearOperator(neg_lap.shape, matvec=full_grid_inverse,
-                             dtype=np.float64)
-    chi_vec, info = cg(neg_lap, b, x0=full_grid_inverse(b), rtol=1e-13,
-                       atol=0.0, maxiter=p.solver_maxiter, M=precond)
-    # cg tests an iterate only before the next iteration, so an iterate that
-    # converged on the last allowed one comes back with info > 0
-    if info != 0 or not np.all(np.isfinite(chi_vec)):
-        res = np.linalg.norm(b - neg_lap @ chi_vec) / np.linalg.norm(b)
-        if not res <= 1e-13:
+    def apply_neg_lap(v):
+        return (neg_lap @ v.ravel()).reshape(m, n)
+
+    def precondition(r):
+        return np.multiply(full_inverse(r), mask)
+
+    b = -target
+    bnorm = np.linalg.norm(b)
+    chi = precondition(b)
+    r = b - apply_neg_lap(chi)
+    tmp = np.empty_like(r)
+    direction = rz = None
+    it = 0
+    while True:
+        rel = np.linalg.norm(r) / bnorm
+        if rel <= 1e-13:
+            break
+        if it >= p.solver_maxiter or not np.isfinite(rel):
+            res = np.linalg.norm(b - apply_neg_lap(chi)) / bnorm
             raise SolverError(
                 f"consistent initialization: Poisson CG solve did not converge: "
-                f"relative residual {res:.3e} after {p.solver_maxiter} iterations")
+                f"relative residual {res:.3e} after {it} iterations")
+        z = precondition(r)
+        rz_new = np.vdot(r, z)
+        if direction is None:
+            direction = z
+        else:
+            direction *= rz_new / rz
+            direction += z
+        rz = rz_new
+        q = apply_neg_lap(direction)
+        step = rz / np.vdot(direction, q)
+        chi += np.multiply(direction, step, out=tmp)
+        r -= np.multiply(q, step, out=tmp)
+        it += 1
 
     # chi padded with zeros on the virtual dual sites outside counted plaquettes
     pad = np.zeros((d.nx + 1, d.ny + 1))
-    pad[1:-1, 1:-1][d.plaq_active] = chi_vec
+    np.copyto(pad[1:-1, 1:-1], chi, where=mask)
     # a1[x, y] = -(chi(plaq above) - chi(plaq below))/dx
     a1 = -(pad[1:-1, 1:] - pad[1:-1, :-1]) / d.dx * d.h_active
     # a2[x, y] = +(chi(plaq right) - chi(plaq left))/dx

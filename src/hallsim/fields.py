@@ -161,7 +161,7 @@ def charge_density(psi: np.ndarray, d: Domain, p) -> np.ndarray:
     return p.e * site_density(psi, d)
 
 
-def stencil_matrix(shape, hop1, hop2, diag, scale):
+def stencil_matrix(shape, hop1, hop2, diag, scale, out=None):
     """scale * (diag - hops): the one assembler of five-point lattice stencils.
 
     A scipy dia_matrix over the cells of `shape`, flattened row-major.  For
@@ -169,19 +169,33 @@ def stencil_matrix(shape, hop1, hop2, diag, scale):
     likewise hop2 along e2, never across the end of a grid row; M[c, c] =
     scale diag[c].  Scalars broadcast; every input is multiplied straight
     into the diagonal array, so no temporary is formed.
+
+    With `out`, a matrix this function returned for the same shape and
+    dtype, every entry of out is rewritten in place and out is returned: a
+    caller that rebuilds the stencil each step keeps one matrix.
     """
     from scipy.sparse import dia_matrix
 
     nx, ny = shape
+    n = nx * ny
     # diagonal k holds at column c the entry M[c - offsets[k], c]
     offsets = (ny, -ny, 1, -1, 0)
-    diags = np.zeros((5, nx, ny), dtype=np.result_type(hop1, hop2, diag, scale))
+    dtype = np.result_type(hop1, hop2, diag, scale)
+    if out is None:
+        diags = np.zeros((5, nx, ny), dtype=dtype)
+    elif (out.shape != (n, n) or tuple(out.offsets) != offsets
+          or out.dtype != dtype):
+        raise ValueError(f"out: a {out.dtype} stencil of shape {out.shape}, "
+                         f"expected {dtype} over the cells of {tuple(shape)}")
+    else:
+        diags = out.data.reshape(5, nx, ny)     # a view: the zeros stay
     np.multiply(hop1, -scale, out=diags[1, :-1, :])       # M[x + e1, x]
     np.conjugate(diags[1, :-1, :], out=diags[0, 1:, :])   # M[x, x + e1]
     np.multiply(hop2, -scale, out=diags[3, :, :-1])       # M[x + e2, x]
     np.conjugate(diags[3, :, :-1], out=diags[2, :, 1:])   # M[x, x + e2]
     np.multiply(diag, scale, out=diags[4])
-    n = nx * ny
+    if out is not None:
+        return out
     return dia_matrix((diags.reshape(5, n), offsets), shape=(n, n))
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Domain, DomainError
+from .domain import Domain, DomainError, LoopLinks, loop_links
 from .fields import LinkField
 
 
@@ -31,36 +31,20 @@ class LoopPhase:
     phase: float    # (e/hbar) * raw, wrapped to (-pi, pi]
 
 
-def wilson_loop(a: LinkField, loop: np.ndarray, d: Domain, p) -> LoopPhase:
+def wilson_loop(a: LinkField, loop, d: Domain, p) -> LoopPhase:
     """Signed line integral of A along a closed lattice loop, and its phase.
 
-    Step i runs from site loop[i] to loop[i+1] (cyclically) along the link
-    that starts at the lower of the two sites, with sign +1 forwards.
-    Rejects loops with non-adjacent consecutive sites or crossing inactive
-    links, naming the first such step.  The terms are summed one after
-    another in loop order from +0.0, so the sum is that of a plain loop.
+    loop is an (L, 2) site loop, checked and indexed by domain.loop_links
+    (which raises DomainError naming the first bad step), or a LoopLinks
+    table from it, such as Domain.generator_links.  The terms are summed
+    one after another in loop order from +0.0, so the sum is that of a
+    plain loop.
     """
-    loop = np.asarray(loop, dtype=np.int64)
-    step = np.roll(loop, -1, axis=0) - loop
-    horiz = (np.abs(step[:, 0]) == 1) & (step[:, 1] == 0)
-    vert = (step[:, 0] == 0) & (np.abs(step[:, 1]) == 1)
-    lx, ly = (loop + np.minimum(step, 0)).T
-    ok = np.zeros(len(loop), dtype=bool)
-    ok[horiz] = d.h_active[lx[horiz], ly[horiz]]
-    ok[vert] = d.v_active[lx[vert], ly[vert]]
-    if not ok.all():
-        i = int(np.argmin(ok))
-        (x, y), (sx, sy) = loop[i].tolist(), step[i].tolist()
-        if not (horiz[i] or vert[i]):
-            raise DomainError(
-                f"loop sites {(x, y)} and {(x + sx, y + sy)} are not 4-adjacent")
-        x, y = int(lx[i]), int(ly[i])
-        raise DomainError(f"loop crosses inactive link ({x},{y})->"
-                          f"({x + abs(sx)},{y + abs(sy)})")
-    vals = np.empty(len(loop))
-    vals[horiz] = a.a1[lx[horiz], ly[horiz]]
-    vals[vert] = a.a2[lx[vert], ly[vert]]
-    terms = step.sum(axis=1) * vals * d.dx
+    links = loop if isinstance(loop, LoopLinks) else loop_links(loop, d)
+    vals = np.empty(len(links.sign))
+    vals[links.horiz] = a.a1[links.h_links]
+    vals[~links.horiz] = a.a2[links.v_links]
+    terms = links.sign * vals * d.dx
     raw = np.cumsum(np.concatenate(([0.0], terms)))[-1]
     return LoopPhase(float(raw), wrap_phase(p.e * raw / p.hbar))
 
@@ -70,10 +54,11 @@ def holonomy_drift(states, loop: np.ndarray) -> float:
     states = list(states)
     if len(states) < 2:
         raise ValueError("holonomy_drift needs at least two recorded states")
-    base = wilson_loop(states[0].a, loop, states[0].domain, states[0].params)
+    links = loop_links(loop, states[0].domain)
+    base = wilson_loop(states[0].a, links, states[0].domain, states[0].params)
     drift = 0.0
     for s in states[1:]:
-        ph = wilson_loop(s.a, loop, s.domain, s.params)
+        ph = wilson_loop(s.a, links, s.domain, s.params)
         drift = max(drift, abs(wrap_phase(ph.phase - base.phase)))
     return drift
 

@@ -248,9 +248,9 @@ def test_simulate_run_records_drop_the_predictor(monkeypatch):
     has_rate = []
     real = hallsim.cli.advance
 
-    def spied(s):
+    def spied(s, *args):
         has_rate.append(s.rate is not None)
-        return real(s)
+        return real(s, *args)
 
     monkeypatch.setattr(hallsim.cli, "advance", spied)
     _, _, records = hallsim.cli.simulate_run(cfg)
@@ -591,3 +591,49 @@ def test_simulate_corbino_records_holonomy(tmp_path):
     col = names.index("holonomy_1")
     assert len(rows) == 3
     assert all(math.isfinite(float(r.split(",")[col])) for r in rows)
+
+
+WATCH_IMPORTS = """
+import json, sys
+import hallsim.cli
+real = hallsim.cli.advance
+steps, imported = [], []
+
+def watched(*args):
+    before = set(sys.modules)
+    out = real(*args)
+    steps.append(1)
+    imported.extend(sorted(set(sys.modules) - before))
+    return out
+
+hallsim.cli.advance = watched
+rc = hallsim.cli.main(sys.argv[1:])
+print(json.dumps({"rc": rc, "steps": len(steps), "in_steps": imported,
+                  "solver_modules": sorted(
+                      m for m in sys.modules
+                      if m.startswith(("scipy.fft", "scipy.sparse.linalg")))}))
+"""
+
+
+@pytest.mark.parametrize("config", [
+    TWO_HOLE_CFG,
+    "shape = corbino\nn = 32\nr_inner = 5\nr_outer = 14\nsteps = 6\n"
+    "record_every = 2\npsi0 = rim\nflux = 0.3\n"])
+def test_simulate_imports_nothing_while_stepping(tmp_path, config):
+    # in a fresh interpreter: every module a run needs is loaded in set-up,
+    # and the consistent init needs neither scipy.fft nor scipy.sparse.linalg
+    import json
+    import os
+    import subprocess
+    import sys
+    src = os.path.dirname(os.path.dirname(hallsim.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", WATCH_IMPORTS, "simulate",
+         "--config", write_cfg(tmp_path, config), "--out", str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["rc"] == 0 and got["steps"] > 0
+    assert got["in_steps"] == []
+    assert got["solver_modules"] == []

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from hallsim import DomainError, build_corbino, build_rectangle, homology_generators
+from hallsim import (Domain, DomainError, build_corbino, build_rectangle,
+                     homology_generators)
+from test_dynamics import masked_domains
 
 
 def winding_number(loop, cx, cy, dx=1.0):
@@ -151,3 +153,51 @@ def test_genus_stability_adding_a_hole(x0, y0, w, h):
     # second hole placed in the opposite corner region, always >= 2 sites away
     d = build_rectangle(24, 24, 1.0, [(16, 16, 3, 3), (x0, y0, w, h)])
     assert d.g == base.g + 1
+
+
+def bfs_distance(active, seeds):
+    """Oracle: multi-source 4-neighbor BFS distance over active sites, one
+    whole-grid pass per distance level; -1 off-domain."""
+    dist = np.full(active.shape, -1, dtype=np.int64)
+    frontier = seeds.copy()
+    k = 0
+    while frontier.any():
+        dist[frontier] = k
+        grown = np.zeros_like(frontier)
+        grown[:-1, :] |= frontier[1:, :]
+        grown[1:, :] |= frontier[:-1, :]
+        grown[:, :-1] |= frontier[:, 1:]
+        grown[:, 1:] |= frontier[:, :-1]
+        frontier = grown & active & (dist < 0)
+        k += 1
+    return dist
+
+
+@st.composite
+def corbino_annuli(draw):
+    """Annuli up to 48 x 48 sites, thin ones (split into several rims) too."""
+    n = draw(st.integers(6, 48))
+    dx = draw(st.sampled_from([1.0, 0.5, 1.7]))
+    r_outer = draw(st.floats(1.0, n / 2)) * dx
+    r_inner = draw(st.floats(0.2, r_outer / dx - 0.1)) * dx
+    try:
+        return build_corbino(n, dx, r_inner, r_outer)
+    except DomainError:         # no hole, or no room for the generator loop
+        assume(False)
+
+
+@st.composite
+def random_masks(draw):
+    """Unvalidated domains on arbitrary masks: many components and holes."""
+    nx, ny = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31)))
+    active = rng.random((nx, ny)) < draw(st.floats(0.3, 1.0))
+    return Domain(nx, ny, 1.0, active, (), ())
+
+
+@given(d=masked_domains() | corbino_annuli() | random_masks())
+@settings(max_examples=150, deadline=None)
+def test_boundary_distance_equals_bfs(d):
+    want = bfs_distance(d.active, d.boundary_mask)
+    assert d.boundary_distance.dtype == want.dtype
+    assert np.array_equal(d.boundary_distance, want)

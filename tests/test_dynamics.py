@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hallsim import (CurrentField, LinkField, Params, SimState, advance,
                      apply_gauge, band_limited, build_rectangle,
@@ -562,8 +562,8 @@ def test_initialize_consistent_solver_abort():
 
 
 def test_initialize_consistent_converged_on_last_iteration():
-    # CG converges in exactly 14 iterations here; scipy's cg returns the
-    # 14th iterate unchecked (info > 0) when maxiter is 14
+    # CG converges in exactly 14 iterations here; every iterate is tested,
+    # the last allowed one included, so maxiter 14 succeeds and 13 raises
     from hallsim import SolverError
     d = build_rectangle(32, 32, 1.0, [(10, 12, 6, 5)])
     psi = gaussian_packet(d, (12.0, 9.0), 3.0, (0.0, 0.0))
@@ -582,3 +582,70 @@ def test_initialize_consistent_rejects_nan_state():
     psi[20, 21] = np.nan
     with pytest.raises(SolverError, match="consistent initialization: non-finite"):
         initialize_consistent(d, psi, Params())
+
+
+def dense_dirichlet_laplacian(m, n, dx):
+    """-laplace with zero Dirichlet values around an m x n grid, from 1-D
+    second differences (independent of fields.stencil_matrix)."""
+    def second_difference(k):
+        return 2.0 * np.eye(k) - np.eye(k, k=1) - np.eye(k, k=-1)
+    return (np.kron(second_difference(m), np.eye(n))
+            + np.kron(np.eye(m), second_difference(n))) / dx ** 2
+
+
+@given(m=st.integers(1, 40), n=st.integers(1, 40),
+       dx=st.sampled_from([1.0, 0.3, 1.7]), seed=st.integers(0, 2 ** 31))
+@example(m=1, n=1, dx=1.0, seed=0)
+@example(m=13, n=31, dx=0.3, seed=1)
+@example(m=37, n=2, dx=1.7, seed=2)
+@settings(max_examples=40, deadline=None)
+def test_init_preconditioner_is_dirichlet_inverse(m, n, dx, seed):
+    # the numpy.fft sine transforms apply the exact inverse of the
+    # whole-grid Dirichlet Laplacian, for odd, even and prime sizes
+    from hallsim.dynamics import _dirichlet_inverse
+    r = np.random.default_rng(seed).normal(size=(m, n))
+    want = (np.linalg.inv(dense_dirichlet_laplacian(m, n, dx))
+            @ r.ravel()).reshape(m, n)
+    got = _dirichlet_inverse(m, n, dx)(r)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def assert_same_state(s, t):
+    for x, y in ((s.psi, t.psi), (s.a.a1, t.a.a1), (s.a.a2, t.a.a2),
+                 (s.rate.a1, t.rate.a1), (s.rate.a2, t.rate.a2)):
+        assert x.tobytes() == y.tobytes()
+    assert s.t == t.t
+
+
+@given(d=masked_domains(), seed=st.integers(0, 2 ** 31), k=st.integers(1, 3))
+@settings(max_examples=25, deadline=None)
+def test_advance_with_one_workspace_bit_identical(d, seed, k):
+    # k steps reusing one workspace, a flux threaded through the first hole
+    # (which drops the predictor), k more steps: every state is that of
+    # steps that each build a fresh workspace, bit for bit
+    from hallsim import Workspace, insert_flux
+    p = Params(dt=0.05)
+    psi, a = random_fields(d, seed)
+    work = Workspace(d)
+    s = fresh = SimState(d, p, psi, a)
+    for i in range(2 * k):
+        if i == k:
+            a = s.a
+            if d.g:
+                try:
+                    a = insert_flux(s.a, d, 0, 0.4)
+                except DomainError:     # no cut from this hole to the frame
+                    pass
+            s = fresh = SimState(d, p, s.psi, a, s.t)
+        s, fresh = advance(s, work), advance(fresh)
+        assert_same_state(s, fresh)
+
+
+def test_workspace_of_another_grid_rejected(rng):
+    # same number of sites, transposed grid: the stencil offsets differ
+    from hallsim import Workspace
+    d = build_rectangle(12, 16, 1.0, [])
+    psi = np.where(d.active, rng.normal(size=(12, 16)) + 0j, 0.0)
+    with pytest.raises(ValueError, match="out: "):
+        cayley_step(psi, LinkField.zeros(d), d, Params(), 0.05,
+                    work=Workspace(build_rectangle(16, 12, 1.0, [])))

@@ -121,6 +121,22 @@ def test_wilson_loop_bitwise_equals_plain_loop(d, seed, zeros):
         assert bits(got.phase) == bits(wrap_phase(p.e * raw / p.hbar))
 
 
+@given(d=masked_domains(), seed=st.integers(0, 2 ** 31))
+@settings(max_examples=30, deadline=None)
+def test_generator_links_sum_like_site_loops(d, seed):
+    # the per-domain link tables give the site loops' sums bit for bit
+    rng = np.random.default_rng(seed)
+    p = Params(e=1.3, hbar=0.7)
+    a = LinkField(rng.normal(size=(d.nx - 1, d.ny)) * d.h_active,
+                  rng.normal(size=(d.nx, d.ny - 1)) * d.v_active)
+    assert d.generator_links is d.generator_links      # built once
+    assert len(d.generator_links) == d.g
+    for links, loop in zip(d.generator_links, d.generator_loops):
+        got, want = wilson_loop(a, links, d, p), wilson_loop(a, loop, d, p)
+        assert bits(got.raw) == bits(want.raw) == bits(plain_loop_raw(a, loop, d))
+        assert bits(got.phase) == bits(want.phase)
+
+
 @pytest.mark.parametrize("bad", ["skip_site", "through_hole", "reversed", "both"])
 def test_wilson_loop_errors_match_plain_loop(corbino32, params, bad):
     # the first bad step along the loop is the one reported
