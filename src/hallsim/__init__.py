@@ -8,17 +8,24 @@ zero-mode quantization chain that forces integer sigma_H, Wilson-loop
 holonomies, and edge/bulk regime diagnostics.
 """
 
+import os
+
+# One BLAS thread unless the user chose otherwise: the Cayley solve's
+# zaxpy/zscal on one lattice vector run several times slower threaded.
+# OpenBLAS reads this when its library loads, so it is set before the
+# imports below load numpy's, and scipy.linalg's later on.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .domain import (Domain, DomainError, build_corbino, build_rectangle,
                      homology_generators)
 from .dynamics import (Params, SimState, SolverError, Workspace, advance,
                        cayley_step, default_dt, dense_hamiltonian, gauge_rate,
-                       hamiltonian_apply, initialize_consistent, step_gauge,
-                       step_matter)
+                       initialize_consistent)
 from .fields import (CurrentField, LinkField, apply_gauge, current_density,
-                     density_to_plaquettes, link_divergence, plaquette_curl,
-                     site_density, site_gradient)
+                     density_to_plaquettes, link_divergence, link_phases,
+                     plaquette_curl, site_density, site_gradient)
 from .holonomy import LoopPhase, holonomy_drift, insert_flux, wilson_loop, wrap_phase
 from .initial import (band_limited, gaussian_packet, normalize,
                       rim_pair_state, uniform_state)

@@ -23,7 +23,7 @@ from .diagnostics import DiagnosticsRecord, continuity_of, record_state
 from .domain import Domain, DomainError
 from .dynamics import (Params, SimState, SolverError, Workspace, advance,
                        default_dt, initialize_consistent)
-from .fields import LinkField, current_density
+from .fields import LinkField, current_density, link_phases
 from .holonomy import insert_flux
 from .initial import band_limited, gaussian_packet, rim_pair_state, uniform_state
 from .quantization import single_valuedness_scan
@@ -121,7 +121,8 @@ def records_to_rows(cfg: RunConfig, records) -> list:
     continuity check.
     """
     def current(s):
-        return current_density(s.psi, s.a, s.domain, s.params)
+        d, p = s.domain, s.params
+        return current_density(s.psi, link_phases(s.a, d, p), d, p)
 
     rows = []
     j_prev, j_cur = None, current(records[0])
@@ -242,11 +243,6 @@ def _load_config(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    # One BLAS thread unless the user chose otherwise: the Cayley solve's
-    # zaxpy/zscal on one lattice vector run several times slower threaded.
-    # scipy's OpenBLAS reads this when scipy.linalg first loads, which
-    # happens in the run's set-up (dynamics.Workspace), after this line.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = argparse.ArgumentParser(
         prog="hallsim",
         description="Lattice simulator for a 2D electron field coupled to a "

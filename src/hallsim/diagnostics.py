@@ -1,4 +1,5 @@
-"""Observables: Gauss residual, global Hall ratio, continuity, edge metrics.
+"""Observables: Gauss residual, global Hall ratio, continuity, edge metrics,
+matter energy.
 
 Sign conventions (see fields module): the field strength reported as B is
 the plaquette curl epsilon^{mn} d_m A_n itself, so consistent states carry
@@ -21,9 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import Domain
+from .dynamics import make_hamiltonian
 from .fields import (CurrentField, charge_density, current_density,
                      density_to_plaquettes, j1_at_vlinks, j2_at_hlinks,
-                     link_divergence, plaquette_curl, site_density)
+                     link_divergence, link_phases, plaquette_curl,
+                     site_density)
 
 FLOOR = 1e-300
 
@@ -69,8 +72,9 @@ def continuity_residual(prev, nxt) -> float:
     current scale max(|j_bar|)/dx.  Second order in the recording interval.
     """
     d, p = prev.domain, prev.params
-    return continuity_of(prev, nxt, current_density(prev.psi, prev.a, d, p),
-                         current_density(nxt.psi, nxt.a, d, p))
+    return continuity_of(
+        prev, nxt, current_density(prev.psi, link_phases(prev.a, d, p), d, p),
+        current_density(nxt.psi, link_phases(nxt.a, d, p), d, p))
 
 
 def edge_fraction_of(j: CurrentField, d: Domain, k: int):
@@ -102,7 +106,7 @@ def ohm_residual(prev, cur, nxt) -> float:
     """
     d, p = cur.domain, cur.params
     dt2 = nxt.t - prev.t
-    j = current_density(cur.psi, cur.a, d, p)
+    j = current_density(cur.psi, link_phases(cur.a, d, p), d, p)
     jt2 = j2_at_hlinks(j.j2, d)              # matches +sigma_H dA1/dt
     jt1 = j1_at_vlinks(j.j1, d)              # matches -sigma_H dA2/dt
     da1 = (nxt.a.a1 - prev.a.a1) / dt2
@@ -111,6 +115,17 @@ def ohm_residual(prev, cur, nxt) -> float:
     m2 = np.abs(-p.sigma_h * da2 - jt1).max(initial=0.0)
     scale = max(np.abs(jt1).max(initial=0.0), np.abs(jt2).max(initial=0.0), FLOOR)
     return float(max(m1, m2) / scale)
+
+
+def energy(psi: np.ndarray, a, d: Domain, p) -> float:
+    """Matter energy Re<psi|H(A)|psi> dx^2, the only energy of the model.
+
+    The gauge field has no kinetic term and the Hall law moves A transverse
+    to j, so E is an invariant of the semi-discrete flow; the coupled
+    integrator conserves it to O(dt^2).
+    """
+    h = make_hamiltonian(link_phases(a, d, p), d, p)(psi)
+    return float(np.vdot(psi, h).real * d.dx ** 2)
 
 
 def _cell(v) -> str:
@@ -194,7 +209,7 @@ def record_state(s, k: int, rho_star: float, b_star: float,
         rec.sigma_est = (None if abs(rec.B_mean) < sigma_floor
                          else float(rec.n_global * p.e / rec.B_mean))
         if current is None:
-            current = current_density(s.psi, s.a, d, p)
+            current = current_density(s.psi, link_phases(s.a, d, p), d, p)
         rec.edge_fraction = edge_fraction_of(current, d, k)
         interior = d.active & (d.boundary_distance > k)
         rho_in = float(rho[interior].mean()) if interior.any() else 0.0

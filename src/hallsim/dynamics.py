@@ -49,7 +49,7 @@ preservation as it is.
 A run keeps one Workspace for all its steps: the five-diagonal matrix of H,
 whose entries each step rewrites in place, and the Krylov vectors and BLAS
 kernels of the Cayley solve.  A step's result does not depend on the
-workspace it is given; advance without one builds a fresh one.
+workspace it is given.
 
 The initial potential meets the Gauss constraint through a plaquette stream
 function, the solution of a Poisson problem on the counted plaquettes.  It
@@ -68,7 +68,7 @@ import numpy as np
 from .domain import Domain
 from .fields import (CurrentField, LinkField, charge_density, current_density,
                      density_to_plaquettes, j1_at_vlinks, j2_at_hlinks,
-                     link_phases, restrict, stencil_matrix)
+                     link_phases, stencil_matrix)
 
 
 class SolverError(RuntimeError):
@@ -139,6 +139,16 @@ def _h_matrix(phases, d: Domain, p: Params, out=None):
 def make_hamiltonian(phases, d: Domain, p: Params, out=None):
     """Closure applying H for fixed link phases (u1, u2) from link_phases.
 
+    The kinetic Hamiltonian with Peierls link phases and reflecting
+    boundaries,
+
+        (H psi)(x) = (hbar^2 / 2 mu dx^2) *
+            sum over active links at x of [psi(x) - (hop phase) psi(neighbor)],
+
+    the hop phase being u = exp(i e dx a / hbar) or its conjugate, as the
+    link points to or from x (the phase of the line integral from the
+    neighbor to x).  Hermitian, and gauge-covariant under apply_gauge.
+
     H is fields.stencil_matrix with hops u, diagonal Domain.degree and scale
     hbar^2 / 2 mu dx^2, built once per call, into the matrix `out` when
     given (Workspace.h): an apply is one compiled sparse product over the
@@ -153,20 +163,6 @@ def make_hamiltonian(phases, d: Domain, p: Params, out=None):
     return apply_h
 
 
-def hamiltonian_apply(psi: np.ndarray, a: LinkField, d: Domain,
-                      p: Params) -> np.ndarray:
-    """Kinetic Hamiltonian with Peierls link phases and reflecting boundaries.
-
-    (H psi)(x) = (hbar^2 / 2 mu dx^2) *
-        sum over active links at x of [psi(x) - (hop phase) psi(neighbor)],
-
-    the hop phase being exp(+-i e dx a / hbar) with the sign fixed by the
-    link orientation relative to x (the phase of the line integral from the
-    neighbor to x).  Hermitian, and gauge-covariant under apply_gauge.
-    """
-    return make_hamiltonian(link_phases(a, d, p), d, p)(psi)
-
-
 def dense_hamiltonian(phases, d: Domain, p: Params):
     """Dense matrix of the Hamiltonian on active sites.
 
@@ -176,8 +172,9 @@ def dense_hamiltonian(phases, d: Domain, p: Params):
     as the link masks (d.h_active, d.v_active) of the zero potential, give a
     real matrix.  Intended for small domains (the tests' eigensolve oracle).
     """
-    H, sites = restrict(_h_matrix(phases, d, p), d.active)
-    return H.toarray(), sites
+    keep = np.flatnonzero(d.active)
+    H = _h_matrix(phases, d, p).tocsr()[keep][:, keep]
+    return H.toarray(), np.argwhere(d.active)
 
 
 class Workspace:
@@ -203,16 +200,14 @@ class Workspace:
                           for _ in range(2))
 
 
-def cayley_step(psi: np.ndarray, a: LinkField, d: Domain, p: Params,
-                dt: float, phases=None,
-                work: Workspace | None = None) -> np.ndarray:
+def cayley_step(psi: np.ndarray, phases, d: Domain, p: Params, dt: float,
+                work: Workspace) -> np.ndarray:
     """One trapezoidal step (1 + i dt H/2hbar) psi' = (1 - i dt H/2hbar) psi.
 
-    H takes `phases` when given, else link_phases(a, d, p).  `work` holds
-    H and the solver's vectors; without it a fresh Workspace(d) is built.
-    With
-    alpha = dt/2hbar, psi' = 2y - psi where (1 + i alpha H) y = psi, and the
-    residual of the Cayley system is twice that of the y system.  The y
+    H carries the link phases (u1, u2) of link_phases; `work` holds H and
+    the solver's vectors.  With alpha = dt/2hbar, psi' = 2y - psi where
+    (1 + i alpha H) y = psi, and the residual of the Cayley system is twice
+    that of the y system.  The y
     system is solved by the Galerkin method on the Krylov space of H
     (Widlund 1978): conjugate-gradient recurrences with the complex pivot
     q* (1 + i alpha H) q and a direction update scaled by -conj(pivot)/pivot,
@@ -227,10 +222,6 @@ def cayley_step(psi: np.ndarray, a: LinkField, d: Domain, p: Params,
     if that takes more than solver_maxiter iterations or the state or
     residual turns non-finite.
     """
-    if work is None:
-        work = Workspace(d)
-    if phases is None:
-        phases = link_phases(a, d, p)
     apply_h = make_hamiltonian(phases, d, p, work.h)
     alpha = dt / (2.0 * p.hbar)
     zaxpy, zscal, r, q = work.zaxpy, work.zscal, work.r, work.q
@@ -281,13 +272,6 @@ def cayley_step(psi: np.ndarray, a: LinkField, d: Domain, p: Params,
         f"after {p.solver_maxiter} iterations")
 
 
-def step_matter(s: SimState, dt: float | None = None) -> np.ndarray:
-    """Matter step with the state's potential frozen (dt < 0 runs backward)."""
-    if dt is None:
-        dt = s.params.dt
-    return cayley_step(s.psi, s.a, s.domain, s.params, dt)
-
-
 def gauge_rate(j: CurrentField, d: Domain, p: Params) -> LinkField:
     """d_t A from the Hall law, with transverse current interpolation."""
     return LinkField(j2_at_hlinks(j.j2, d) / p.sigma_h,
@@ -299,18 +283,8 @@ def _gauge_update(a: LinkField, rate: LinkField, c: float) -> LinkField:
     return LinkField(a.a1 + c * rate.a1, a.a2 + c * rate.a2)
 
 
-def step_gauge(s: SimState, j: CurrentField, dt: float | None = None) -> LinkField:
-    """Explicit update A + dt * rate(j); j should be the midpoint current."""
-    if dt is None:
-        dt = s.params.dt
-    return _gauge_update(s.a, gauge_rate(j, s.domain, s.params), dt)
-
-
-def advance(s: SimState, work: Workspace | None = None) -> SimState:
-    """One full coupled step of length params.dt.
-
-    `work` is the run's Workspace; without it the matter step builds a fresh
-    one, and the result is the same bit for bit.
+def advance(s: SimState, work: Workspace) -> SimState:
+    """One full coupled step of length params.dt, in the run's Workspace.
 
     A_half = a + (dt/2) s.rate, the midpoint Hall rate of the previous step;
     when s.rate is None, the rate of the current j(psi, a) instead, which is
@@ -321,12 +295,13 @@ def advance(s: SimState, work: Workspace | None = None) -> SimState:
     d, p, dt = s.domain, s.params, s.params.dt
     rate = s.rate
     if rate is None:
-        rate = gauge_rate(current_density(s.psi, s.a, d, p), d, p)
+        rate = gauge_rate(current_density(s.psi, link_phases(s.a, d, p), d, p),
+                          d, p)
     a_half = _gauge_update(s.a, rate, 0.5 * dt)
     u_half = link_phases(a_half, d, p)
-    psi_new = cayley_step(s.psi, a_half, d, p, dt, phases=u_half, work=work)
+    psi_new = cayley_step(s.psi, u_half, d, p, dt, work)
     psi_mid = 0.5 * (s.psi + psi_new)
-    j_mid = current_density(psi_mid, a_half, d, p, phases=u_half)
+    j_mid = current_density(psi_mid, u_half, d, p)
     rate_mid = gauge_rate(j_mid, d, p)
     return SimState(d, p, psi_new, _gauge_update(s.a, rate_mid, dt),
                     s.t + dt, rate_mid)

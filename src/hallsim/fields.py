@@ -126,18 +126,18 @@ def link_phases(a: LinkField, d: Domain, p) -> tuple:
     return tuple(out)
 
 
-def current_density(psi: np.ndarray, a: LinkField, d: Domain, p,
-                    phases=None) -> CurrentField:
+def current_density(psi: np.ndarray, phases, d: Domain, p) -> CurrentField:
     """Gauge-invariant charge current on the links,
 
        j(link) = (e hbar / mu dx) Im[ psi*(tail) conj(u) psi(head) ]
 
-    with u = link_phases(a, d, p), or `phases` when given.  In the continuum
+    with (u1, u2) = phases, the link_phases of the potential (the link masks
+    (d.h_active, d.v_active) for the zero potential).  In the continuum
     limit this is (e hbar/mu) Im(psi* d_m psi) - (e^2/mu) A_m |psi|^2.
     Because u is the hopping phase of the Hamiltonian, d_t j0 + div j = 0
     (j0 from charge_density) holds exactly for the semi-discrete evolution.
     """
-    u1, u2 = link_phases(a, d, p) if phases is None else phases
+    u1, u2 = phases
     scale = p.e * p.hbar / (p.mu * d.dx)
     j = []
     for tail, u, head, mask in ((psi[:-1, :], u1, psi[1:, :], d.h_active),
@@ -197,13 +197,6 @@ def stencil_matrix(shape, hop1, hop2, diag, scale, out=None):
     if out is not None:
         return out
     return dia_matrix((diags.reshape(5, n), offsets), shape=(n, n))
-
-
-def restrict(m, mask: np.ndarray):
-    """(M on the cells of a mask, as CSR without explicit zeros, cells) for M
-    from stencil_matrix; cells = np.argwhere(mask) fixes the basis order."""
-    keep = np.flatnonzero(mask)
-    return m.tocsr()[keep][:, keep], np.argwhere(mask)
 
 
 def density_to_plaquettes(rho: np.ndarray, d: Domain) -> np.ndarray:

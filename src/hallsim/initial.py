@@ -18,7 +18,7 @@ import numpy as np
 
 from .domain import Domain, DomainError
 from .dynamics import Params, _h_matrix
-from .fields import LinkField, current_density, site_density
+from .fields import current_density, site_density
 
 DEGENERACY_TOL = 1e-9     # relative gap below which two eigenvalues pair
 MIN_RIM_WEIGHT = 0.9      # least band weight of each vector of a rim pair
@@ -164,7 +164,7 @@ def circulation(psi: np.ndarray, d: Domain, p: Params) -> float:
     j1 sits at the midpoints of horizontal links and j2 of vertical links;
     (c_x, c_y) is the grid centre.  Positive means counter-clockwise.
     """
-    j = current_density(psi, LinkField.zeros(d), d, p)
+    j = current_density(psi, (d.h_active, d.v_active), d, p)
     x = (np.arange(d.nx) - (d.nx - 1) / 2.0) * d.dx
     y = (np.arange(d.ny) - (d.ny - 1) / 2.0) * d.dx
     return float((x[:, None] * j.j2).sum() - (y[None, :] * j.j1).sum())

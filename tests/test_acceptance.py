@@ -13,8 +13,8 @@ import math
 import numpy as np
 import pytest
 
-from hallsim import (LinkField, Params, SimState, advance, apply_gauge,
-                     band_limited, build_corbino, build_rectangle,
+from hallsim import (LinkField, Params, SimState, Workspace, advance,
+                     apply_gauge, band_limited, build_corbino, build_rectangle,
                      gaussian_packet, initialize_consistent, insert_flux,
                      plaquette_curl, rim_pair_state, uniform_state,
                      wilson_loop, wrap_phase)
@@ -47,8 +47,9 @@ def reference_psi0(d, p):
 
 def evolve(s, steps):
     states = [s]
+    work = Workspace(s.domain)
     for _ in range(steps):
-        states.append(advance(states[-1]))
+        states.append(advance(states[-1], work))
     return states
 
 

@@ -640,15 +640,54 @@ def test_simulate_imports_nothing_while_stepping(tmp_path, config):
     assert got["solver_modules"] == []
 
 
-@pytest.mark.parametrize("unset, want", [(True, "1"), (False, "3")])
-def test_main_defaults_to_one_blas_thread(monkeypatch, capsys, unset, want):
-    # threaded zaxpy/zscal slow the Cayley solve several times over; a
-    # value the user set is kept
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
-    if unset:
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
-    assert run_cli(["quantize", "--sigma-max", "1", "--sigma-step", "1"]) == 0
-    assert os.environ["OPENBLAS_NUM_THREADS"] == want
+BLAS_THREADS = """
+import ctypes, json
+import hallsim.cli
+from hallsim import Workspace, build_rectangle
+Workspace(build_rectangle(4, 4, 1.0, []))     # loads scipy's OpenBLAS
+with open("/proc/self/maps") as f:
+    paths = sorted({line.split()[-1] for line in f if "openblas" in line})
+threads = {}
+for path in paths:
+    lib = ctypes.CDLL(path)                     # already loaded: same handle
+    for name in ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                 "scipy_openblas_get_num_threads",
+                 "scipy_openblas_get_num_threads64_"):
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            fn.restype, fn.argtypes = ctypes.c_int, []
+            threads[path] = fn()
+            break
+print(json.dumps(threads))
+"""
+
+
+@pytest.mark.parametrize("value, want", [(None, 1), ("2", 2)])
+def test_import_defaults_to_one_blas_thread(value, want):
+    # threaded zaxpy/zscal slow the Cayley solve several times over, and
+    # OpenBLAS reads its thread count when it loads: importing hallsim, before
+    # numpy, sets one thread for numpy's and scipy's OpenBLAS in a fresh
+    # process; a value the user set is kept
+    import json
+    import subprocess
+    import sys
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("no /proc/self/maps to list the loaded libraries")
+    if want > len(os.sched_getaffinity(0)):
+        pytest.skip("OpenBLAS caps its threads at the number of CPUs")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                        "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(hallsim.cli.__file__))
+    if value is not None:
+        env["OPENBLAS_NUM_THREADS"] = value
+    proc = subprocess.run([sys.executable, "-c", BLAS_THREADS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    threads = json.loads(proc.stdout.splitlines()[-1])
+    if not threads:
+        pytest.skip("no OpenBLAS thread-count symbol found")
+    assert set(threads.values()) == {want}, threads
 
 
 def test_edge_vs_bulk_script_writes_two_runs(tmp_path, capsys):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hallsim import (CurrentField, LinkField, Params, SimState, advance,
-                     apply_gauge, build_rectangle, current_density,
-                     dense_hamiltonian, gaussian_packet,
-                     initialize_consistent, site_gradient, step_matter,
+from hallsim import (CurrentField, LinkField, Params, SimState, Workspace,
+                     advance, apply_gauge, build_rectangle, cayley_step,
+                     current_density, dense_hamiltonian, gaussian_packet,
+                     initialize_consistent, link_phases, site_gradient,
                      uniform_state)
 from hallsim.diagnostics import (continuity_residual, edge_fraction_of,
                                  gauss_residual, record_state)
@@ -94,10 +94,11 @@ def test_continuity_eigenstate_stationary():
     psi[sites[:, 0], sites[:, 1]] = vec
     s = SimState(d, p, psi, LinkField.zeros(d), 0.0)
     states = [s]
+    phases, work = link_phases(s.a, d, p), Workspace(d)
     for _ in range(4):
         prev = states[-1]
-        states.append(SimState(d, p, step_matter(prev), LinkField.zeros(d),
-                               prev.t + p.dt))
+        psi = cayley_step(prev.psi, phases, d, p, p.dt, work)
+        states.append(SimState(d, p, psi, LinkField.zeros(d), prev.t + p.dt))
     assert continuity_residual(states[0], states[2]) <= 1e-8
     assert continuity_residual(states[1], states[3]) <= 1e-8
 
@@ -109,8 +110,9 @@ def test_continuity_second_order_convergence():
         s = initialize_consistent(
             d, gaussian_packet(d, (7.5, 7.5), 2.0, (0.3, 0.1), norm=1.0), p)
         states = [s]
+        work = Workspace(d)
         for _ in range(steps):
-            states.append(advance(states[-1]))
+            states.append(advance(states[-1], work))
         return max(continuity_residual(states[i - 1], states[i + 1])
                    for i in range(1, len(states) - 1))
 
@@ -242,7 +244,7 @@ def test_record_state_matches_definitions(d, dx, seed, k, floor_at, rho_at,
     curl = ((a.a1[:, :-1] - a.a1[:, 1:]) + (a.a2[1:, :] - a.a2[:-1, :])) / d.dx
     b_mean = curl[d.plaq_active].mean()
     pure = np.abs(curl[d.plaq_active]).max()
-    j = current_density(psi, a, d, p)
+    j = current_density(psi, link_phases(a, d, p), d, p)
     dist = np.where(d.active, d.boundary_distance, np.iinfo(np.int64).max)
     h_near = np.minimum(dist[:-1, :], dist[1:, :]) <= k
     v_near = np.minimum(dist[:, :-1], dist[:, 1:]) <= k

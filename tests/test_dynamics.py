@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from hallsim import (CurrentField, LinkField, Params, SimState, advance,
-                     apply_gauge, band_limited, build_rectangle,
+from hallsim import (CurrentField, LinkField, Params, SimState, Workspace,
+                     advance, apply_gauge, band_limited, build_rectangle,
                      cayley_step, dense_hamiltonian, gauge_rate,
-                     gaussian_packet, hamiltonian_apply,
-                     initialize_consistent, plaquette_curl, step_gauge,
-                     step_matter, uniform_state)
+                     gaussian_packet, initialize_consistent, plaquette_curl,
+                     uniform_state)
 from hallsim import DomainError, build_corbino, link_divergence
 from hallsim.diagnostics import gauss_residual, record_state
 from hallsim.dynamics import make_hamiltonian
@@ -23,7 +22,8 @@ def test_hamiltonian_zero_potential_constant_psi_interior(params):
     # on sites with all four neighbors active the stencil annihilates constants
     d = build_rectangle(8, 8, 1.0, [])
     psi = np.where(d.active, 1.0 + 0j, 0.0)
-    h = hamiltonian_apply(psi, LinkField.zeros(d), d, params)
+    h = make_hamiltonian(link_phases(LinkField.zeros(d), d, params), d,
+                         params)(psi)
     interior = d.active & ~d.boundary_mask
     assert np.abs(h[interior]).max() == 0.0
 
@@ -32,7 +32,8 @@ def test_hamiltonian_delta_stencil(params):
     d = build_rectangle(9, 9, 1.0, [])
     psi = np.zeros((d.nx, d.ny), dtype=complex)
     psi[4, 4] = 1.0
-    h = hamiltonian_apply(psi, LinkField.zeros(d), d, params)
+    h = make_hamiltonian(link_phases(LinkField.zeros(d), d, params), d,
+                         params)(psi)
     pref = params.hbar ** 2 / (2 * params.mu * d.dx ** 2)
     assert h[4, 4] == pytest.approx(4 * pref)
     for x, y in ((3, 4), (5, 4), (4, 3), (4, 5)):
@@ -52,10 +53,11 @@ def test_hamiltonian_gauge_covariance(rect12, params, rng):
     lam = rng.normal(size=(12, 12))
     lam[rect12.boundary_mask] = 0.0
     a2, psi2 = apply_gauge(a, psi, lam, rect12, params)
-    lhs = hamiltonian_apply(psi2, a2, rect12, params)
+    h2 = make_hamiltonian(link_phases(a2, rect12, params), rect12, params)
+    h = make_hamiltonian(link_phases(a, rect12, params), rect12, params)
+    lhs = h2(psi2)
     rhs = np.where(rect12.active,
-                   np.exp(1j * params.e * lam / params.hbar)
-                   * hamiltonian_apply(psi, a, rect12, params), 0.0)
+                   np.exp(1j * params.e * lam / params.hbar) * h(psi), 0.0)
     scale = np.abs(rhs).max()
     assert np.abs(lhs - rhs).max() / scale < 1e-12
 
@@ -71,7 +73,8 @@ def test_matter_step_eigenstate_phase():
     E = w[5]
     u = np.zeros((d.nx, d.ny), dtype=complex)
     u[sites[:, 0], sites[:, 1]] = V[:, 5]
-    out = cayley_step(u, LinkField.zeros(d), d, p, p.dt)
+    out = cayley_step(u, link_phases(LinkField.zeros(d), d, p), d, p, p.dt,
+                      Workspace(d))
     x = E * p.dt / (2 * p.hbar)
     cayley_factor = (1 - 1j * x) / (1 + 1j * x)
     assert np.abs(out - cayley_factor * u).max() < 1e-12
@@ -83,17 +86,17 @@ def test_matter_step_unitary(rect12, params, rng):
     psi = gaussian_packet(rect12, (5.5, 5.5), 1.5, (0.4, -0.2), norm=1.0)
     a = LinkField(rng.normal(size=(11, 12)) * rect12.h_active,
                   rng.normal(size=(12, 11)) * rect12.v_active)
-    s = SimState(rect12, params, psi, a, 0.0)
-    out = step_matter(s)
+    out = cayley_step(psi, link_phases(a, rect12, params), rect12, params,
+                      params.dt, Workspace(rect12))
     n0 = np.vdot(psi, psi).real
     n1 = np.vdot(out, out).real
     assert abs(n1 - n0) / n0 < 1e-12
 
 
 def test_matter_step_zero_stays_zero(rect12, params):
-    s = SimState(rect12, params, np.zeros((12, 12), dtype=complex),
-                 LinkField.zeros(rect12))
-    out = step_matter(s)
+    out = cayley_step(np.zeros((12, 12), dtype=complex),
+                      link_phases(LinkField.zeros(rect12), rect12, params),
+                      rect12, params, params.dt, Workspace(rect12))
     assert np.all(out == 0.0)
 
 
@@ -103,34 +106,28 @@ def test_matter_step_time_reversal(rect12, params, rng):
                    0.0)
     a = LinkField(rng.normal(size=(11, 12)) * rect12.h_active,
                   rng.normal(size=(12, 11)) * rect12.v_active)
-    s = SimState(rect12, params, psi, a, 0.0)
-    fwd = step_matter(s)
-    back = step_matter(SimState(rect12, params, fwd, a, params.dt), dt=-params.dt)
+    phases, work = link_phases(a, rect12, params), Workspace(rect12)
+    fwd = cayley_step(psi, phases, rect12, params, params.dt, work)
+    back = cayley_step(fwd, phases, rect12, params, -params.dt, work)
     assert np.abs(back - psi).max() < 1e-12
 
 
-def test_step_gauge_zero_current(rect12, params, rng):
-    a = LinkField(rng.normal(size=(11, 12)) * rect12.h_active,
-                  rng.normal(size=(12, 11)) * rect12.v_active)
-    s = SimState(rect12, params, np.zeros((12, 12), dtype=complex), a, 0.0)
+def test_step_gauge_zero_current(rect12, params):
     j = CurrentField(np.zeros((11, 12)), np.zeros((12, 11)))
-    out = step_gauge(s, j)
-    assert np.array_equal(out.a1, a.a1) and np.array_equal(out.a2, a.a2)
+    rate = gauge_rate(j, rect12, params)
+    assert not rate.a1.any() and not rate.a2.any()
 
 
 def test_step_gauge_uniform_current():
     # uniform j1 = c with sigma_H = 1 gives dA2/dt = -c on interior links
-    # (checked against the finite difference of A over one step) and dA1/dt = 0
+    # and dA1/dt = 0
     d = build_rectangle(10, 10, 1.0, [])
     p = Params(sigma_h=1.0, dt=0.1)
     c = 0.8
     j = CurrentField(np.full((9, 10), c) * d.h_active, np.zeros((10, 9)))
-    s = SimState(d, p, np.zeros((d.nx, d.ny), dtype=complex),
-                 LinkField.zeros(d), 0.0)
-    out = step_gauge(s, j)
-    adot2 = (out.a2 - s.a.a2) / p.dt
-    assert adot2[4:6, 4:6] == pytest.approx(-c, rel=1e-14)
-    assert np.abs(out.a1).max() == 0.0
+    rate = gauge_rate(j, d, p)
+    assert rate.a2[4:6, 4:6] == pytest.approx(-c, rel=1e-14)
+    assert np.abs(rate.a1).max() == 0.0
 
 
 def test_step_gauge_sign_flip():
@@ -163,9 +160,9 @@ def test_matter_step_solver_abort(rect12, rng):
     psi = np.where(rect12.active,
                    rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)),
                    0.0)
-    s = SimState(rect12, p, psi, LinkField.zeros(rect12))
     with pytest.raises(SolverError, match="did not converge"):
-        step_matter(s)
+        cayley_step(psi, link_phases(LinkField.zeros(rect12), rect12, p),
+                    rect12, p, p.dt, Workspace(rect12))
 
 
 def test_matter_step_rejects_nan_state(rect12, params, rng):
@@ -177,7 +174,8 @@ def test_matter_step_rejects_nan_state(rect12, params, rng):
                    0.0)
     psi[5, 6] = np.nan
     with pytest.raises(SolverError, match="non-finite"):
-        cayley_step(psi, LinkField.zeros(rect12), rect12, params, params.dt)
+        cayley_step(psi, link_phases(LinkField.zeros(rect12), rect12, params),
+                    rect12, params, params.dt, Workspace(rect12))
 
 
 def test_initialize_consistent_zero_psi(rect12, params):
@@ -219,8 +217,9 @@ def test_gauss_residual_preserved_along_run():
     p = Params(sigma_h=1.0, dt=0.05)
     psi0 = gaussian_packet(d, (7.5, 7.5), 2.0, (0.3, 0.1), norm=1.0)
     s = initialize_consistent(d, psi0, p)
+    work = Workspace(d)
     for _ in range(200):
-        s = advance(s)
+        s = advance(s, work)
         _, rel = gauss_residual(s)
         assert rel < 1e-10
 
@@ -231,8 +230,9 @@ def test_norm_conserved_along_run():
     psi0 = gaussian_packet(d, (7.5, 7.5), 2.0, (0.3, 0.1), norm=1.0)
     s = initialize_consistent(d, psi0, p)
     n0 = norm(s)
+    work = Workspace(d)
     for _ in range(200):
-        s = advance(s)
+        s = advance(s, work)
     assert abs(norm(s) - n0) / n0 < 1e-12
 
 
@@ -240,7 +240,7 @@ def test_advance_static_for_zero_psi(rect12, params, rng):
     a = LinkField(rng.normal(size=(11, 12)) * rect12.h_active,
                   rng.normal(size=(12, 11)) * rect12.v_active)
     s = SimState(rect12, params, np.zeros((12, 12), dtype=complex), a, 0.0)
-    out = advance(s)
+    out = advance(s, Workspace(rect12))
     assert np.array_equal(out.a.a1, a.a1)
     assert np.array_equal(out.a.a2, a.a2)
     assert np.all(out.psi == 0.0)
@@ -251,11 +251,12 @@ def assert_step_predicted_from(out, s, rate):
     d, p, dt = s.domain, s.params, s.params.dt
     a_half = LinkField(s.a.a1 + 0.5 * dt * rate.a1, s.a.a2 + 0.5 * dt * rate.a2)
     phases = link_phases(a_half, d, p)
-    psi = cayley_step(s.psi, a_half, d, p, dt, phases=phases)
-    j_mid = current_density(0.5 * (s.psi + psi), a_half, d, p, phases=phases)
+    psi = cayley_step(s.psi, phases, d, p, dt, Workspace(d))
+    j_mid = current_density(0.5 * (s.psi + psi), phases, d, p)
+    rate_mid = gauge_rate(j_mid, d, p)
+    a_new = LinkField(s.a.a1 + dt * rate_mid.a1, s.a.a2 + dt * rate_mid.a2)
     assert np.array_equal(out.psi, psi)
-    for got, want in ((out.a, step_gauge(s, j_mid)),
-                      (out.rate, gauge_rate(j_mid, d, p))):
+    for got, want in ((out.a, a_new), (out.rate, rate_mid)):
         assert np.array_equal(got.a1, want.a1)
         assert np.array_equal(got.a2, want.a2)
 
@@ -269,10 +270,11 @@ def test_advance_predicts_from_fresh_current_then_stored_rate(rect12, params, rn
                   rng.normal(size=(12, 11)) * rect12.v_active)
     s = SimState(rect12, params, psi, a, 0.0)
     assert s.rate is None
-    first = advance(s)
-    j0 = current_density(psi, a, rect12, params)
+    work = Workspace(rect12)
+    first = advance(s, work)
+    j0 = current_density(psi, link_phases(a, rect12, params), rect12, params)
     assert_step_predicted_from(first, s, gauge_rate(j0, rect12, params))
-    assert_step_predicted_from(advance(first), first, first.rate)
+    assert_step_predicted_from(advance(first, work), first, first.rate)
 
 
 def _packet_psi_at(dt, total_time=2.0):
@@ -281,8 +283,9 @@ def _packet_psi_at(dt, total_time=2.0):
     p = Params(sigma_h=1.0, dt=dt)
     psi = gaussian_packet(d, (15.5, 15.5), 3.0, (0.12, 0.0), norm=1.0)
     s = initialize_consistent(d, band_limited(psi, d, p, ecut=0.05, norm=1.0), p)
+    work = Workspace(d)
     for _ in range(int(round(total_time / dt))):
-        s = advance(s)
+        s = advance(s, work)
     return s.psi
 
 
@@ -295,6 +298,29 @@ def test_advance_psi_second_order_in_dt():
         assert 3.6 <= coarse / fine <= 4.4, err
 
 
+def test_energy_drift_second_order_in_dt():
+    # E = Re<psi|H(A)|psi> dx^2 is an invariant of the semi-discrete flow
+    # (the Hall law does no work), so the integrator's largest drift of E
+    # over a run falls by about 4 per halving of dt; unfiltered packet
+    # next to a hole
+    from hallsim.diagnostics import energy
+    d = build_rectangle(48, 48, 1.0, [(20, 20, 8, 8)])
+    psi = gaussian_packet(d, (10.0, 24.0), 3.0, (0.4, 0.2), norm=1.0)
+    drift = []
+    for dt in (0.05, 0.025, 0.0125):
+        p = Params(sigma_h=1.0, dt=dt)
+        s = initialize_consistent(d, psi, p)
+        work = Workspace(d)
+        e0 = energy(s.psi, s.a, d, p)
+        worst = 0.0
+        for _ in range(int(round(10.0 / dt))):
+            s = advance(s, work)
+            worst = max(worst, abs(energy(s.psi, s.a, d, p) - e0))
+        drift.append(worst)
+    for coarse, fine in zip(drift, drift[1:]):
+        assert 3.6 <= coarse / fine <= 4.4, drift
+
+
 def test_ohm_law_internal_consistency():
     from hallsim.diagnostics import ohm_residual
     d = build_rectangle(16, 16, 1.0, [])
@@ -302,8 +328,9 @@ def test_ohm_law_internal_consistency():
     psi0 = gaussian_packet(d, (7.5, 7.5), 2.5, (0.3, 0.0), norm=1.0)
     s = initialize_consistent(d, psi0, p)
     states = [s]
+    work = Workspace(d)
     for _ in range(40):
-        s = advance(s)
+        s = advance(s, work)
         states.append(s)
     worst = max(ohm_residual(states[i - 1], states[i], states[i + 1])
                 for i in range(1, len(states) - 1))
@@ -366,8 +393,8 @@ def test_cayley_step_continuity_with_own_phases(d, seed):
     p = Params(dt=0.05)
     psi, a = random_fields(d, seed)
     phases = link_phases(a, d, p)
-    new = cayley_step(psi, a, d, p, p.dt, phases=phases)
-    j_mid = current_density(0.5 * (psi + new), a, d, p, phases=phases)
+    new = cayley_step(psi, phases, d, p, p.dt, Workspace(d))
+    j_mid = current_density(0.5 * (psi + new), phases, d, p)
     res = (p.e * (np.abs(new) ** 2 - np.abs(psi) ** 2) / p.dt
            + link_divergence(j_mid.j1, j_mid.j2, d))
     scale = p.e * (np.abs(psi) ** 2).max() / p.dt
@@ -383,7 +410,7 @@ def test_hall_law_does_no_work(d, seed, sigma_h):
     # matter energy Re<psi|H(A)|psi> is an invariant of the semi-discrete flow
     p = Params(sigma_h=sigma_h, dt=0.05)
     psi, a = random_fields(d, seed)
-    j = current_density(psi, a, d, p)
+    j = current_density(psi, link_phases(a, d, p), d, p)
     rate = gauge_rate(j, d, p)
     terms = np.concatenate([(j.j1 * rate.a1).ravel(), (j.j2 * rate.a2).ravel()])
     assert abs(terms.sum()) <= 1e-13 * np.abs(terms).sum()
@@ -406,7 +433,7 @@ def test_cayley_step_residual_within_tolerance(d, seed, dt):
     p = Params(dt=0.05)
     psi, a = random_fields(d, seed)
     phases = link_phases(a, d, p)
-    new = cayley_step(psi, a, d, p, dt, phases=phases)
+    new = cayley_step(psi, phases, d, p, dt, Workspace(d))
     res, rhs = cayley_residual(psi, new, phases, d, p, dt)
     assert res <= p.solver_tol * rhs
     assert not new[~d.active].any()
@@ -418,8 +445,9 @@ def test_cayley_step_time_reversal_random_domains(d, seed):
     # C(-dt) C(dt) = 1 exactly, so only the two solves' errors remain
     p = Params(dt=0.05)
     psi, a = random_fields(d, seed)
-    fwd = cayley_step(psi, a, d, p, p.dt)
-    back = cayley_step(fwd, a, d, p, -p.dt)
+    phases, work = link_phases(a, d, p), Workspace(d)
+    fwd = cayley_step(psi, phases, d, p, p.dt, work)
+    back = cayley_step(fwd, phases, d, p, -p.dt, work)
     assert np.abs(back - psi).max() <= 1e-12 * np.abs(psi).max()
 
 
@@ -436,8 +464,9 @@ def test_advance_keeps_gauss_and_norm_random_domains(d, seed):
     g1, g2 = site_gradient(lam, d)
     s = SimState(d, p, s.psi, LinkField(s.a.a1 + g1, s.a.a2 + g2))
     n0 = norm(s)
+    work = Workspace(d)
     for _ in range(5):
-        s = advance(s)
+        s = advance(s, work)
         assert gauss_residual(s)[1] <= 1e-10
     assert abs(norm(s) - n0) / n0 <= 1e-12
 
@@ -454,8 +483,9 @@ def test_advance_commutes_with_gauge_random_domains(d, seed):
     s = SimState(d, p, psi, a)
     a_g, psi_g = apply_gauge(a, psi, lam, d, p)
     s_g = SimState(d, p, psi_g, a_g)
+    work = Workspace(d)
     for _ in range(3):
-        s, s_g = advance(s), advance(s_g)
+        s, s_g = advance(s, work), advance(s_g, work)
     a_want, psi_want = apply_gauge(s.a, s.psi, lam, d, p)
     for got, want in ((s_g.psi, psi_want), (s_g.a.a1, a_want.a1),
                       (s_g.a.a2, a_want.a2)):
@@ -484,10 +514,12 @@ def test_cayley_step_one_h_apply_per_iteration(rect12, rng, monkeypatch):
                    0.0)
     a = LinkField(rng.normal(size=(11, 12)) * rect12.h_active,
                   rng.normal(size=(12, 11)) * rect12.v_active)
+    phases, work = link_phases(a, rect12, Params()), Workspace(rect12)
     for maxiter in range(1, 100):
         calls.clear()
         try:
-            cayley_step(psi, a, rect12, Params(solver_maxiter=maxiter), 0.05)
+            cayley_step(psi, phases, rect12, Params(solver_maxiter=maxiter),
+                        0.05, work)
         except SolverError:
             assert len(calls) <= maxiter + 1
             continue
@@ -629,7 +661,7 @@ def test_advance_with_one_workspace_bit_identical(d, seed, k):
     # k steps reusing one workspace, a flux threaded through the first hole
     # (which drops the predictor), k more steps: every state is that of
     # steps that each build a fresh workspace, bit for bit
-    from hallsim import Workspace, insert_flux
+    from hallsim import insert_flux
     p = Params(dt=0.05)
     psi, a = random_fields(d, seed)
     work = Workspace(d)
@@ -643,15 +675,15 @@ def test_advance_with_one_workspace_bit_identical(d, seed, k):
                 except DomainError:     # no cut from this hole to the frame
                     pass
             s = fresh = SimState(d, p, s.psi, a, s.t)
-        s, fresh = advance(s, work), advance(fresh)
+        s, fresh = advance(s, work), advance(fresh, Workspace(d))
         assert_same_state(s, fresh)
 
 
 def test_workspace_of_another_grid_rejected(rng):
     # same number of sites, transposed grid: the stencil offsets differ
-    from hallsim import Workspace
     d = build_rectangle(12, 16, 1.0, [])
     psi = np.where(d.active, rng.normal(size=(12, 16)) + 0j, 0.0)
+    p = Params()
     with pytest.raises(ValueError, match="out: "):
-        cayley_step(psi, LinkField.zeros(d), d, Params(), 0.05,
-                    work=Workspace(build_rectangle(16, 12, 1.0, [])))
+        cayley_step(psi, link_phases(LinkField.zeros(d), d, p), d, p, 0.05,
+                    Workspace(build_rectangle(16, 12, 1.0, [])))

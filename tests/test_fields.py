@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hallsim import (LinkField, Params, apply_gauge, current_density,
-                     build_rectangle, link_divergence, plaquette_curl,
-                     site_gradient)
+                     build_rectangle, link_divergence, link_phases,
+                     plaquette_curl, site_gradient)
 from hallsim.fields import charge_density
 
 
@@ -89,7 +89,9 @@ def test_boundary_constrained_transform_rejects_nonzero_boundary(rect12,
 
 def test_current_zero_for_real_constant(rect12, params):
     psi = np.where(rect12.active, 0.37 + 0j, 0.0)
-    j = current_density(psi, LinkField.zeros(rect12), rect12, params)
+    j = current_density(psi,
+                        link_phases(LinkField.zeros(rect12), rect12, params),
+                        rect12, params)
     assert np.all(j.j1 == 0.0) and np.all(j.j2 == 0.0)
     rho = charge_density(psi, rect12, params)
     assert rho[rect12.active] == pytest.approx(params.e * 0.37 ** 2)
@@ -102,7 +104,8 @@ def test_current_plane_wave(params):
     k = 0.3
     x = np.arange(d.nx)[:, None] * d.dx
     psi = np.where(d.active, np.exp(1j * k * x) * np.ones((1, d.ny)), 0.0)
-    j = current_density(psi, LinkField.zeros(d), d, params)
+    j = current_density(psi, link_phases(LinkField.zeros(d), d, params), d,
+                        params)
     exact = params.e * params.hbar / (params.mu * d.dx) * np.sin(k * d.dx)
     assert j.j1[10, 4] == pytest.approx(exact, rel=1e-12)
     continuum = params.e * params.hbar * k / params.mu
@@ -115,7 +118,7 @@ def test_current_constant_potential(rect12, params):
     a0 = 0.2
     psi = np.where(rect12.active, 1.0 + 0j, 0.0)
     a = LinkField(np.full((11, 12), a0) * rect12.h_active, np.zeros((12, 11)))
-    j = current_density(psi, a, rect12, params)
+    j = current_density(psi, link_phases(a, rect12, params), rect12, params)
     exact = -params.e * params.hbar / (params.mu * rect12.dx) * np.sin(
         params.e * rect12.dx * a0 / params.hbar)
     assert j.j1[5, 5] == pytest.approx(exact, rel=1e-12)
@@ -129,7 +132,7 @@ def test_current_is_real_and_zero_off_domain(params, rng):
                    0.0)
     a = LinkField(rng.normal(size=(15, 16)) * d.h_active,
                   rng.normal(size=(16, 15)) * d.v_active)
-    j = current_density(psi, a, d, params)
+    j = current_density(psi, link_phases(a, d, params), d, params)
     assert j.j1.dtype == np.float64 and j.j2.dtype == np.float64
     assert np.all(j.j1[~d.h_active] == 0.0)
     assert np.all(j.j2[~d.v_active] == 0.0)
@@ -148,8 +151,8 @@ def test_gauge_invariance_of_observables(seed):
     lam = boundary_zero_lambda(d, rng, scale=2.0)
     a2, psi2 = apply_gauge(a, psi, lam, d, p)
 
-    j = current_density(psi, a, d, p)
-    j2 = current_density(psi2, a2, d, p)
+    j = current_density(psi, link_phases(a, d, p), d, p)
+    j2 = current_density(psi2, link_phases(a2, d, p), d, p)
     scale = max(np.abs(j.j1).max(), np.abs(j.j2).max(), 1e-30)
     assert np.abs(j.j1 - j2.j1).max() / scale < 1e-12
     assert np.abs(j.j2 - j2.j2).max() / scale < 1e-12
@@ -193,7 +196,6 @@ def exp_link_phases(a, d, p):
 def test_link_phases_bit_identical_to_complex_exp(e, dx, hbar):
     # cos/sin written into the real and imaginary parts give exactly the
     # bits of the complex exponential, signed zeros included
-    from hallsim.fields import link_phases
     d = build_rectangle(40, 40, dx, [(10, 12, 6, 5)])
     p = Params(e=e, hbar=hbar, dt=0.05)
     rng = np.random.default_rng(5)

@@ -211,15 +211,17 @@ def test_holonomy_drift_static(corbino32, params):
 def test_holonomy_drift_edge_vs_bulk(corbino32):
     # low-density rim state: the loop holonomy barely moves; a dense bulk
     # packet drives the links hard and the drift is orders of magnitude larger
-    from hallsim import advance, gaussian_packet, initialize_consistent, rim_pair_state
+    from hallsim import (Workspace, advance, gaussian_packet,
+                         initialize_consistent, rim_pair_state)
     p = Params(sigma_h=1.0, dt=0.05)
     loop = corbino32.generator_loops[0]
 
     def drift_of(psi0, steps=100):
         s = initialize_consistent(corbino32, psi0, p)
         states = [s]
+        work = Workspace(corbino32)
         for _ in range(steps):
-            states.append(advance(states[-1]))
+            states.append(advance(states[-1], work))
         return holonomy_drift(states, loop)
 
     d_edge = drift_of(rim_pair_state(corbino32, p, norm=1e-6))
