@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .config import (ConfigError, RunConfig, build_config, make_domain,
                      parse_config_text, parse_overrides)
-from .diagnostics import DiagnosticsRecord, continuity_of, record_state
+from .diagnostics import DiagnosticsRecord, continuity_residual, record_state
 from .domain import Domain, DomainError
 from .dynamics import (Params, SimState, SolverError, Workspace, advance,
                        default_dt, initialize_consistent)
@@ -130,7 +130,8 @@ def records_to_rows(cfg: RunConfig, records) -> list:
         j_next = current(records[i + 1]) if i + 1 < len(records) else None
         cont = None
         if j_prev is not None and j_next is not None:
-            cont = continuity_of(records[i - 1], records[i + 1], j_prev, j_next)
+            cont = continuity_residual(records[i - 1], records[i + 1], j_prev,
+                                       j_next)
         rows.append(record_state(s, cfg.edge_k, cfg.rho_star, cfg.b_star,
                                  cfg.sigma_floor, continuity=cont,
                                  current=j_cur))

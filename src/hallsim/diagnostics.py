@@ -51,8 +51,14 @@ def gauss_residual(s) -> tuple:
                              s.params)
 
 
-def continuity_of(prev, nxt, jp: CurrentField, jn: CurrentField) -> float:
-    """continuity_residual for two states and their link currents."""
+def continuity_residual(prev, nxt, jp: CurrentField, jn: CurrentField) -> float:
+    """Centered continuity check between two recorded states.
+
+    Computes || (j0(next) - j0(prev)) / (t_next - t_prev) + div j_bar ||_inf
+    with j_bar the mean of the link currents jp and jn of the two states
+    (their current_density), normalized by the current scale max(|j_bar|)/dx.
+    Second order in the recording interval.
+    """
     d, p, dt = prev.domain, prev.params, nxt.t - prev.t
     if dt <= 0:
         raise ValueError("continuity_residual needs next.t > prev.t")
@@ -62,19 +68,6 @@ def continuity_of(prev, nxt, jp: CurrentField, jn: CurrentField) -> float:
              / dt + link_divergence(j1b, j2b, d))
     scale = max(np.abs(j1b).max(initial=0.0), np.abs(j2b).max(initial=0.0)) / d.dx
     return float(np.abs(resid[d.active]).max(initial=0.0) / max(scale, FLOOR))
-
-
-def continuity_residual(prev, nxt) -> float:
-    """Centered continuity check between two recorded states.
-
-    Computes || (j0(next) - j0(prev)) / (t_next - t_prev) + div j_bar ||_inf
-    with j_bar the mean of the two states' link currents, normalized by the
-    current scale max(|j_bar|)/dx.  Second order in the recording interval.
-    """
-    d, p = prev.domain, prev.params
-    return continuity_of(
-        prev, nxt, current_density(prev.psi, link_phases(prev.a, d, p), d, p),
-        current_density(nxt.psi, link_phases(nxt.a, d, p), d, p))
 
 
 def edge_fraction_of(j: CurrentField, d: Domain, k: int):

@@ -204,8 +204,9 @@ def cayley_step(psi: np.ndarray, phases, d: Domain, p: Params, dt: float,
                 work: Workspace) -> np.ndarray:
     """One trapezoidal step (1 + i dt H/2hbar) psi' = (1 - i dt H/2hbar) psi.
 
-    H carries the link phases (u1, u2) of link_phases; `work` holds H and
-    the solver's vectors.  With alpha = dt/2hbar, psi' = 2y - psi where
+    H carries the link phases (u1, u2) of link_phases, or the link masks
+    (d.h_active, d.v_active) of the zero potential; `work` holds H and the
+    solver's vectors.  With alpha = dt/2hbar, psi' = 2y - psi where
     (1 + i alpha H) y = psi, and the residual of the Cayley system is twice
     that of the y system.  The y
     system is solved by the Galerkin method on the Krylov space of H

@@ -170,9 +170,11 @@ def stencil_matrix(shape, hop1, hop2, diag, scale, out=None):
     scale diag[c].  Scalars broadcast; every input is multiplied straight
     into the diagonal array, so no temporary is formed.
 
-    With `out`, a matrix this function returned for the same shape and
-    dtype, every entry of out is rewritten in place and out is returned: a
-    caller that rebuilds the stencil each step keeps one matrix.
+    With `out`, a matrix this function returned for the same shape and a
+    dtype the inputs' result type casts into safely (real hops into a
+    complex matrix, say), every entry of out is rewritten in place and out
+    is returned: a caller that rebuilds the stencil each step keeps one
+    matrix.
     """
     from scipy.sparse import dia_matrix
 
@@ -184,9 +186,10 @@ def stencil_matrix(shape, hop1, hop2, diag, scale, out=None):
     if out is None:
         diags = np.zeros((5, nx, ny), dtype=dtype)
     elif (out.shape != (n, n) or tuple(out.offsets) != offsets
-          or out.dtype != dtype):
+          or not np.can_cast(dtype, out.dtype)):
         raise ValueError(f"out: a {out.dtype} stencil of shape {out.shape}, "
-                         f"expected {dtype} over the cells of {tuple(shape)}")
+                         f"expected one over the cells of {tuple(shape)} "
+                         f"that holds {dtype} entries")
     else:
         diags = out.data.reshape(5, nx, ny)     # a view: the zeros stay
     np.multiply(hop1, -scale, out=diags[1, :-1, :])       # M[x + e1, x]

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from hallsim import Params, build_corbino, build_rectangle
+from hallsim import (Params, build_corbino, build_rectangle, current_density,
+                     link_phases)
+from hallsim.diagnostics import continuity_residual
 
 
 @pytest.fixture
@@ -22,6 +24,13 @@ def params():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+def continuity_of_states(prev, nxt):
+    """continuity_residual of two states, each with its own link current."""
+    jp, jn = (current_density(s.psi, link_phases(s.a, s.domain, s.params),
+                              s.domain, s.params) for s in (prev, nxt))
+    return continuity_residual(prev, nxt, jp, jn)
 
 
 def write_v1(path, kind, array, d):

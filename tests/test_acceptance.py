@@ -18,10 +18,11 @@ from hallsim import (LinkField, Params, SimState, Workspace, advance,
                      gaussian_packet, initialize_consistent, insert_flux,
                      plaquette_curl, rim_pair_state, uniform_state,
                      wilson_loop, wrap_phase)
-from hallsim.diagnostics import (continuity_residual, gauss_residual,
-                                 ohm_residual, record_state)
+from hallsim.diagnostics import gauss_residual, ohm_residual, record_state
 from hallsim.domain import _rect_ring
 from hallsim.quantization import commutator_check, single_valuedness_scan
+
+from conftest import continuity_of_states
 
 RHO_STAR = 1e-4
 B_STAR = 1e-4
@@ -139,9 +140,9 @@ def test_criterion_04_constraint_preservation(run_long):
 
 
 def test_criterion_05_continuity(run_dt, run_half_dt):
-    r1 = max(continuity_residual(run_dt[i - 1], run_dt[i + 1])
+    r1 = max(continuity_of_states(run_dt[i - 1], run_dt[i + 1])
              for i in range(1, len(run_dt) - 1))
-    r2 = max(continuity_residual(run_half_dt[i - 1], run_half_dt[i + 1])
+    r2 = max(continuity_of_states(run_half_dt[i - 1], run_half_dt[i + 1])
              for i in range(1, len(run_half_dt) - 1))
     ratio = r1 / r2
     ok = r1 <= 1e-6 and 3.6 <= ratio <= 4.4

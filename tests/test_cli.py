@@ -4,7 +4,7 @@ import os
 
 import numpy as np
 import pytest
-from conftest import write_v1
+from conftest import continuity_of_states, write_v1
 
 import hallsim.cli
 from hallsim import build_rectangle
@@ -261,24 +261,32 @@ def test_simulate_run_records_drop_the_predictor(monkeypatch):
 
 def test_records_to_rows_one_current_per_record(monkeypatch):
     from hallsim.config import build_config, parse_config_text
-    from hallsim.diagnostics import continuity_residual, record_state
+    from hallsim.diagnostics import record_state
     cfg = build_config(parse_config_text(TWO_HOLE_CFG))
     _, _, records = hallsim.cli.simulate_run(cfg)
     calls = []
-    real = hallsim.cli.current_density
 
-    def counted(*args):
-        calls.append(1)
-        return real(*args)
+    def counted(name):
+        real = getattr(hallsim.cli, name)
 
-    monkeypatch.setattr(hallsim.cli, "current_density", counted)
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(hallsim.cli, name, wrapper)
+
+    counted("current_density")
+    counted("continuity_residual")
     rows = hallsim.cli.records_to_rows(cfg, records)
-    assert len(records) == 5 and len(calls) == len(records)
+    # one current per record; one continuity check per inner record, made by
+    # diagnostics.continuity_residual itself (perfbench times it per layer)
+    assert len(records) == 5
+    assert calls.count("current_density") == len(records)
+    assert calls.count("continuity_residual") == len(records) - 2
     # the shared currents give the rows of the state-level functions
     for i, s in enumerate(records):
         cont = None
         if 0 < i < len(records) - 1:
-            cont = continuity_residual(records[i - 1], records[i + 1])
+            cont = continuity_of_states(records[i - 1], records[i + 1])
         want = record_state(s, cfg.edge_k, cfg.rho_star, cfg.b_star,
                             cfg.sigma_floor, continuity=cont)
         assert rows[i].row() == want.row()

@@ -9,9 +9,9 @@ from hallsim import (CurrentField, LinkField, Params, SimState, Workspace,
                      current_density, dense_hamiltonian, gaussian_packet,
                      initialize_consistent, link_phases, site_gradient,
                      uniform_state)
-from hallsim.diagnostics import (continuity_residual, edge_fraction_of,
-                                 gauss_residual, record_state)
+from hallsim.diagnostics import edge_fraction_of, gauss_residual, record_state
 
+from conftest import continuity_of_states
 from test_dynamics import masked_domains, random_fields
 
 
@@ -73,7 +73,7 @@ def test_continuity_static_zero(rect12, params):
                   LinkField.zeros(rect12), 0.0)
     s2 = SimState(rect12, params, np.zeros((12, 12), dtype=complex),
                   LinkField.zeros(rect12), 0.1)
-    assert continuity_residual(s1, s2) == 0.0
+    assert continuity_of_states(s1, s2) == 0.0
 
 
 def test_continuity_eigenstate_stationary():
@@ -99,8 +99,8 @@ def test_continuity_eigenstate_stationary():
         prev = states[-1]
         psi = cayley_step(prev.psi, phases, d, p, p.dt, work)
         states.append(SimState(d, p, psi, LinkField.zeros(d), prev.t + p.dt))
-    assert continuity_residual(states[0], states[2]) <= 1e-8
-    assert continuity_residual(states[1], states[3]) <= 1e-8
+    assert continuity_of_states(states[0], states[2]) <= 1e-8
+    assert continuity_of_states(states[1], states[3]) <= 1e-8
 
 
 def test_continuity_second_order_convergence():
@@ -113,7 +113,7 @@ def test_continuity_second_order_convergence():
         work = Workspace(d)
         for _ in range(steps):
             states.append(advance(states[-1], work))
-        return max(continuity_residual(states[i - 1], states[i + 1])
+        return max(continuity_of_states(states[i - 1], states[i + 1])
                    for i in range(1, len(states) - 1))
 
     r1 = worst(0.05, 60)

@@ -54,6 +54,15 @@ def test_single_hole():
     assert not d.active[6:10, 6:10].any()
 
 
+def test_broken_generator_loop_rejected_naming_the_step():
+    from hallsim.domain import _validate
+    d = build_rectangle(16, 16, 1.0, [(6, 6, 4, 4)])
+    loop = np.delete(d.generator_loops[0], 3, axis=0)
+    broken = Domain(d.nx, d.ny, d.dx, d.active, d.holes, (loop,))
+    with pytest.raises(DomainError, match=r"loop sites \(7, 5\) and \(9, 5\)"):
+        _validate(broken)
+
+
 def test_two_hole_winding_matrix():
     d = build_rectangle(32, 32, 1.0, [(5, 5, 4, 4), (18, 20, 6, 5)])
     assert d.g == 2

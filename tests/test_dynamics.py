@@ -10,7 +10,7 @@ from hallsim import (CurrentField, LinkField, Params, SimState, Workspace,
 from hallsim import DomainError, build_corbino, link_divergence
 from hallsim.diagnostics import gauss_residual, record_state
 from hallsim.dynamics import make_hamiltonian
-from hallsim.fields import current_density, link_phases
+from hallsim.fields import current_density, link_phases, stencil_matrix
 
 
 def norm(s):
@@ -73,8 +73,7 @@ def test_matter_step_eigenstate_phase():
     E = w[5]
     u = np.zeros((d.nx, d.ny), dtype=complex)
     u[sites[:, 0], sites[:, 1]] = V[:, 5]
-    out = cayley_step(u, link_phases(LinkField.zeros(d), d, p), d, p, p.dt,
-                      Workspace(d))
+    out = cayley_step(u, (d.h_active, d.v_active), d, p, p.dt, Workspace(d))
     x = E * p.dt / (2 * p.hbar)
     cayley_factor = (1 - 1j * x) / (1 + 1j * x)
     assert np.abs(out - cayley_factor * u).max() < 1e-12
@@ -278,7 +277,8 @@ def test_advance_predicts_from_fresh_current_then_stored_rate(rect12, params, rn
 
 
 def _packet_psi_at(dt, total_time=2.0):
-    """psi at total_time of the dt_convergence set-up (32x32 rectangle)."""
+    """psi at total_time of the dt gate's set-up in scripts/convergence.py
+    (32x32 rectangle)."""
     d = build_rectangle(32, 32, 1.0, [])
     p = Params(sigma_h=1.0, dt=dt)
     psi = gaussian_packet(d, (15.5, 15.5), 3.0, (0.12, 0.0), norm=1.0)
@@ -687,3 +687,23 @@ def test_workspace_of_another_grid_rejected(rng):
     with pytest.raises(ValueError, match="out: "):
         cayley_step(psi, link_phases(LinkField.zeros(d), d, p), d, p, 0.05,
                     Workspace(build_rectangle(16, 12, 1.0, [])))
+
+
+def test_cayley_step_real_link_masks_bit_identical(rng):
+    # the zero potential's link masks are real phases: the workspace's
+    # complex H takes them, and the step is that of the complex phases
+    d = build_rectangle(16, 16, 1.0, [(6, 6, 4, 4)])
+    p = Params()
+    psi = np.where(d.active, rng.normal(size=(16, 16))
+                   + 1j * rng.normal(size=(16, 16)), 0.0)
+    work = Workspace(d)
+    got = cayley_step(psi, (d.h_active, d.v_active), d, p, p.dt, work)
+    want = cayley_step(psi, link_phases(LinkField.zeros(d), d, p), d, p, p.dt,
+                       work)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_stencil_matrix_complex_into_real_out_rejected():
+    real = stencil_matrix((4, 4), 1.0, 1.0, 4.0, 1.0)
+    with pytest.raises(ValueError, match="holds complex128 entries"):
+        stencil_matrix((4, 4), 1j, 1.0, 4.0, 1.0, out=real)
