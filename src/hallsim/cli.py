@@ -36,8 +36,7 @@ def _params(cfg: RunConfig, d: Domain) -> Params:
     dt = cfg.dt if cfg.dt > 0 else default_dt(d, cfg.mu, cfg.hbar)
     try:
         return Params(sigma_h=cfg.sigma_h, hbar=cfg.hbar, e=cfg.e, mu=cfg.mu,
-                      dt=dt, solver_tol=cfg.solver_tol,
-                      solver_maxiter=cfg.solver_maxiter)
+                      dt=dt, solver_maxiter=cfg.solver_maxiter)
     except ValueError as err:   # e.g. a default dt that underflows to 0
         raise ConfigError([str(err)]) from err
 
@@ -78,8 +77,10 @@ def _initial_psi(cfg: RunConfig, d: Domain, p: Params) -> np.ndarray:
 def simulate_run(cfg: RunConfig):
     """Run one simulation; returns (domain, params, recorded states).
 
-    Every recorded state has rate None (see dynamics.SimState).  All steps
-    share one Workspace, built with the rest of the set-up.
+    The initial potential solves the Gauss constraint for the initial psi
+    (dynamics.initialize_consistent), and the steps keep it.  Every recorded
+    state has rate None (see dynamics.SimState).  All steps share one
+    Workspace, built with the rest of the set-up.
     """
     d = make_domain(cfg)
     p = _params(cfg, d)
@@ -90,11 +91,7 @@ def simulate_run(cfg: RunConfig):
     if ratio > 1.0:
         print(f"warning: dt = {p.dt!r} gives dt*||H||/(2 hbar) = {ratio:.3g} > 1; "
               "the step is stable but inaccurate", file=sys.stderr)
-    psi0 = _initial_psi(cfg, d, p)
-    if cfg.consistent_init:
-        state = initialize_consistent(d, psi0, p)
-    else:
-        state = SimState(d, p, psi0, LinkField.zeros(d), 0.0)
+    state = initialize_consistent(d, _initial_psi(cfg, d, p), p)
     if cfg.flux != 0.0:
         if d.g == 0:
             raise ConfigError(["flux: domain has no hole to thread flux through"])

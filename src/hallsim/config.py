@@ -3,9 +3,9 @@
 Each key is declared once, as a RunConfig field that carries its default
 text and its parser; DEFAULTS and RunConfig.echo are derived from those
 declarations.  Every problem found is reported at once (ConfigError.problems).
-The time step and solver_tol are checked again when the run's Params are
-built: a dt that underflows to 0 (dx = 1e-200 with the default dt) or a
-solver_tol below machine epsilon is a configuration error too.
+The time step is checked again when the run's Params are built: a dt that
+underflows to 0 (dx = 1e-200 with the default dt) is a configuration error
+too.
 
 Keys (defaults in parentheses):
 
@@ -23,9 +23,6 @@ Keys (defaults in parentheses):
     dt (0.05 mu dx^2/hbar)   time step
     steps (100)              step count
     record_every (1)         recording cadence; must divide steps
-    solver_tol (1e-14)       matter step: residual of the Cayley system
-                             relative to its right-hand side; at least
-                             machine epsilon (2.2e-16)
     solver_maxiter (500)     iteration cap of both solves: the matter step's
                              Krylov iterations (one H apply each) and the
                              initial Poisson solve's CG iterations
@@ -42,7 +39,6 @@ Keys (defaults in parentheses):
                              state's zero-potential current circulates
                              counter-clockwise about the grid centre
   run
-    consistent_init (true)   solve the Gauss constraint for the initial A
     flux (0.0)               flux threaded through hole 0 after initialization
     edge_k (3)               edge shell width (cells) for diagnostics
     rho_star (1e-4)          breakdown density threshold
@@ -64,10 +60,6 @@ class ConfigError(ValueError):
     def __init__(self, problems):
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
-
-
-_BOOL = {"true": True, "1": True, "yes": True,
-         "false": False, "0": False, "no": False}
 
 
 # A parser maps the raw text of one key to its value and reports each problem
@@ -113,13 +105,6 @@ def _choice(sep, *options):
     return parse
 
 
-def _bool(raw, bad):
-    if raw.lower() not in _BOOL:
-        bad(f"expected a boolean, got {raw!r}")
-        return True
-    return _BOOL[raw.lower()]
-
-
 def _holes(raw, bad):
     holes = []
     for part in filter(None, (p.strip() for p in raw.split(";"))):
@@ -158,7 +143,6 @@ class RunConfig:
     dt: float = _key("", _number(empty=0.0, unsigned=True))  # 0: stability default
     steps: int = _key("100", _count(0))
     record_every: int = _key("1", _count(1))
-    solver_tol: float = _key("1e-14", _number(empty=1e-14, positive=True))
     solver_maxiter: int = _key("500", _count(1))
     psi0: str = _key("zero", _choice("|", "zero", "gaussian", "uniform", "rim",
                                      "file"))
@@ -171,7 +155,6 @@ class RunConfig:
     psi0_ecut: float = _key("", _number(empty=0.0, unsigned=True))  # 0: off
     psi0_file: str = _key("", lambda raw, bad: raw)
     rim_band: int = _key("3", _count(1))
-    consistent_init: bool = _key("true", _bool)
     flux: float = _key("0.0", _number(empty=0.0))
     edge_k: int = _key("3", _count(1))
     rho_star: float = _key("1e-4", _number(empty=1e-4, positive=True))

@@ -3,7 +3,8 @@ matter energy.
 
 Sign conventions (see fields module): the field strength reported as B is
 the plaquette curl epsilon^{mn} d_m A_n itself, so consistent states carry
-B = e |psi|^2 / sigma_H and the global estimator n e / B returns +sigma_H.
+B = e <|psi|^2>_plaquette / sigma_H and the global estimator n e / B_mean
+(record_state) returns +sigma_H.
 
 Missing values (0/0 ratios, B below its floor, columns whose input field
 was not supplied) are returned as None and serialized as the explicit
@@ -171,10 +172,13 @@ def record_state(s, k: int, rho_star: float, b_star: float,
 
     norm is sum |psi|^2 dx^2 and n_global = norm / area; B_mean is the mean
     plaquette curl over counted plaquettes (0 if there are none) and
-    sigma_est = n_global e / B_mean.  pure_gauge_max is the sup norm of the
-    curl, 0 exactly for pure gauge potentials.  breakdown flags a departure
-    from the pure-gauge edge regime: the mean |psi|^2 over sites deeper than
-    the k-cell edge shell exceeds rho_star AND pure_gauge_max exceeds b_star.
+    sigma_est = n e / B_mean, with n the mean of the plaquette density
+    <|psi|^2> over the same plaquettes: the charge as the Gauss law weighs
+    it, so sigma_est = sigma_H on the Gauss surface for any psi, uniform or
+    not.  pure_gauge_max is the sup norm of the curl, 0 exactly for pure
+    gauge potentials.  breakdown flags a departure from the pure-gauge edge
+    regime: the mean |psi|^2 over sites deeper than the k-cell edge shell
+    exceeds rho_star AND pure_gauge_max exceeds b_star.
 
     Either s.psi or s.a may be None; every column that needs the missing
     field is then None.  The continuity column needs neighboring records
@@ -199,8 +203,8 @@ def record_state(s, k: int, rho_star: float, b_star: float,
                                for links in d.generator_links)
     if s.psi is not None and s.a is not None:
         _, rec.gauss_rel = gauss_residual_of(rho, curl, d, p)
-        rec.sigma_est = (None if abs(rec.B_mean) < sigma_floor
-                         else float(rec.n_global * p.e / rec.B_mean))
+        rec.sigma_est = (None if abs(rec.B_mean) < sigma_floor else float(
+            density_to_plaquettes(rho, d).sum() / m * p.e / rec.B_mean))
         if current is None:
             current = current_density(s.psi, link_phases(s.a, d, p), d, p)
         rec.edge_fraction = edge_fraction_of(current, d, k)

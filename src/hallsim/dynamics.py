@@ -75,6 +75,12 @@ class SolverError(RuntimeError):
     """An inner linear solve failed to reach its tolerance."""
 
 
+# Stopping tolerance of the Cayley matter step: its residual relative to the
+# right-hand side.  The Gauss functional holds only to this tolerance, so it
+# is fixed where the Gauss residual stays at roundoff (<= 1e-10 relative).
+CAYLEY_TOL = 1e-14
+
+
 @dataclass(frozen=True)
 class Params:
     """Physical and integration parameters (natural units by default).
@@ -82,17 +88,15 @@ class Params:
     solver_maxiter caps the iterations of both linear solves: the Cayley
     matter step's and the conjugate gradients of initialize_consistent.
     Both test their last allowed iterate, so a solve that converges in k
-    iterations succeeds with solver_maxiter = k.
-    solver_tol must be at least machine epsilon: the Cayley step stops one
-    unit roundoff below it.  A rejected value raises ValueError whose message
-    starts with the parameter's name.
+    iterations succeeds with solver_maxiter = k.  Their tolerances are fixed
+    (CAYLEY_TOL and the 1e-13 of initialize_consistent).  A rejected value
+    raises ValueError whose message starts with the parameter's name.
     """
     sigma_h: float = 1.0
     hbar: float = 1.0
     e: float = 1.0
     mu: float = 1.0
     dt: float = 0.05
-    solver_tol: float = 1e-14
     solver_maxiter: int = 500
 
     def __post_init__(self):
@@ -100,10 +104,6 @@ class Params:
             raise ValueError("sigma_h: must be nonzero (the gauge update divides by it)")
         if self.dt <= 0.0:
             raise ValueError(f"dt: must be positive, got {self.dt!r}")
-        eps = np.finfo(np.float64).eps
-        if not self.solver_tol >= eps:
-            raise ValueError(f"solver_tol: must be at least machine epsilon "
-                             f"{float(eps)!r}, got {self.solver_tol!r}")
 
 
 def default_dt(d: Domain, mu: float = 1.0, hbar: float = 1.0) -> float:
@@ -215,7 +215,7 @@ def cayley_step(psi: np.ndarray, phases, d: Domain, p: Params, dt: float,
     one H apply per iteration.  It cannot break down: in the Lanczos basis
     the projected matrix is I + i alpha T_k with T_k real tridiagonal, whose
     Hermitian part is I, so every pivot has real part |q|^2 > 0.  The solve
-    stops when the Cayley residual is at most solver_tol, less one unit
+    stops when the Cayley residual is at most CAYLEY_TOL, less one unit
     roundoff, times the norm of the right-hand side,
     sqrt(|psi|^2 + alpha^2 |H psi|^2) (H is Hermitian), read off the first
     iteration's apply.  The unit roundoff covers the drift between the
@@ -239,7 +239,7 @@ def cayley_step(psi: np.ndarray, phases, d: Domain, p: Params, dt: float,
     y = np.zeros_like(r)
     np.copyto(q, r)
     r1, y1, q1 = r.ravel(), y.ravel(), q.ravel()
-    res, tol = 2.0 * np.sqrt(rr), p.solver_tol * np.sqrt(rr)
+    res, tol = 2.0 * np.sqrt(rr), CAYLEY_TOL * np.sqrt(rr)
     for it in range(p.solver_maxiter):
         hq = apply_h(q)
         if it == 0:                                 # q = psi
@@ -247,7 +247,7 @@ def cayley_step(psi: np.ndarray, phases, d: Domain, p: Params, dt: float,
             if not np.isfinite(bnorm):
                 raise SolverError(
                     f"matter step: non-finite state (rhs norm {bnorm})")
-            tol = (p.solver_tol - np.finfo(np.float64).eps) * bnorm
+            tol = (CAYLEY_TOL - np.finfo(np.float64).eps) * bnorm
         pivot = complex(np.vdot(q, q).real, alpha * np.vdot(q, hq).real)
         size = abs(pivot)
         phase = pivot.conjugate() / size            # 1/pivot = phase/size

@@ -109,14 +109,26 @@ def test_criterion_01_quantization_spectrum():
 
 
 def test_criterion_02_global_hall_relation():
+    # uniform states, and non-uniform ones whose charge the Gauss law
+    # weighs differently from the site norm: a packet, a packet beside a
+    # hole, and the rim state of a Corbino annulus
+    square = build_rectangle(32, 32, 1.0, [])
+    holed = build_rectangle(32, 32, 1.0, [(16, 12, 8, 8)])
+    corbino = build_corbino(64, 1.0, 10.0, 30.0)
+    cases = [(square, sh, lambda d, p: uniform_state(d, norm=1.0))
+             for sh in (1.0, 2.0, 3.0)]
+    cases += [(square, sh, lambda d, p: gaussian_packet(d, (15.5, 15.5), 4.0))
+              for sh in (1.0, 3.0)]
+    cases += [(holed, 1.0, lambda d, p: gaussian_packet(d, (10.0, 15.5), 3.0,
+                                                        (0.3, 0.1))),
+              (corbino, 1.0, lambda d, p: rim_pair_state(d, p, 1.0, band=3))]
     worst = 0.0
-    for sh in (1.0, 2.0, 3.0):
-        d = build_rectangle(32, 32, 1.0, [])
+    for d, sh, psi0 in cases:
         p = Params(sigma_h=sh, dt=0.05)
-        s = initialize_consistent(d, uniform_state(d, norm=1.0), p)
+        s = initialize_consistent(d, psi0(d, p), p)
         worst = max(worst, abs(row(s).sigma_est - sh))
-    report(2, worst <= 1e-8,
-           f"max |sigma_est - sigma_H| = {worst:.3e} (tol 1e-8)")
+    report(2, worst <= 1e-8, f"max |sigma_est - sigma_H| = {worst:.3e} over "
+                             f"{len(cases)} states (tol 1e-8)")
 
 
 def _worst_ohm(states):

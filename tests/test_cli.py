@@ -52,7 +52,6 @@ nx = 12
 ny = 12
 steps = 20
 psi0 = zero
-consistent_init = false
 """)
     out = tmp_path / "run"
     assert run_cli(["simulate", "--config", cfg, "--out", str(out)]) == 0
@@ -303,7 +302,6 @@ ny = 12
 steps = 4
 psi0 = file
 psi0_file = {tmp_path / "psi0.hsfield"}
-consistent_init = false
 """)
     out = tmp_path / "run"
     assert run_cli(["simulate", "--config", cfg, "--out", str(out)]) == 3
@@ -361,9 +359,7 @@ def test_simulate_underflowing_packet_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("override, key", [
-    ("dx=1e-200", "dt"),                # 0.05 mu dx^2 / hbar underflows to 0
-    ("solver_tol=1e-16", "solver_tol"),
-    ("solver_tol=2e-16", "solver_tol")])
+    ("dx=1e-200", "dt")])               # 0.05 mu dx^2 / hbar underflows to 0
 def test_simulate_params_rejected_exit_2(tmp_path, capsys, override, key):
     # values that pass the config checks but not Params are configuration
     # errors too, not a traceback (exit 1)
@@ -527,8 +523,16 @@ def test_psi0_file_v1_and_v2_same_diagnostics(tmp_path):
      "config error: domain: r_outer=20.0 exceeds half the grid extent"),
     (["simulate", "OUT", "--set", "shape=disc"],
      "shape: must be rectangle or corbino, got 'disc'"),
-    (["simulate", "OUT", "--set", "consistent_init=maybe"],
-     "consistent_init: expected a boolean, got 'maybe'"),
+    # the Cayley tolerance and the Gauss-consistent start are fixed, so no
+    # config can start or take a run off the Gauss surface
+    (["simulate", "OUT", "--set", "solver_tol=1e-8"],
+     "--set: unknown key 'solver_tol'"),
+    (["simulate", "OUT", "--set", "consistent_init=false"],
+     "--set: unknown key 'consistent_init'"),
+    (["simulate", "OUT", "--config", "REMOVED"],
+     "line 1: unknown key 'solver_tol'"),
+    (["simulate", "OUT", "--config", "REMOVED"],
+     "line 2: unknown key 'consistent_init'"),
     (["simulate", "OUT", "--set", "holes=1,2,3"],
      "holes: expected 'x0,y0,w,h', got '1,2,3'"),
     (["simulate", "OUT", "--set", "holes=1,2,3,x"],
@@ -550,15 +554,20 @@ def test_psi0_file_v1_and_v2_same_diagnostics(tmp_path):
     (["diagnose", "--a1", "a1.hsfield"], "--a1 and --a2 must be given together"),
     (["diagnose"], "need --psi and/or --a1/--a2"),
 ], ids=["corbino-no-radii", "psi0-file-no-path", "domain-error", "bad-choice",
-        "bad-bool", "holes-three-entries", "holes-non-integer",
+        "removed-key-set-solver_tol", "removed-key-set-consistent_init",
+        "removed-key-config-solver_tol", "removed-key-config-consistent_init",
+        "holes-three-entries", "holes-non-integer",
         "line-without-equals", "unreadable-config", "simulate-no-out",
         "quantize-step-zero", "quantize-max-below-min", "quantize-tol-zero",
         "quantize-count-overflows", "quantize-count-too-large",
         "diagnose-a1-alone", "diagnose-no-fields"])
 def test_config_and_argument_errors_exit_2(tmp_path, capsys, args, fragment):
     write_cfg(tmp_path, "nx = 12\nsteps 4\n")
+    write_cfg(tmp_path, "solver_tol = 1e-8\nconsistent_init = false\n",
+              "removed.txt")
     where = {"OUT": ["--out", str(tmp_path / "run")],
              "CFG": [str(tmp_path / "cfg.txt")],
+             "REMOVED": [str(tmp_path / "removed.txt")],
              "MISSING": [str(tmp_path / "missing.txt")]}
     argv = [x for arg in args for x in where.get(arg, [arg])]
     assert run_cli(argv) == 2

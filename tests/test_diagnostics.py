@@ -80,7 +80,7 @@ def test_continuity_eigenstate_stationary():
     # complex combination of a degenerate pair: stationary density with a
     # nonzero circulating current; the residual stays at solver level
     d = build_rectangle(4, 4, 1.0, [])
-    p = Params(dt=0.05, solver_tol=1e-14)
+    p = Params(dt=0.05)
     H, sites = dense_hamiltonian((d.h_active, d.v_active), d, p)
     w, V = np.linalg.eigh(H)
     pair = None
@@ -243,6 +243,10 @@ def test_record_state_matches_definitions(d, dx, seed, k, floor_at, rho_at,
     n_global = norm / (d.n_active * d.dx ** 2)
     curl = ((a.a1[:, :-1] - a.a1[:, 1:]) + (a.a2[1:, :] - a.a2[:-1, :])) / d.dx
     b_mean = curl[d.plaq_active].mean()
+    # the charge as the Gauss law weighs it: the four-corner mean per
+    # counted plaquette, averaged over those plaquettes
+    n_plaq = (0.25 * (rho[:-1, :-1] + rho[1:, :-1] + rho[:-1, 1:]
+                      + rho[1:, 1:]))[d.plaq_active].mean()
     pure = np.abs(curl[d.plaq_active]).max()
     j = current_density(psi, link_phases(a, d, p), d, p)
     dist = np.where(d.active, d.boundary_distance, np.iinfo(np.int64).max)
@@ -263,7 +267,7 @@ def test_record_state_matches_definitions(d, dx, seed, k, floor_at, rho_at,
     if floor_at > 1.0:
         assert rec.sigma_est is None
     else:
-        assert rec.sigma_est == pytest.approx(n_global * p.e / b_mean, rel=1e-9)
+        assert rec.sigma_est == pytest.approx(n_plaq * p.e / b_mean, rel=1e-9)
     assert rec.pure_gauge_max == pytest.approx(pure, rel=1e-12)
     assert rec.edge_fraction == pytest.approx(edge, rel=1e-12)
     assert rec.breakdown is (rho_at < 1.0 and rho_in > 0.0 and b_at < 1.0)

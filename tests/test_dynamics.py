@@ -9,7 +9,7 @@ from hallsim import (CurrentField, LinkField, Params, SimState, Workspace,
                      uniform_state)
 from hallsim import DomainError, build_corbino, link_divergence
 from hallsim.diagnostics import gauss_residual, record_state
-from hallsim.dynamics import make_hamiltonian
+from hallsim.dynamics import CAYLEY_TOL, make_hamiltonian
 from hallsim.fields import current_density, link_phases, stencil_matrix
 
 
@@ -142,15 +142,6 @@ def test_step_gauge_sign_flip():
 def test_sigma_zero_rejected():
     with pytest.raises(ValueError, match="sigma_h"):
         Params(sigma_h=0.0, dt=0.05)
-
-
-@pytest.mark.parametrize("tol", [1e-16, 2e-16, np.nextafter(2.0 ** -52, 0.0)])
-def test_solver_tol_below_machine_epsilon_rejected(tol):
-    # the Cayley stopping threshold (solver_tol - eps) |b| would be negative,
-    # and the Krylov loop would run into an exact zero pivot
-    with pytest.raises(ValueError, match="^solver_tol: "):
-        Params(solver_tol=tol)
-    Params(solver_tol=2.0 ** -52)
 
 
 def test_matter_step_solver_abort(rect12, rng):
@@ -435,7 +426,7 @@ def test_cayley_step_residual_within_tolerance(d, seed, dt):
     phases = link_phases(a, d, p)
     new = cayley_step(psi, phases, d, p, dt, Workspace(d))
     res, rhs = cayley_residual(psi, new, phases, d, p, dt)
-    assert res <= p.solver_tol * rhs
+    assert res <= CAYLEY_TOL * rhs
     assert not new[~d.active].any()
 
 

@@ -257,7 +257,7 @@ def test_config_parse_and_defaults():
     psi0 = gaussian
     """))
     assert cfg.nx == 16 and cfg.steps == 10
-    assert cfg.sigma_h == 1.0 and cfg.consistent_init is True
+    assert cfg.sigma_h == 1.0
     assert cfg.edge_k == 3
 
 
@@ -316,7 +316,6 @@ NON_DEFAULT = {
     "sigma_h": {"sigma_h": "-2.0"}, "hbar": {"hbar": "0.7"},
     "e": {"e": "1.3"}, "mu": {"mu": "2.0"}, "dt": {"dt": "0.01"},
     "steps": {"steps": "7"}, "record_every": {"record_every": "5"},
-    "solver_tol": {"solver_tol": "1e-12"},
     "solver_maxiter": {"solver_maxiter": "50"},
     "psi0": {"psi0": "File", "psi0_file": "psi.hsfield"},
     "psi0_center_x": {"psi0_center_x": "2.0", "psi0_center_y": "3.0"},
@@ -324,7 +323,7 @@ NON_DEFAULT = {
     "psi0_width": {"psi0_width": "2.5"}, "psi0_kx": {"psi0_kx": "0.25"},
     "psi0_ky": {"psi0_ky": "-0.5"}, "psi0_norm": {"psi0_norm": "2.0"},
     "psi0_ecut": {"psi0_ecut": "3.0"}, "psi0_file": {"psi0_file": "a b.txt"},
-    "rim_band": {"rim_band": "2"}, "consistent_init": {"consistent_init": "no"},
+    "rim_band": {"rim_band": "2"},
     "flux": {"flux": "0.5"}, "edge_k": {"edge_k": "2"},
     "rho_star": {"rho_star": "1e-3"}, "b_star": {"b_star": "2e-3"},
     "sigma_floor": {"sigma_floor": "1e-10"},
