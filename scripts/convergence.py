@@ -42,13 +42,13 @@ SIDE, DX_DT, DX_TIME = 15.0, 0.004, 2.0
 
 
 def simulate(time, dt, record_every=0, **keys):
-    """(config, recorded states) of `hallsim simulate` with these keys, run
-    to `time`; record_every 0 keeps the first and last states only."""
+    """Recorded states of `hallsim simulate` with these keys, run to `time`;
+    record_every 0 keeps the first and last states only."""
     steps = int(round(time / dt))
     cfg = build_config({k: str(v) for k, v in dict(
         keys, psi0="gaussian", dt=dt, steps=steps,
         record_every=record_every or steps).items()})
-    return cfg, simulate_run(cfg)[2]
+    return simulate_run(cfg)[2]
 
 
 def packet_run(dt, record_every=0):
@@ -70,14 +70,14 @@ def ratio_line(label, names, ratios):
 
 
 def dt_gate():
-    psi_ref = packet_run(BASE_DT / REFERENCE_REFINEMENT)[1][-1].psi
+    psi_ref = packet_run(BASE_DT / REFERENCE_REFINEMENT)[-1].psi
     results = []
     for k in range(3):
         dt = BASE_DT / 2 ** k
-        cfg, states = packet_run(dt, record_every=1)
+        states = packet_run(dt, record_every=1)
         ohm = max(ohm_residual(*states[i - 1:i + 2])
                   for i in range(1, len(states) - 1))
-        cont = max(r.continuity_rel for r in records_to_rows(cfg, states)[1:-1])
+        cont = max(r.continuity_rel for r in records_to_rows(states)[1:-1])
         err = float(np.abs(states[-1].psi - psi_ref).max())
         results.append((dt, ohm, cont, err))
         print(f"dt = {dt:.4g}: ohm mismatch {ohm:.3e}, continuity {cont:.3e}, "
@@ -93,9 +93,9 @@ def dx_gate():
     for k in range(4):
         dx = 1.0 / 2 ** k
         n = int(round(SIDE / dx)) + 1
-        _, states = simulate(DX_TIME, DX_DT, nx=n, ny=n, dx=dx,
-                             psi0_center_x=SIDE / 2, psi0_center_y=SIDE / 2,
-                             psi0_width=1.5, psi0_kx=0.6, psi0_ky=0.3)
+        states = simulate(DX_TIME, DX_DT, nx=n, ny=n, dx=dx,
+                          psi0_center_x=SIDE / 2, psi0_center_y=SIDE / 2,
+                          psi0_width=1.5, psi0_kx=0.6, psi0_ky=0.3)
         s = states[-1]
         rho = site_density(s.psi, s.domain)
         x = np.arange(n) * dx

@@ -20,9 +20,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from hallsim.cli import main as hallsim_main
 
 CORBINO = ["shape=corbino", "n=32", "dx=1.0", "r_inner=5.0", "r_outer=14.0",
-           "sigma_h=1.0", "dt=0.05", "edge_k=3", "rho_star=1e-4", "b_star=1e-4"]
+           "sigma_h=1.0", "dt=0.05"]
 RUNS = {
-    "edge": ["psi0=rim", "psi0_norm=1e-7", "rim_band=3"],
+    "edge": ["psi0=rim", "psi0_norm=1e-7"],
     "bulk": ["psi0=gaussian", "psi0_center_x=25.0", "psi0_center_y=15.5",
              "psi0_width=2.0", "psi0_kx=0.0", "psi0_ky=0.3", "psi0_norm=10.0"],
 }

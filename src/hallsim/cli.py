@@ -62,7 +62,7 @@ def _initial_psi(cfg: RunConfig, d: Domain, p: Params) -> np.ndarray:
             width = cfg.psi0_width if cfg.psi0_width > 0 else 4.0 * d.dx
             psi = gaussian_packet(d, center, width, cfg.psi0_k, cfg.psi0_norm)
         elif cfg.psi0 == "rim":
-            psi = rim_pair_state(d, p, cfg.psi0_norm, band=cfg.rim_band)
+            psi = rim_pair_state(d, p, cfg.psi0_norm)
         else:
             psi = np.where(d.active, _read_snapshot(cfg.psi0_file, "psi", d), 0.0)
         if cfg.psi0_ecut > 0:
@@ -110,7 +110,7 @@ def simulate_run(cfg: RunConfig):
     return d, p, records
 
 
-def records_to_rows(cfg: RunConfig, records) -> list:
+def records_to_rows(records) -> list:
     """DiagnosticsRecord per recorded state.
 
     Walks the records with a three-state window: each state's current is
@@ -129,9 +129,7 @@ def records_to_rows(cfg: RunConfig, records) -> list:
         if j_prev is not None and j_next is not None:
             cont = continuity_residual(records[i - 1], records[i + 1], j_prev,
                                        j_next)
-        rows.append(record_state(s, cfg.edge_k, cfg.rho_star, cfg.b_star,
-                                 cfg.sigma_floor, continuity=cont,
-                                 current=j_cur))
+        rows.append(record_state(s, continuity=cont, current=j_cur))
         j_prev, j_cur = j_cur, j_next
     return rows
 
@@ -147,7 +145,7 @@ def _write_manifest(path, cfg: RunConfig, wall: float):
 def cmd_simulate(cfg: RunConfig, outdir: str) -> int:
     t0 = time.monotonic()
     d, p, records = simulate_run(cfg)
-    rows = records_to_rows(cfg, records)
+    rows = records_to_rows(records)
     os.makedirs(outdir, exist_ok=True)
     csv_path = os.path.join(outdir, "diagnostics.csv")
     with open(csv_path, "w") as f:
@@ -220,8 +218,7 @@ def cmd_diagnose(cfg: RunConfig, psi_path, a1_path, a2_path) -> int:
     if a1_path:
         a = LinkField(_read_snapshot(a1_path, "a1", d),
                       _read_snapshot(a2_path, "a2", d))
-    rec = record_state(SimState(d, p, psi, a, 0.0), cfg.edge_k, cfg.rho_star,
-                       cfg.b_star, cfg.sigma_floor)
+    rec = record_state(SimState(d, p, psi, a, 0.0))
     print(DiagnosticsRecord.header(d.g))
     print(rec.row())
     return 0

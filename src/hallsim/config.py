@@ -27,7 +27,10 @@ Keys (defaults in parentheses):
                              Krylov iterations (one H apply each) and the
                              initial Poisson solve's CG iterations
   initial state
-    psi0 (zero)              zero | gaussian | uniform | rim | file
+    psi0 (zero)              zero | gaussian | uniform | rim | file; the rim
+                             state sits on the edge band and its
+                             zero-potential current circulates
+                             counter-clockwise about the grid centre
     psi0_center_x,           packet center, both or neither (physical units;
     psi0_center_y            default domain center)
     psi0_width (4*dx)        packet density sigma
@@ -35,15 +38,12 @@ Keys (defaults in parentheses):
     psi0_norm (1.0)          total integrated density
     psi0_ecut (off)          band-limit: project onto free modes with E <= ecut
     psi0_file                HSFIELD psi snapshot path (psi0 = file)
-    rim_band (3)             boundary band (cells) for psi0 = rim; the rim
-                             state's zero-potential current circulates
-                             counter-clockwise about the grid centre
   run
     flux (0.0)               flux threaded through hole 0 after initialization
-    edge_k (3)               edge shell width (cells) for diagnostics
-    rho_star (1e-4)          breakdown density threshold
-    b_star (1e-4)            breakdown curl threshold
-    sigma_floor (1e-12)      |B_mean| floor below which sigma_est is missing
+
+The edge band width and the breakdown and sigma_est thresholds are fixed
+constants (domain.EDGE_WIDTH; diagnostics.RHO_STAR, B_STAR, SIGMA_FLOOR), not
+keys.
 """
 
 from __future__ import annotations
@@ -154,12 +154,7 @@ class RunConfig:
     psi0_norm: float = _key("1.0", _number(empty=1.0, minimum=0))
     psi0_ecut: float = _key("", _number(empty=0.0, unsigned=True))  # 0: off
     psi0_file: str = _key("", lambda raw, bad: raw)
-    rim_band: int = _key("3", _count(1))
     flux: float = _key("0.0", _number(empty=0.0))
-    edge_k: int = _key("3", _count(1))
-    rho_star: float = _key("1e-4", _number(empty=1e-4, positive=True))
-    b_star: float = _key("1e-4", _number(empty=1e-4, positive=True))
-    sigma_floor: float = _key("1e-12", _number(empty=1e-12, positive=True))
     raw: dict = field(default_factory=dict)
 
     @property

@@ -30,11 +30,18 @@ from .fields import (CurrentField, charge_density, current_density,
                      site_density)
 
 FLOOR = 1e-300
+# Kept apart from FLOOR: merging the two would move which sigma_est cells
+# read NA.
+SIGMA_FLOOR = 1e-12     # |B_mean| below which sigma_est is missing
+RHO_STAR = 1e-4         # breakdown: mean density outside the edge band
+B_STAR = 1e-4           # breakdown: pure_gauge_max
 
 
-def gauss_residual_of(rho: np.ndarray, curl: np.ndarray, d: Domain, p) -> tuple:
-    """gauss_residual for a given masked density and plaquette curl."""
-    r = p.sigma_h * curl - density_to_plaquettes(p.e * rho, d)
+def gauss_residual_of(src: np.ndarray, rho: np.ndarray, curl: np.ndarray,
+                      p) -> tuple:
+    """gauss_residual for a given plaquette charge src = <e rho>_plaquette,
+    masked site density rho and plaquette curl."""
+    r = p.sigma_h * curl - src
     scale = max(p.e * rho.max(initial=0.0),
                 abs(p.sigma_h) * np.abs(curl).max(initial=0.0), FLOOR)
     return r, float(np.abs(r).max(initial=0.0) / scale)
@@ -47,9 +54,10 @@ def gauss_residual(s) -> tuple:
     r = sigma_H curl(A) - e <|psi|^2>_plaquette and its sup norm relative to
     max(e ||rho||_inf, |sigma_H| ||curl||_inf).
     """
-    d = s.domain
-    return gauss_residual_of(site_density(s.psi, d), plaquette_curl(s.a, d), d,
-                             s.params)
+    d, p = s.domain, s.params
+    rho = site_density(s.psi, d)
+    return gauss_residual_of(density_to_plaquettes(p.e * rho, d), rho,
+                             plaquette_curl(s.a, d), p)
 
 
 def continuity_residual(prev, nxt, jp: CurrentField, jn: CurrentField) -> float:
@@ -71,18 +79,16 @@ def continuity_residual(prev, nxt, jp: CurrentField, jn: CurrentField) -> float:
     return float(np.abs(resid[d.active]).max(initial=0.0) / max(scale, FLOOR))
 
 
-def edge_fraction_of(j: CurrentField, d: Domain, k: int):
-    """Share of total |j| carried by links within k cells of the boundary.
+def edge_fraction_of(j: CurrentField, d: Domain):
+    """Share of total |j| carried by links that touch the edge band.
 
-    A link belongs to the shell when either endpoint has lattice (BFS)
-    distance <= k from the boundary site set; boundary sites themselves sit
-    at distance 0.
+    A link counts when either endpoint lies in d.edge_band, the sites whose
+    lattice (BFS) distance from the boundary site set is at most EDGE_WIDTH;
+    boundary sites themselves sit at distance 0.
     """
-    if k < 1:
-        raise ValueError("shell width k must be >= 1")
-    shell = (d.boundary_distance >= 0) & (d.boundary_distance <= k)
-    h = (shell[:-1, :] | shell[1:, :]) & d.h_active
-    v = (shell[:, :-1] | shell[:, 1:]) & d.v_active
+    band = d.edge_band
+    h = (band[:-1, :] | band[1:, :]) & d.h_active
+    v = (band[:, :-1] | band[:, 1:]) & d.v_active
     total = np.abs(j.j1).sum() + np.abs(j.j2).sum()
     if total <= FLOOR:
         return None
@@ -165,8 +171,7 @@ class DiagnosticsRecord:
         return ",".join(cells)
 
 
-def record_state(s, k: int, rho_star: float, b_star: float,
-                 sigma_floor: float = 1e-12, continuity: object = None,
+def record_state(s, continuity: object = None,
                  current: object = None) -> DiagnosticsRecord:
     """Assemble the scalar diagnostics of one state.
 
@@ -175,10 +180,12 @@ def record_state(s, k: int, rho_star: float, b_star: float,
     sigma_est = n e / B_mean, with n the mean of the plaquette density
     <|psi|^2> over the same plaquettes: the charge as the Gauss law weighs
     it, so sigma_est = sigma_H on the Gauss surface for any psi, uniform or
-    not.  pure_gauge_max is the sup norm of the curl, 0 exactly for pure
-    gauge potentials.  breakdown flags a departure from the pure-gauge edge
-    regime: the mean |psi|^2 over sites deeper than the k-cell edge shell
-    exceeds rho_star AND pure_gauge_max exceeds b_star.
+    not.  sigma_est is None when |B_mean| < SIGMA_FLOOR.  pure_gauge_max is
+    the sup norm of the curl, 0 exactly for pure gauge potentials.
+    edge_fraction is edge_fraction_of the state's current.  breakdown flags
+    a departure from the pure-gauge edge regime: the mean |psi|^2 over the
+    active sites outside the edge band (Domain.edge_band) exceeds RHO_STAR
+    AND pure_gauge_max exceeds B_STAR.
 
     Either s.psi or s.a may be None; every column that needs the missing
     field is then None.  The continuity column needs neighboring records
@@ -202,13 +209,14 @@ def record_state(s, k: int, rho_star: float, b_star: float,
         rec.holonomies = tuple(wilson_loop(s.a, links, d, p).phase
                                for links in d.generator_links)
     if s.psi is not None and s.a is not None:
-        _, rec.gauss_rel = gauss_residual_of(rho, curl, d, p)
-        rec.sigma_est = (None if abs(rec.B_mean) < sigma_floor else float(
-            density_to_plaquettes(rho, d).sum() / m * p.e / rec.B_mean))
+        src = density_to_plaquettes(p.e * rho, d)
+        _, rec.gauss_rel = gauss_residual_of(src, rho, curl, p)
+        rec.sigma_est = (None if abs(rec.B_mean) < SIGMA_FLOOR
+                         else float(src.sum() / m / rec.B_mean))
         if current is None:
             current = current_density(s.psi, link_phases(s.a, d, p), d, p)
-        rec.edge_fraction = edge_fraction_of(current, d, k)
-        interior = d.active & (d.boundary_distance > k)
+        rec.edge_fraction = edge_fraction_of(current, d)
+        interior = d.active & ~d.edge_band
         rho_in = float(rho[interior].mean()) if interior.any() else 0.0
-        rec.breakdown = rho_in > rho_star and rec.pure_gauge_max > b_star
+        rec.breakdown = rho_in > RHO_STAR and rec.pure_gauge_max > B_STAR
     return rec

@@ -18,6 +18,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+# Width of the edge band: the active sites within this lattice distance of
+# the boundary.  The rim state lives in it, edge_fraction counts the current
+# on links that touch it, and breakdown reads the density outside it.
+EDGE_WIDTH = 3
+
 
 class DomainError(ValueError):
     """Requested domain geometry is invalid."""
@@ -74,6 +79,11 @@ class Domain:
     def boundary_sites(self) -> np.ndarray:
         """(m, 2) int array of boundary site indices."""
         return np.argwhere(self.boundary_mask)
+
+    @property
+    def edge_band(self) -> np.ndarray:
+        """bool (nx, ny): active sites within EDGE_WIDTH of the boundary."""
+        return self.active & (self.boundary_distance <= EDGE_WIDTH)
 
     @property
     def n_active(self) -> int:

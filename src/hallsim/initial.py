@@ -170,12 +170,11 @@ def circulation(psi: np.ndarray, d: Domain, p: Params) -> float:
     return float((x[:, None] * j.j2).sum() - (y[None, :] * j.j1).sum())
 
 
-def rim_pair_state(d: Domain, p: Params, norm: float = 1.0,
-                   band: int = 3) -> np.ndarray:
-    """Stationary circulating state supported on the boundary band.
+def rim_pair_state(d: Domain, p: Params, norm: float = 1.0) -> np.ndarray:
+    """Stationary circulating state supported on the edge band.
 
     Finds a degenerate pair of free-Hamiltonian eigenvectors whose density
-    is concentrated within `band` cells of the boundary: the sector
+    is concentrated on the edge band (Domain.edge_band): the sector
     eigenvalues of _free_modes are merged and sorted, each run of values
     whose neighbours lie within DEGENERACY_TOL is ordered by sector label
     (and by position within the sector), adjacent values of a run pair up,
@@ -194,10 +193,10 @@ def rim_pair_state(d: Domain, p: Params, norm: float = 1.0,
     direction nor the phase depends on the basis the eigensolver picks.
     """
     sectors = _free_modes(d, p, "rim state construction")
-    dist = d.boundary_distance.ravel()
+    band = d.edge_band.ravel()
     w = np.concatenate([s.w for s in sectors])
     weights = np.concatenate(
-        [(np.abs(s.V[dist[s.reps] <= band]) ** 2).sum(axis=0) for s in sectors])
+        [(np.abs(s.V[band[s.reps]]) ** 2).sum(axis=0) for s in sectors])
     which = np.concatenate([np.full(len(s.w), k) for k, s in enumerate(sectors)])
     col = np.concatenate([np.arange(len(s.w)) for s in sectors])
     order = np.argsort(w, kind="stable")
@@ -212,15 +211,13 @@ def rim_pair_state(d: Domain, p: Params, norm: float = 1.0,
     if score[i] < MIN_RIM_WEIGHT:
         raise DomainError(
             f"no degenerate rim-localized eigenpair found (best rim weight "
-            f"{max(score[i], 0.0):.3f} < {MIN_RIM_WEIGHT}); widen the band or "
-            "change the domain")
+            f"{max(score[i], 0.0):.3f} < {MIN_RIM_WEIGHT}); change the domain")
 
     u, v = (sectors[which[k]].basis @ sectors[which[k]].V[:, col[k]]
             for k in order[i:i + 2])
     # a complex sector vector circulates already, its partner is its conjugate
     vec = u if np.iscomplexobj(u) else (u + 1j * v) / np.sqrt(2.0)
-    vec = np.where(d.active & (d.boundary_distance <= band),
-                   vec.reshape(d.nx, d.ny), 0.0)
+    vec = np.where(d.edge_band, vec.reshape(d.nx, d.ny), 0.0)
     if circulation(vec, d, p) < 0.0:
         vec = vec.conj()
     mag = np.abs(vec)

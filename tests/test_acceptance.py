@@ -19,19 +19,10 @@ from hallsim import (LinkField, Params, SimState, Workspace, advance,
                      plaquette_curl, rim_pair_state, uniform_state,
                      wilson_loop, wrap_phase)
 from hallsim.diagnostics import gauss_residual, ohm_residual, record_state
-from hallsim.domain import _rect_ring
+from hallsim.domain import EDGE_WIDTH, _rect_ring
 from hallsim.quantization import commutator_check, single_valuedness_scan
 
 from conftest import continuity_of_states
-
-RHO_STAR = 1e-4
-B_STAR = 1e-4
-EDGE_K = 3
-
-
-def row(s):
-    """The diagnostics record of one state, as diagnostics.csv gets it."""
-    return record_state(s, EDGE_K, RHO_STAR, B_STAR)
 
 
 def report(criterion, ok, detail):
@@ -82,7 +73,7 @@ def run_long():
 def edge_and_bulk_runs():
     d = build_corbino(32, 1.0, 5.0, 14.0)
     p = Params(sigma_h=1.0, dt=0.05)
-    edge0 = initialize_consistent(d, rim_pair_state(d, p, norm=1e-7, band=3), p)
+    edge0 = initialize_consistent(d, rim_pair_state(d, p, norm=1e-7), p)
     bulk0 = initialize_consistent(
         d, gaussian_packet(d, (25.0, 15.5), 2.0, (0.0, 0.3), norm=10.0), p)
     return evolve(edge0, 500), evolve(bulk0, 500)
@@ -121,12 +112,12 @@ def test_criterion_02_global_hall_relation():
               for sh in (1.0, 3.0)]
     cases += [(holed, 1.0, lambda d, p: gaussian_packet(d, (10.0, 15.5), 3.0,
                                                         (0.3, 0.1))),
-              (corbino, 1.0, lambda d, p: rim_pair_state(d, p, 1.0, band=3))]
+              (corbino, 1.0, lambda d, p: rim_pair_state(d, p, 1.0))]
     worst = 0.0
     for d, sh, psi0 in cases:
         p = Params(sigma_h=sh, dt=0.05)
         s = initialize_consistent(d, psi0(d, p), p)
-        worst = max(worst, abs(row(s).sigma_est - sh))
+        worst = max(worst, abs(record_state(s).sigma_est - sh))
     report(2, worst <= 1e-8, f"max |sigma_est - sigma_H| = {worst:.3e} over "
                              f"{len(cases)} states (tol 1e-8)")
 
@@ -163,7 +154,7 @@ def test_criterion_05_continuity(run_dt, run_half_dt):
 
 
 def test_criterion_06_unitarity(run_long):
-    norms = [row(s).norm for s in run_long]
+    norms = [record_state(s).norm for s in run_long]
     drift = max(abs(n - norms[0]) / norms[0] for n in norms)
     report(6, drift <= 1e-10,
            f"norm drift over 1000 steps = {drift:.3e} (tol 1e-10)")
@@ -177,14 +168,14 @@ def test_criterion_07_gauge_invariance_suite(run_dt, edge_and_bulk_runs):
         # every gauge-invariant scalar of the state's diagnostics row
         nonlocal worst
         d, p = state.domain, state.params
-        base = row(state)
+        base = record_state(state)
         base_ph = [wilson_loop(state.a, lp, d, p).phase for lp in loops]
         for _ in range(10):
             lam = rng.normal(size=(d.nx, d.ny)) * 2.0
             lam[~d.active] = 0.0
             lam[d.boundary_mask] = 0.0
             a2, psi2 = apply_gauge(state.a, state.psi, lam, d, p)
-            got = row(SimState(d, p, psi2, a2, state.t))
+            got = record_state(SimState(d, p, psi2, a2, state.t))
             for name in ("gauss_rel", "sigma_est", "B_mean", "edge_fraction",
                          "pure_gauge_max", "norm", "n_global"):
                 ref = getattr(base, name) or 0.0
@@ -230,11 +221,11 @@ def test_criterion_09_edge_regime(edge_and_bulk_runs):
     d = edge_states[0].domain
 
     rho0 = np.abs(edge_states[0].psi) ** 2
-    interior = d.active & (d.boundary_distance > EDGE_K)
+    interior = d.active & (d.boundary_distance > EDGE_WIDTH)
     interior_ratio = float(rho0[interior].max() / rho0.max())
 
-    edge_rows = [row(s) for s in edge_states]
-    bulk_rows = [row(s) for s in bulk_states]
+    edge_rows = [record_state(s) for s in edge_states]
+    bulk_rows = [record_state(s) for s in bulk_states]
     ef_min = min(r.edge_fraction for r in edge_rows)
     pg_edge = max(r.pure_gauge_max for r in edge_rows)
     pg_bulk = min(r.pure_gauge_max for r in bulk_rows)

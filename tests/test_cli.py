@@ -275,7 +275,7 @@ def test_records_to_rows_one_current_per_record(monkeypatch):
 
     counted("current_density")
     counted("continuity_residual")
-    rows = hallsim.cli.records_to_rows(cfg, records)
+    rows = hallsim.cli.records_to_rows(records)
     # one current per record; one continuity check per inner record, made by
     # diagnostics.continuity_residual itself (perfbench times it per layer)
     assert len(records) == 5
@@ -286,8 +286,7 @@ def test_records_to_rows_one_current_per_record(monkeypatch):
         cont = None
         if 0 < i < len(records) - 1:
             cont = continuity_of_states(records[i - 1], records[i + 1])
-        want = record_state(s, cfg.edge_k, cfg.rho_star, cfg.b_star,
-                            cfg.sigma_floor, continuity=cont)
+        want = record_state(s, continuity=cont)
         assert rows[i].row() == want.row()
 
 
@@ -514,6 +513,14 @@ def test_psi0_file_v1_and_v2_same_diagnostics(tmp_path):
     assert csv[0] == csv[1]
 
 
+# Keys that fixed constants replaced: the Cayley tolerance and the
+# Gauss-consistent start, so no config can start or take a run off the Gauss
+# surface; the edge band width and the regime thresholds of the diagnostics.
+REMOVED_KEYS = {"solver_tol": "1e-8", "consistent_init": "false",
+                "rim_band": "3", "edge_k": "3", "rho_star": "1e-4",
+                "b_star": "1e-4", "sigma_floor": "1e-12"}
+
+
 @pytest.mark.parametrize("args, fragment", [
     (["simulate", "OUT", "--set", "shape=corbino", "--set", "n=16"],
      "corbino shape needs r_inner and r_outer"),
@@ -523,16 +530,6 @@ def test_psi0_file_v1_and_v2_same_diagnostics(tmp_path):
      "config error: domain: r_outer=20.0 exceeds half the grid extent"),
     (["simulate", "OUT", "--set", "shape=disc"],
      "shape: must be rectangle or corbino, got 'disc'"),
-    # the Cayley tolerance and the Gauss-consistent start are fixed, so no
-    # config can start or take a run off the Gauss surface
-    (["simulate", "OUT", "--set", "solver_tol=1e-8"],
-     "--set: unknown key 'solver_tol'"),
-    (["simulate", "OUT", "--set", "consistent_init=false"],
-     "--set: unknown key 'consistent_init'"),
-    (["simulate", "OUT", "--config", "REMOVED"],
-     "line 1: unknown key 'solver_tol'"),
-    (["simulate", "OUT", "--config", "REMOVED"],
-     "line 2: unknown key 'consistent_init'"),
     (["simulate", "OUT", "--set", "holes=1,2,3"],
      "holes: expected 'x0,y0,w,h', got '1,2,3'"),
     (["simulate", "OUT", "--set", "holes=1,2,3,x"],
@@ -553,17 +550,22 @@ def test_psi0_file_v1_and_v2_same_diagnostics(tmp_path):
      "more than 1000000 candidates from --sigma-min to --sigma-max"),
     (["diagnose", "--a1", "a1.hsfield"], "--a1 and --a2 must be given together"),
     (["diagnose"], "need --psi and/or --a1/--a2"),
+] + [(["simulate", "OUT", "--set", f"{key}={value}"],
+      f"--set: unknown key '{key}'") for key, value in REMOVED_KEYS.items()
+] + [(["simulate", "OUT", "--config", "REMOVED"],
+      f"line {n}: unknown key '{key}'") for n, key in enumerate(REMOVED_KEYS, 1)
 ], ids=["corbino-no-radii", "psi0-file-no-path", "domain-error", "bad-choice",
-        "removed-key-set-solver_tol", "removed-key-set-consistent_init",
-        "removed-key-config-solver_tol", "removed-key-config-consistent_init",
         "holes-three-entries", "holes-non-integer",
         "line-without-equals", "unreadable-config", "simulate-no-out",
         "quantize-step-zero", "quantize-max-below-min", "quantize-tol-zero",
         "quantize-count-overflows", "quantize-count-too-large",
-        "diagnose-a1-alone", "diagnose-no-fields"])
+        "diagnose-a1-alone", "diagnose-no-fields"
+] + [f"removed-key-set-{key}" for key in REMOVED_KEYS]
+  + [f"removed-key-config-{key}" for key in REMOVED_KEYS])
 def test_config_and_argument_errors_exit_2(tmp_path, capsys, args, fragment):
     write_cfg(tmp_path, "nx = 12\nsteps 4\n")
-    write_cfg(tmp_path, "solver_tol = 1e-8\nconsistent_init = false\n",
+    write_cfg(tmp_path, "".join(f"{key} = {value}\n"
+                                for key, value in REMOVED_KEYS.items()),
               "removed.txt")
     where = {"OUT": ["--out", str(tmp_path / "run")],
              "CFG": [str(tmp_path / "cfg.txt")],

@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,15 +10,11 @@ from hallsim import (CurrentField, LinkField, Params, SimState, Workspace,
                      current_density, dense_hamiltonian, gaussian_packet,
                      initialize_consistent, link_phases, site_gradient,
                      uniform_state)
+from hallsim import diagnostics, domain
 from hallsim.diagnostics import edge_fraction_of, gauss_residual, record_state
 
 from conftest import continuity_of_states
 from test_dynamics import masked_domains, random_fields
-
-
-def row(s, k=3, rho_star=1e-4, b_star=1e-4):
-    """The diagnostics record of one state, as diagnostics.csv gets it."""
-    return record_state(s, k, rho_star, b_star)
 
 
 def test_gauss_scalar_consistent_state(params):
@@ -50,22 +47,22 @@ def test_global_sigma_consistent_uniform():
         d = build_rectangle(32, 32, 1.0, [])
         p = Params(sigma_h=sh, dt=0.05)
         s = initialize_consistent(d, uniform_state(d, norm=1.0), p)
-        assert row(s).sigma_est == pytest.approx(sh, abs=1e-8)
+        assert record_state(s).sigma_est == pytest.approx(sh, abs=1e-8)
 
 
 def test_global_sigma_missing_for_zero_state(rect12, params):
     s = SimState(rect12, params, np.zeros((12, 12), dtype=complex),
                  LinkField.zeros(rect12))
-    assert row(s).sigma_est is None
+    assert record_state(s).sigma_est is None
 
 
 def test_global_sigma_scale_invariance(params):
     d = build_rectangle(16, 16, 1.0, [])
     s = initialize_consistent(d, uniform_state(d, norm=1.0), params)
-    est1 = row(s).sigma_est
+    est1 = record_state(s).sigma_est
     s2 = SimState(d, params, np.sqrt(2.0) * s.psi,
                   LinkField(2.0 * s.a.a1, 2.0 * s.a.a2))
-    assert row(s2).sigma_est == pytest.approx(est1, rel=1e-12)
+    assert record_state(s2).sigma_est == pytest.approx(est1, rel=1e-12)
 
 
 def test_continuity_static_zero(rect12, params):
@@ -123,7 +120,7 @@ def test_continuity_second_order_convergence():
 
 def test_pure_gauge_residual_examples(rect12, params, rng):
     def pure_gauge_max(a):
-        return row(SimState(rect12, params, None, a)).pure_gauge_max
+        return record_state(SimState(rect12, params, None, a)).pure_gauge_max
 
     lam = rng.integers(-4, 4, size=(12, 12)).astype(float)
     g1, g2 = site_gradient(lam, rect12)
@@ -143,7 +140,8 @@ def test_edge_fraction_rim_only_current(corbino32, params):
     j1[(bm[:-1, :] & bm[1:, :]) & corbino32.h_active] = 1.0
     j2[(bm[:, :-1] & bm[:, 1:]) & corbino32.v_active] = 1.0
     j = CurrentField(j1, j2)
-    assert edge_fraction_of(j, corbino32, 1) == 1.0
+    with mock.patch.object(domain, "EDGE_WIDTH", 1):
+        assert edge_fraction_of(j, corbino32) == 1.0
 
 
 def test_edge_fraction_uniform_current_counting():
@@ -153,7 +151,8 @@ def test_edge_fraction_uniform_current_counting():
     j = CurrentField(np.ones((19, 20)) * d.h_active,
                      np.ones((20, 19)) * d.v_active)
     k = 2
-    got = edge_fraction_of(j, d, k)
+    with mock.patch.object(domain, "EDGE_WIDTH", k):
+        got = edge_fraction_of(j, d)
 
     dist = d.boundary_distance
     count_near = 0
@@ -176,7 +175,7 @@ def test_edge_fraction_uniform_current_counting():
 def test_edge_fraction_missing_for_zero_current(rect12, params):
     s = SimState(rect12, params, np.zeros((12, 12), dtype=complex),
                  LinkField.zeros(rect12))
-    assert row(s).edge_fraction is None
+    assert record_state(s).edge_fraction is None
 
 
 def test_edge_fraction_monotone_in_k(params, rng):
@@ -185,7 +184,10 @@ def test_edge_fraction_monotone_in_k(params, rng):
     a = LinkField(rng.normal(size=(23, 24)) * 0.1 * d.h_active,
                   rng.normal(size=(24, 23)) * 0.1 * d.v_active)
     s = SimState(d, params, psi, a)
-    vals = [row(s, k).edge_fraction for k in range(1, 12)]
+    vals = []
+    for k in range(1, 12):
+        with mock.patch.object(domain, "EDGE_WIDTH", k):
+            vals.append(record_state(s).edge_fraction)
     assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
     assert vals[-1] == pytest.approx(1.0)
 
@@ -194,31 +196,31 @@ def test_breakdown_indicator_regimes(params):
     d = build_rectangle(24, 24, 1.0, [])
     s0 = SimState(d, params, np.zeros((d.nx, d.ny), dtype=complex),
                   LinkField.zeros(d))
-    assert row(s0).breakdown is False
+    assert record_state(s0).breakdown is False
 
     dense = initialize_consistent(d, gaussian_packet(d, (11.5, 11.5), 3.0, norm=10.0),
                                   params)
-    interior = d.active & (d.boundary_distance > 3)
+    interior = d.active & (d.boundary_distance > domain.EDGE_WIDTH)
     assert (np.abs(dense.psi[interior]) ** 2).mean() > 1e-4
-    assert row(dense).breakdown is True
+    assert record_state(dense).breakdown is True
 
     from hallsim import build_corbino, rim_pair_state
     dc = build_corbino(32, 1.0, 5.0, 14.0)
     edge = initialize_consistent(dc, rim_pair_state(dc, params, norm=1e-6), params)
-    assert row(edge).breakdown is False
+    assert record_state(edge).breakdown is False
 
 
 def test_diagnostics_gauge_invariant(params, rng):
     d = build_rectangle(16, 16, 1.0, [])
     s = initialize_consistent(
         d, gaussian_packet(d, (7.5, 7.5), 2.0, (0.3, 0.0), norm=1.0), params)
-    base = row(s)
+    base = record_state(s)
     for _ in range(5):
         lam = rng.normal(size=(16, 16)) * 2.0
         lam[d.boundary_mask] = 0.0
         lam[~d.active] = 0.0
         a2, psi2 = apply_gauge(s.a, s.psi, lam, d, params)
-        got = row(SimState(d, params, psi2, a2))
+        got = record_state(SimState(d, params, psi2, a2))
         assert got.gauss_rel == pytest.approx(base.gauss_rel, abs=1e-12)
         for name in ("sigma_est", "B_mean", "edge_fraction", "pure_gauge_max"):
             assert getattr(got, name) == pytest.approx(getattr(base, name),
@@ -260,7 +262,10 @@ def test_record_state_matches_definitions(d, dx, seed, k, floor_at, rho_at,
     floor = floor_at * abs(float(b_mean))
     rho_star, b_star = rho_at * float(rho_in), b_at * float(pure)
 
-    rec = record_state(SimState(d, p, psi, a), k, rho_star, b_star, floor)
+    with mock.patch.multiple(diagnostics, SIGMA_FLOOR=floor, RHO_STAR=rho_star,
+                             B_STAR=b_star), \
+            mock.patch.object(domain, "EDGE_WIDTH", k):
+        rec = record_state(SimState(d, p, psi, a))
     assert rec.norm == pytest.approx(norm, rel=1e-12)
     assert rec.n_global == pytest.approx(n_global, rel=1e-12)
     assert rec.B_mean == pytest.approx(b_mean, rel=1e-9, abs=1e-14)

@@ -15,7 +15,7 @@ from hallsim.fields import current_density, link_phases, stencil_matrix
 
 def norm(s):
     """The norm column of the state's diagnostics row."""
-    return record_state(s, 3, 1e-4, 1e-4).norm
+    return record_state(s).norm
 
 
 def test_hamiltonian_zero_potential_constant_psi_interior(params):
@@ -187,7 +187,7 @@ def test_initialize_consistent_uniform_density():
 
 def test_initialize_consistent_rim_supported_pure_gauge_interior(corbino32, params):
     from hallsim import rim_pair_state
-    psi0 = rim_pair_state(corbino32, params, norm=1.0, band=3)
+    psi0 = rim_pair_state(corbino32, params, norm=1.0)
     s = initialize_consistent(corbino32, psi0, params)
     _, rel = gauss_residual(s)
     assert rel <= 1e-10
@@ -198,7 +198,7 @@ def test_initialize_consistent_rim_supported_pure_gauge_interior(corbino32, para
     deep &= far[:-1, :-1] & far[1:, :-1] & far[:-1, 1:] & far[1:, 1:]
     if deep.any():
         curl = plaquette_curl(s.a, corbino32)
-        pure = record_state(s, 3, 1e-4, 1e-4).pure_gauge_max
+        pure = record_state(s).pure_gauge_max
         assert np.abs(curl[deep]).max() <= 1e-12 * pure
 
 

@@ -1,5 +1,7 @@
 """Rim states and band limits from the rotation sectors of the free H."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -152,9 +154,11 @@ def test_rim_state_independent_of_eigenvalue_roundoff(domain, band, monkeypatch)
 
     def rim():
         try:
-            return rim_pair_state(d, P, norm=1.0, band=band)
+            return rim_pair_state(d, P, norm=1.0)
         except DomainError as err:
             return str(err)
+
+    monkeypatch.setattr("hallsim.domain.EDGE_WIDTH", band)
 
     ref = rim()
     rng = np.random.default_rng(3)
@@ -202,12 +206,13 @@ def test_sector_modes_match_dense_oracle(d, seed, band):
     rim, clear = dense_rim_oracle(d, w, V, sites, band)
     if not clear:
         return
-    if rim is None:
-        with pytest.raises(DomainError, match="rim"):
-            rim_pair_state(d, P, norm=1.0, band=band)
-    else:
-        got = rim_pair_state(d, P, norm=1.0, band=band)
-        assert sign_matched_overlap(rim, got) >= 1 - 1e-12
+    with mock.patch("hallsim.domain.EDGE_WIDTH", band):
+        if rim is None:
+            with pytest.raises(DomainError, match="rim"):
+                rim_pair_state(d, P, norm=1.0)
+        else:
+            got = rim_pair_state(d, P, norm=1.0)
+            assert sign_matched_overlap(rim, got) >= 1 - 1e-12
 
 
 def test_dense_block_cap_applies_per_sector():

@@ -258,7 +258,7 @@ def test_config_parse_and_defaults():
     """))
     assert cfg.nx == 16 and cfg.steps == 10
     assert cfg.sigma_h == 1.0
-    assert cfg.edge_k == 3
+    assert cfg.record_every == 1
 
 
 def test_config_unknown_key():
@@ -272,7 +272,7 @@ def test_config_reports_all_problems():
     # a non-finite float is rejected like any other bad value, never
     # replaced by the key's default
     bad = {"sigma_h": "0", "dx": "-1", "steps": "abc", "dt": "nan",
-           "psi0_width": "nan", "rho_star": "inf", "flux": "-inf"}
+           "psi0_width": "nan", "hbar": "inf", "flux": "-inf"}
     with pytest.raises(ConfigError) as err:
         build_config(bad)
     assert len(err.value.problems) >= 3
@@ -323,10 +323,7 @@ NON_DEFAULT = {
     "psi0_width": {"psi0_width": "2.5"}, "psi0_kx": {"psi0_kx": "0.25"},
     "psi0_ky": {"psi0_ky": "-0.5"}, "psi0_norm": {"psi0_norm": "2.0"},
     "psi0_ecut": {"psi0_ecut": "3.0"}, "psi0_file": {"psi0_file": "a b.txt"},
-    "rim_band": {"rim_band": "2"},
-    "flux": {"flux": "0.5"}, "edge_k": {"edge_k": "2"},
-    "rho_star": {"rho_star": "1e-3"}, "b_star": {"b_star": "2e-3"},
-    "sigma_floor": {"sigma_floor": "1e-10"},
+    "flux": {"flux": "0.5"},
 }
 
 
