@@ -10,10 +10,11 @@ holonomies, and edge/bulk regime diagnostics.
 
 import os
 
-# One BLAS thread unless the user chose otherwise: the Cayley solve's
-# zaxpy/zscal on one lattice vector run several times slower threaded.
-# OpenBLAS reads this when its library loads, so it is set before the
-# imports below load numpy's, and scipy.linalg's later on.
+# One BLAS thread unless the user chose otherwise: the only BLAS calls of a
+# step are the Cayley solve's np.vdot on one lattice vector, which threads
+# do not speed up but which then take twice the CPU time.  OpenBLAS reads
+# this when its library loads, so it is set before the imports below load
+# numpy's.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"

@@ -46,10 +46,9 @@ of A_half once and passes them to both the Cayley solve and j_mid.  How
 A_half was predicted does not enter, so the predictor leaves Gauss
 preservation as it is.
 
-A run keeps one Workspace for all its steps: the five-diagonal matrix of H,
-whose entries each step rewrites in place, and the Krylov vectors and BLAS
-kernels of the Cayley solve.  A step's result does not depend on the
-workspace it is given.
+A run keeps one Workspace for all its steps: the five-point stencil of H,
+whose entries each step rewrites in place, and the vectors of the Cayley
+solve.  A step's result does not depend on the workspace it is given.
 
 The initial potential meets the Gauss constraint through a plaquette stream
 function, the solution of a Poisson problem on the counted plaquettes.  It
@@ -66,9 +65,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import Domain
-from .fields import (CurrentField, LinkField, charge_density, current_density,
-                     density_to_plaquettes, j1_at_vlinks, j2_at_hlinks,
-                     link_phases, stencil_matrix)
+from .fields import (CurrentField, LinkField, Stencil, charge_density,
+                     current_density, density_to_plaquettes, j1_at_vlinks,
+                     j2_at_hlinks, link_phases, stencil_matrix)
 
 
 class SolverError(RuntimeError):
@@ -128,15 +127,17 @@ class SimState:
     rate: LinkField | None = None
 
 
-def _h_matrix(phases, d: Domain, p: Params, out=None):
+def _h_matrix(phases, d: Domain, p: Params,
+              h: Stencil | None = None) -> Stencil:
     """H over the whole grid; the phases and Domain.degree vanish off-domain.
 
-    With out (a complex H of the same grid), its entries are rewritten."""
-    pref = p.hbar ** 2 / (2.0 * p.mu * d.dx ** 2)
-    return stencil_matrix((d.nx, d.ny), *phases, d.degree, pref, out=out)
+    With h (a complex stencil of the same grid), its entries are rewritten."""
+    args = (*phases, d.degree, p.hbar ** 2 / (2.0 * p.mu * d.dx ** 2))
+    return stencil_matrix((d.nx, d.ny), *args) if h is None else h.fill(*args)
 
 
-def make_hamiltonian(phases, d: Domain, p: Params, out=None):
+def make_hamiltonian(phases, d: Domain, p: Params,
+                     work: Workspace | None = None):
     """Closure applying H for fixed link phases (u1, u2) from link_phases.
 
     The kinetic Hamiltonian with Peierls link phases and reflecting
@@ -150,15 +151,18 @@ def make_hamiltonian(phases, d: Domain, p: Params, out=None):
     neighbor to x).  Hermitian, and gauge-covariant under apply_gauge.
 
     H is fields.stencil_matrix with hops u, diagonal Domain.degree and scale
-    hbar^2 / 2 mu dx^2, built once per call, into the matrix `out` when
-    given (Workspace.h): an apply is one compiled sparse product over the
-    flattened grid that allocates only its result, and H maps onto active
-    sites without a separate mask.
+    hbar^2 / 2 mu dx^2, built once per call, and H maps onto active sites
+    without a separate mask.  Without `work` every apply returns a new
+    array.  With a Workspace, H is written into its stencil work.h and every
+    apply into work.hq, which the next apply overwrites.
     """
-    h = _h_matrix(phases, d, p, out)
+    if work is None:
+        h, out = _h_matrix(phases, d, p), None
+    else:
+        h, out = _h_matrix(phases, d, p, work.h), work.hq
 
     def apply_h(v: np.ndarray) -> np.ndarray:
-        return (h @ v.ravel()).reshape(v.shape)
+        return h.apply(v, out)
 
     return apply_h
 
@@ -172,32 +176,33 @@ def dense_hamiltonian(phases, d: Domain, p: Params):
     as the link masks (d.h_active, d.v_active) of the zero potential, give a
     real matrix.  Intended for small domains (the tests' eigensolve oracle).
     """
-    keep = np.flatnonzero(d.active)
-    H = _h_matrix(phases, d, p).tocsr()[keep][:, keep]
-    return H.toarray(), np.argwhere(d.active)
+    rows, cols, vals = _h_matrix(phases, d, p).entries()
+    keep = d.active.ravel()
+    pos = np.cumsum(keep) - 1               # basis index of an active site
+    on = keep[rows] & keep[cols]
+    H = np.zeros((int(keep.sum()),) * 2, dtype=vals.dtype)
+    H[pos[rows[on]], pos[cols[on]]] = vals[on]
+    return H, np.argwhere(d.active)
 
 
 class Workspace:
     """The arrays one run reuses in every matter step, for one grid.
 
-    h is the complex five-diagonal matrix of H, which make_hamiltonian
-    rewrites in place; r and q are the residual and direction vectors of
-    cayley_step, zaxpy and zscal its BLAS kernels.  (Its iterate y becomes
-    the new state, so each step allocates that one.)  A step rewrites the
-    entries of H and the vectors before it reads them, so its result does
-    not depend on the workspace's history.  Building one imports
-    scipy.linalg, so a run that builds its workspace before the first step
-    imports nothing while stepping.
+    h is the complex stencil of H, which make_hamiltonian rewrites in place,
+    and hq receives its applies; r and q are the residual and direction
+    vectors of cayley_step, and t holds the products of its vector updates.
+    (Its iterate y becomes the new state, so each step allocates that one.)
+    A step rewrites the entries of H and the vectors before it reads them,
+    so its result does not depend on the workspace's history.  The updates
+    are numpy ufuncs into these buffers; the only BLAS calls of a step are
+    the inner products of np.vdot.
     """
 
     def __init__(self, d: Domain):
-        from scipy.linalg.blas import zaxpy, zscal
-
         shape = (d.nx, d.ny)
-        self.zaxpy, self.zscal = zaxpy, zscal
-        self.h = stencil_matrix(shape, 0j, 0j, 0.0, 0.0)
-        self.r, self.q = (np.empty(shape, dtype=np.complex128)
-                          for _ in range(2))
+        self.h = Stencil(shape, np.complex128)
+        self.hq, self.r, self.q, self.t = (
+            np.empty(shape, dtype=np.complex128) for _ in range(4))
 
 
 def cayley_step(psi: np.ndarray, phases, d: Domain, p: Params, dt: float,
@@ -223,12 +228,11 @@ def cayley_step(psi: np.ndarray, phases, d: Domain, p: Params, dt: float,
     if that takes more than solver_maxiter iterations or the state or
     residual turns non-finite.
     """
-    apply_h = make_hamiltonian(phases, d, p, work.h)
+    apply_h = make_hamiltonian(phases, d, p, work)
     alpha = dt / (2.0 * p.hbar)
-    zaxpy, zscal, r, q = work.zaxpy, work.zscal, work.r, work.q
+    r, q, t = work.r, work.q, work.t
 
-    # residual of y = 0, that is psi on active sites and 0 elsewhere; the
-    # buffers are C ordered, so ravel() below gives views for BLAS
+    # residual of y = 0, that is psi on active sites and 0 elsewhere
     r.fill(0.0)
     np.copyto(r, psi, where=d.active)
     rr = np.vdot(r, r).real
@@ -238,7 +242,6 @@ def cayley_step(psi: np.ndarray, phases, d: Domain, p: Params, dt: float,
         return np.zeros_like(psi)
     y = np.zeros_like(r)
     np.copyto(q, r)
-    r1, y1, q1 = r.ravel(), y.ravel(), q.ravel()
     res, tol = 2.0 * np.sqrt(rr), CAYLEY_TOL * np.sqrt(rr)
     for it in range(p.solver_maxiter):
         hq = apply_h(q)
@@ -252,9 +255,11 @@ def cayley_step(psi: np.ndarray, phases, d: Domain, p: Params, dt: float,
         size = abs(pivot)
         phase = pivot.conjugate() / size            # 1/pivot = phase/size
         step = (rr / size) * phase
-        zaxpy(q1, y1, a=step)                       # y += step q
-        zaxpy(q1, r1, a=-step)                      # r -= step (1 + i alpha H) q
-        zaxpy(hq.ravel(), r1, a=-1j * alpha * step)
+        np.multiply(q, step, out=t)
+        y += t                                      # y += step q
+        r -= t                                      # r -= step (1 + i alpha H) q
+        np.multiply(hq, -1j * alpha * step, out=t)
+        r += t
         rr_new = np.vdot(r, r).real
         res = 2.0 * np.sqrt(rr_new)
         if res <= tol:
@@ -265,8 +270,8 @@ def cayley_step(psi: np.ndarray, phases, d: Domain, p: Params, dt: float,
             raise SolverError(f"matter step: non-finite residual {res} "
                               f"after {it + 1} iterations")
         # q = r - (rr_new/rr) conj(pivot)/pivot q
-        zscal(-(rr_new / rr) * phase * phase, q1)
-        zaxpy(r1, q1)
+        q *= -(rr_new / rr) * phase * phase
+        q += r
         rr = rr_new
     raise SolverError(
         f"matter step did not converge: residual {res:.3e} > {tol:.3e} "
@@ -400,16 +405,13 @@ def initialize_consistent(d: Domain, psi0: np.ndarray, p: Params) -> SimState:
 
     full_inverse = _dirichlet_inverse(m, n, d.dx)
 
-    def apply_neg_lap(v):
-        return (neg_lap @ v.ravel()).reshape(m, n)
-
     def precondition(r):
         return np.multiply(full_inverse(r), mask)
 
     b = -target
     bnorm = np.linalg.norm(b)
     chi = precondition(b)
-    r = b - apply_neg_lap(chi)
+    r = b - neg_lap.apply(chi)
     tmp = np.empty_like(r)
     direction = rz = None
     it = 0
@@ -418,7 +420,7 @@ def initialize_consistent(d: Domain, psi0: np.ndarray, p: Params) -> SimState:
         if rel <= 1e-13:
             break
         if it >= p.solver_maxiter or not np.isfinite(rel):
-            res = np.linalg.norm(b - apply_neg_lap(chi)) / bnorm
+            res = np.linalg.norm(b - neg_lap.apply(chi)) / bnorm
             raise SolverError(
                 f"consistent initialization: Poisson CG solve did not converge: "
                 f"relative residual {res:.3e} after {it} iterations")
@@ -430,7 +432,7 @@ def initialize_consistent(d: Domain, psi0: np.ndarray, p: Params) -> SimState:
             direction *= rz_new / rz
             direction += z
         rz = rz_new
-        q = apply_neg_lap(direction)
+        q = neg_lap.apply(direction)
         step = rz / np.vdot(direction, q)
         chi += np.multiply(direction, step, out=tmp)
         r -= np.multiply(q, step, out=tmp)

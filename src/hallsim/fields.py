@@ -161,45 +161,109 @@ def charge_density(psi: np.ndarray, d: Domain, p) -> np.ndarray:
     return p.e * site_density(psi, d)
 
 
-def stencil_matrix(shape, hop1, hop2, diag, scale, out=None):
+# Sites per block of Stencil.apply.  A block's slices of the argument, the
+# result, the product and one coefficient row take 16 bytes each per site at
+# complex128, 1 MB in all, so they stay in a 2 MB L2 cache while the block's
+# five terms are summed (loop tiling: Wolf & Lam, PLDI 1991).
+BLOCK_SITES = 16384
+
+
+class Stencil:
+    """A five-point lattice operator M on the cells of a grid, row-major.
+
+    coef keeps M in the storage of a diagonal sparse matrix: row k holds at
+    column c the entry M[c - offsets[k], c], with offsets (ny, -ny, 1, -1, 0)
+    for the neighbours along e1 and e2 and the diagonal.  The entries that
+    would couple the end of one grid row to the start of the next are zero.
+    stencil_matrix assembles one; fill rewrites its entries in place, so a
+    caller that rebuilds the operator each step keeps one.
+    """
+
+    def __init__(self, shape, dtype):
+        nx, ny = shape
+        n = nx * ny
+        self.shape = (nx, ny)
+        self.offsets = (ny, -ny, 1, -1, 0)
+        self.coef = np.zeros((5, n), dtype=dtype)
+        # apply's plan, one entry per block of rows [s, e): the diagonal's
+        # coefficients and, per neighbour, its coefficients (views that
+        # fill keeps current), the rows [lo, hi) that have that neighbour
+        # and its offset
+        self._blocks = []
+        for s in range(0, n, BLOCK_SITES):
+            e = min(s + BLOCK_SITES, n)
+            terms = []
+            for coef, off in zip(self.coef[:4], self.offsets[:4]):
+                lo, hi = max(s, -off), min(e, n - off)
+                if lo < hi:
+                    terms.append((coef[lo + off:hi + off], lo, hi, off))
+            self._blocks.append((self.coef[4, s:e], s, e, terms))
+
+    def fill(self, hop1, hop2, diag, scale) -> "Stencil":
+        """Rewrite the entries to scale * (diag - hops); returns self.
+
+        For c' = c + e1, M[c', c] = -scale hop1[c] and M[c, c'] is its
+        conjugate; likewise hop2 along e2; M[c, c] = scale diag[c].  Scalars
+        broadcast; every input is multiplied straight into coef, so no
+        temporary is formed.  The inputs' result type must cast safely into
+        coef's dtype (real hops into a complex stencil, say), and an array
+        diag must have the stencil's shape; otherwise ValueError.
+        """
+        dtype = np.result_type(hop1, hop2, diag, scale)
+        grid = np.shape(diag) or self.shape
+        if grid != self.shape or not np.can_cast(dtype, self.coef.dtype):
+            raise ValueError(f"out: a {self.coef.dtype} stencil over the cells "
+                             f"of {self.shape}, expected one over the cells of "
+                             f"{grid} that holds {dtype} entries")
+        c = self.coef.reshape(5, *self.shape)           # a view: the zeros stay
+        np.multiply(hop1, -scale, out=c[1, :-1, :])     # M[x + e1, x]
+        np.conjugate(c[1, :-1, :], out=c[0, 1:, :])     # M[x, x + e1]
+        np.multiply(hop2, -scale, out=c[3, :, :-1])     # M[x + e2, x]
+        np.conjugate(c[3, :, :-1], out=c[2, :, 1:])     # M[x, x + e2]
+        np.multiply(diag, scale, out=c[4])
+        return self
+
+    def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """M x for a C-contiguous array x of the grid's nx*ny values.
+
+        The result has x's shape and goes to out (C-contiguous) when given.
+        The sites go through in blocks of BLOCK_SITES: each block's row of
+        M x is the diagonal term plus the four neighbour terms, each product
+        formed in one block-sized buffer.
+        """
+        xf = x.reshape(-1)
+        if out is None:
+            out = np.empty(x.shape, dtype=np.result_type(self.coef, x))
+        y = out.reshape(-1)
+        tmp = np.empty(min(BLOCK_SITES, y.size), dtype=y.dtype)
+        for diag, s, e, terms in self._blocks:
+            np.multiply(diag, xf[s:e], out=y[s:e])
+            for coef, lo, hi, off in terms:
+                t = tmp[:hi - lo]
+                np.multiply(coef, xf[lo + off:hi + off], out=t)
+                y[lo:hi] += t
+        return out
+
+    def entries(self) -> tuple:
+        """(rows, cols, values) of the nonzero entries, flat cell indices."""
+        n = self.coef.shape[1]
+        parts = []
+        for coef, off in zip(self.coef, self.offsets):
+            cols = np.arange(max(0, off), min(n, n + off))
+            vals = coef[cols]
+            nz = vals != 0
+            parts.append((cols[nz] - off, cols[nz], vals[nz]))
+        return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def stencil_matrix(shape, hop1, hop2, diag, scale) -> Stencil:
     """scale * (diag - hops): the one assembler of five-point lattice stencils.
 
-    A scipy dia_matrix over the cells of `shape`, flattened row-major.  For
-    c' = c + e1, M[c', c] = -scale hop1[c] and M[c, c'] is its conjugate;
-    likewise hop2 along e2, never across the end of a grid row; M[c, c] =
-    scale diag[c].  Scalars broadcast; every input is multiplied straight
-    into the diagonal array, so no temporary is formed.
-
-    With `out`, a matrix this function returned for the same shape and a
-    dtype the inputs' result type casts into safely (real hops into a
-    complex matrix, say), every entry of out is rewritten in place and out
-    is returned: a caller that rebuilds the stencil each step keeps one
-    matrix.
+    A Stencil over the cells of `shape` whose dtype is the inputs' result
+    type; see Stencil.fill for the entries.
     """
-    from scipy.sparse import dia_matrix
-
-    nx, ny = shape
-    n = nx * ny
-    # diagonal k holds at column c the entry M[c - offsets[k], c]
-    offsets = (ny, -ny, 1, -1, 0)
     dtype = np.result_type(hop1, hop2, diag, scale)
-    if out is None:
-        diags = np.zeros((5, nx, ny), dtype=dtype)
-    elif (out.shape != (n, n) or tuple(out.offsets) != offsets
-          or not np.can_cast(dtype, out.dtype)):
-        raise ValueError(f"out: a {out.dtype} stencil of shape {out.shape}, "
-                         f"expected one over the cells of {tuple(shape)} "
-                         f"that holds {dtype} entries")
-    else:
-        diags = out.data.reshape(5, nx, ny)     # a view: the zeros stay
-    np.multiply(hop1, -scale, out=diags[1, :-1, :])       # M[x + e1, x]
-    np.conjugate(diags[1, :-1, :], out=diags[0, 1:, :])   # M[x, x + e1]
-    np.multiply(hop2, -scale, out=diags[3, :, :-1])       # M[x + e2, x]
-    np.conjugate(diags[3, :, :-1], out=diags[2, :, 1:])   # M[x, x + e2]
-    np.multiply(diag, scale, out=diags[4])
-    if out is not None:
-        return out
-    return dia_matrix((diags.reshape(5, n), offsets), shape=(n, n))
+    return Stencil(shape, dtype).fill(hop1, hop2, diag, scale)
 
 
 def density_to_plaquettes(rho: np.ndarray, d: Domain) -> np.ndarray:

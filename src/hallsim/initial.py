@@ -61,17 +61,30 @@ def uniform_state(d: Domain, norm: float = 1.0) -> np.ndarray:
 class Sector(NamedTuple):
     """Eigenmodes of one rotation sector m of the free Hamiltonian.
 
-    basis is the sparse (grid sites x orbits) matrix B_m, flat grid indices
-    by row; its column for the orbit s, Rs, R^2 s, ... holds
-    i^(-mk)/sqrt(|orbit|) at R^k s.  w and V are the eigenvalues and
-    eigenvectors (orbits x modes) of the block B_m^H H B_m, so basis @ V
-    holds full-grid eigenvectors of H.  reps are the flat grid indices of
-    the orbits' first sites.
+    The (grid sites x orbits) basis matrix B_m has its column for the orbit
+    s, Rs, R^2 s, ... equal to i^(-mk)/sqrt(|orbit|) at R^k s, so each row
+    has at most one nonzero: the flat grid site c lies in column col[c]
+    (-1 when the sector's basis leaves it out) with amplitude amp[c] (0
+    there).  w and V are the eigenvalues and eigenvectors (orbits x modes)
+    of the block B_m^H H B_m, so expand(V[:, k]) is a full-grid eigenvector
+    of H.  reps are the flat grid indices of the orbits' first sites.
     """
-    basis: object
+    col: np.ndarray
+    amp: np.ndarray
     reps: np.ndarray
     w: np.ndarray
     V: np.ndarray
+
+    def expand(self, v: np.ndarray) -> np.ndarray:
+        """B_m v: the flat grid vector of orbit coefficients v."""
+        return np.where(self.col >= 0, self.amp * v[self.col], 0.0)
+
+    def project(self, psi: np.ndarray) -> np.ndarray:
+        """B_m^H psi: the orbit coefficients of a flat grid vector."""
+        on = self.col >= 0
+        out = np.zeros(len(self.w), dtype=np.result_type(self.amp, psi))
+        np.add.at(out, self.col[on], self.amp[on].conj() * psi[on])
+        return out
 
 
 def _orbits(d: Domain) -> np.ndarray:
@@ -100,10 +113,10 @@ def _free_modes(d: Domain, p: Params, purpose: str) -> list:
     not solved again.  The trivial group is the same loop with one orbit per
     site and one sector, the dense H itself.  Each block is eigensolved
     densely; the largest (sector 0, one row per orbit) is capped at
-    MAX_BLOCK_SITES.  `purpose` names the caller in the error.
+    MAX_BLOCK_SITES.  `purpose` names the caller in the error.  A block
+    entry sums conj(amp) H amp over the nonzero entries of H whose two
+    sites are in the sector's basis.
     """
-    from scipy.sparse import coo_matrix
-
     orbits = _orbits(d)
     n_orbits, g = orbits.shape
     if n_orbits > MAX_BLOCK_SITES:
@@ -114,7 +127,7 @@ def _free_modes(d: Domain, p: Params, purpose: str) -> list:
     full = (orbits[:, 1:] != orbits[:, :1]).all(axis=1)
     # sqrt(|orbit|)/g per listed image: the centre's g images sum to 1
     scale = np.where(full, 1.0 / np.sqrt(g), 1.0 / g)[:, None]
-    h = _h_matrix((d.h_active, d.v_active), d, p)
+    rows, cols, vals = _h_matrix((d.h_active, d.v_active), d, p).entries()
     sectors = []
     for m in range(g):
         keep = full | (m == 0)
@@ -122,15 +135,22 @@ def _free_modes(d: Domain, p: Params, purpose: str) -> list:
         phase = _I_POW[(m * np.arange(g)) % 4]
         if (2 * m) % g == 0:
             phase = phase.real
-        basis = coo_matrix(((scale[keep] * phase).ravel(),
-                            (orbits[keep].ravel(), np.repeat(np.arange(n), g))),
-                           shape=(d.nx * d.ny, n)).tocsr()
+        col = np.full(d.nx * d.ny, -1)
+        col[orbits[keep]] = np.arange(n)[:, None]
+        amp = np.zeros(d.nx * d.ny, dtype=phase.dtype)
+        # the centre of an odd C4 grid is listed g times: its images sum
+        np.add.at(amp, orbits[keep], scale[keep] * phase)
         partner = (-m) % g
         if partner < m:
             w, V = sectors[partner].w, sectors[partner].V.conj()
         else:
-            w, V = np.linalg.eigh((basis.conj().T @ (h @ basis)).toarray())
-        sectors.append(Sector(basis, orbits[keep, 0], w, V))
+            on = (col[rows] >= 0) & (col[cols] >= 0)
+            r, c = rows[on], cols[on]
+            block = np.zeros((n, n), dtype=np.result_type(amp, vals))
+            np.add.at(block, (col[r], col[c]),
+                      amp[r].conj() * vals[on] * amp[c])
+            w, V = np.linalg.eigh(block)
+        sectors.append(Sector(col, amp, orbits[keep, 0], w, V))
     return sectors
 
 
@@ -143,7 +163,7 @@ def band_limited(psi: np.ndarray, d: Domain, p: Params, ecut: float,
     frequency of the evolving bilinears satisfies omega * dt << 1 and the
     second-order time-discretization diagnostics sit far below their
     tolerances.  The projector is summed sector by sector,
-    sum_m B_m V_keep V_keep^H B_m^H psi (see _free_modes).
+    sum_m B_m V_keep V_keep^H B_m^H psi (see _free_modes and Sector).
     """
     if ecut <= 0:
         raise ValueError("ecut must be positive")
@@ -154,7 +174,7 @@ def band_limited(psi: np.ndarray, d: Domain, p: Params, ecut: float,
     out = np.zeros(d.nx * d.ny, dtype=np.complex128)
     for s in sectors:
         V = s.V[:, s.w <= ecut]
-        out += s.basis @ (V @ (V.conj().T @ (s.basis.conj().T @ vec)))
+        out += s.expand(V @ (V.conj().T @ s.project(vec)))
     return normalize(out.reshape(d.nx, d.ny), d, norm)
 
 
@@ -213,7 +233,7 @@ def rim_pair_state(d: Domain, p: Params, norm: float = 1.0) -> np.ndarray:
             f"no degenerate rim-localized eigenpair found (best rim weight "
             f"{max(score[i], 0.0):.3f} < {MIN_RIM_WEIGHT}); change the domain")
 
-    u, v = (sectors[which[k]].basis @ sectors[which[k]].V[:, col[k]]
+    u, v = (sectors[which[k]].expand(sectors[which[k]].V[:, col[k]])
             for k in order[i:i + 2])
     # a complex sector vector circulates already, its partner is its conjugate
     vec = u if np.iscomplexobj(u) else (u + 1j * v) / np.sqrt(2.0)

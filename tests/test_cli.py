@@ -629,19 +629,21 @@ def watched(*args):
 hallsim.cli.advance = watched
 rc = hallsim.cli.main(sys.argv[1:])
 print(json.dumps({"rc": rc, "steps": len(steps), "in_steps": imported,
-                  "solver_modules": sorted(
-                      m for m in sys.modules
-                      if m.startswith(("scipy.fft", "scipy.sparse.linalg")))}))
+                  "scipy_modules": sorted(
+                      m for m in sys.modules if m.startswith("scipy"))}))
 """
 
 
 @pytest.mark.parametrize("config", [
     TWO_HOLE_CFG,
     "shape = corbino\nn = 32\nr_inner = 5\nr_outer = 14\nsteps = 6\n"
-    "record_every = 2\npsi0 = rim\nflux = 0.3\n"])
+    "record_every = 2\npsi0 = rim\nflux = 0.3\n",
+    "nx = 24\nny = 20\nholes = 8,6,4,4\nsteps = 4\nrecord_every = 2\n"
+    "psi0 = gaussian\npsi0_width = 2.5\npsi0_kx = 0.2\npsi0_ecut = 0.5\n"])
 def test_simulate_imports_nothing_while_stepping(tmp_path, config):
     # in a fresh interpreter: every module a run needs is loaded in set-up,
-    # and the consistent init needs neither scipy.fft nor scipy.sparse.linalg
+    # and no scipy module is loaded at all, on the rectangle, the rim state
+    # and the band limit (psi0_ecut)
     import json
     import os
     import subprocess
@@ -656,14 +658,14 @@ def test_simulate_imports_nothing_while_stepping(tmp_path, config):
     got = json.loads(proc.stdout.splitlines()[-1])
     assert got["rc"] == 0 and got["steps"] > 0
     assert got["in_steps"] == []
-    assert got["solver_modules"] == []
+    assert got["scipy_modules"] == []
 
 
 BLAS_THREADS = """
 import ctypes, json
 import hallsim.cli
 from hallsim import Workspace, build_rectangle
-Workspace(build_rectangle(4, 4, 1.0, []))     # loads scipy's OpenBLAS
+Workspace(build_rectangle(4, 4, 1.0, []))     # numpy's OpenBLAS is loaded
 with open("/proc/self/maps") as f:
     paths = sorted({line.split()[-1] for line in f if "openblas" in line})
 threads = {}
@@ -683,10 +685,10 @@ print(json.dumps(threads))
 
 @pytest.mark.parametrize("value, want", [(None, 1), ("2", 2)])
 def test_import_defaults_to_one_blas_thread(value, want):
-    # threaded zaxpy/zscal slow the Cayley solve several times over, and
+    # threaded np.vdot doubles the CPU time of the Cayley solve, and
     # OpenBLAS reads its thread count when it loads: importing hallsim, before
-    # numpy, sets one thread for numpy's and scipy's OpenBLAS in a fresh
-    # process; a value the user set is kept
+    # numpy, sets one thread for numpy's OpenBLAS (and any other loaded) in
+    # a fresh process; a value the user set is kept
     import json
     import subprocess
     import sys

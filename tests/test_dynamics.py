@@ -697,4 +697,83 @@ def test_cayley_step_real_link_masks_bit_identical(rng):
 def test_stencil_matrix_complex_into_real_out_rejected():
     real = stencil_matrix((4, 4), 1.0, 1.0, 4.0, 1.0)
     with pytest.raises(ValueError, match="holds complex128 entries"):
-        stencil_matrix((4, 4), 1j, 1.0, 4.0, 1.0, out=real)
+        real.fill(1j, 1.0, 4.0, 1.0)
+
+
+def stencil_by_loops(shape, hop1, hop2, diag, scale):
+    """(row, col, value) of scale * (diag - hops) on the row-major cells of
+    `shape`, by explicit loops over each site's neighbours (independent of
+    fields.Stencil's storage)."""
+    nx, ny = shape
+    terms = []
+    for x in range(nx):
+        for y in range(ny):
+            c = x * ny + y
+            terms.append((c, c, scale * diag[x, y]))
+            if x + 1 < nx:                  # M[x + e1, x] and its conjugate
+                terms.append((c + ny, c, -scale * hop1[x, y]))
+                terms.append((c, c + ny, -scale * np.conj(hop1[x, y])))
+            if y + 1 < ny:
+                terms.append((c + 1, c, -scale * hop2[x, y]))
+                terms.append((c, c + 1, -scale * np.conj(hop2[x, y])))
+    return terms
+
+
+def random_stencil_inputs(rng, shape, h_mask, v_mask, complex_hops):
+    nx, ny = shape
+    hop1, hop2 = rng.normal(size=(nx - 1, ny)), rng.normal(size=(nx, ny - 1))
+    if complex_hops:
+        hop1 = hop1 + 1j * rng.normal(size=hop1.shape)
+        hop2 = hop2 + 1j * rng.normal(size=hop2.shape)
+    return hop1 * h_mask, hop2 * v_mask, rng.normal(size=shape), rng.uniform(0.1, 3.0)
+
+
+@given(d=masked_domains(), seed=st.integers(0, 2 ** 31),
+       complex_hops=st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_stencil_apply_matches_dense_neighbour_loops(d, seed, complex_hops):
+    # the blocked apply against a dense matrix summed from explicit
+    # neighbour loops, for complex and real coefficients and arguments
+    rng = np.random.default_rng(seed)
+    shape = (d.nx, d.ny)
+    args = random_stencil_inputs(rng, shape, d.h_active, d.v_active, complex_hops)
+    dense = np.zeros((d.nx * d.ny,) * 2, dtype=np.complex128)
+    for r, c, v in stencil_by_loops(shape, *args):
+        dense[r, c] += v
+    op = stencil_matrix(shape, *args)
+    assert op.coef.dtype == (np.complex128 if complex_hops else np.float64)
+    for v in (rng.normal(size=shape), rng.normal(size=shape)
+              + 1j * rng.normal(size=shape)):
+        want = (dense @ v.ravel()).reshape(shape)
+        got = op.apply(v)
+        assert got.shape == shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        out = np.empty(shape, dtype=got.dtype)
+        assert op.apply(v, out) is out and np.array_equal(out, got)
+
+
+@pytest.mark.parametrize("complex_hops", [True, False])
+def test_stencil_apply_across_blocks_matches_neighbour_loops(complex_hops):
+    # 131 x 129 = 16,899 sites: more than one block of BLOCK_SITES and not a
+    # multiple of it, so the seams between blocks and the short last block
+    # (where the +e1 neighbours end) are covered; a fill over a stencil
+    # that held other entries gives the same result
+    from hallsim.fields import BLOCK_SITES
+    shape = (131, 129)
+    n = shape[0] * shape[1]
+    assert n > BLOCK_SITES and n % BLOCK_SITES
+    rng = np.random.default_rng(3)
+    mask = build_rectangle(*shape, 1.0, [(40, 50, 30, 20)])
+    args = random_stencil_inputs(rng, shape, mask.h_active, mask.v_active,
+                                 complex_hops)
+    v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    want = np.zeros(n, dtype=np.complex128)
+    flat = v.ravel()
+    for r, c, val in stencil_by_loops(shape, *args):
+        want[r] += val * flat[c]
+    want = want.reshape(shape)
+    op = stencil_matrix(shape, *args)
+    refilled = stencil_matrix(shape, *random_stencil_inputs(
+        rng, shape, 1.0, 1.0, complex_hops)).fill(*args)
+    for got in (op.apply(v), refilled.apply(v)):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
