@@ -26,14 +26,16 @@ Usage:
 import os
 import sys
 
-import numpy as np
-
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+# hallsim before numpy: importing it sets one OpenBLAS thread, which holds
+# only while numpy's OpenBLAS has not loaded
 from hallsim import site_density
 from hallsim.cli import records_to_rows, simulate_run
 from hallsim.config import build_config
 from hallsim.diagnostics import energy, ohm_residual
+
+import numpy as np
 
 RATIO_WINDOW = (3.6, 4.4)
 BASE_DT, TIME = 0.05, 10.0

@@ -5,9 +5,14 @@ The rim state and the band limit use the eigenmodes of the free
 sectors of the mask's rotation group (Faessler & Stiefel, Group Theoretical
 Methods and Their Applications, 1992): C4 about the grid centre when the
 mask maps onto itself under a 90 degree rotation, otherwise the trivial
-group.  Each sector block is eigensolved densely, so a C4-invariant domain
-needs three solves of a quarter of its sites (the sector -1 block is the
-conjugate of the sector +1 block) instead of one of all of them.
+group.  A C4-invariant domain needs three solves of a quarter of its sites
+(the sector -1 block is the conjugate of the sector +1 block) instead of
+one of all of them.  When the mask also equals its transpose, the mirror
+makes every block it solves real (Dyson's threefold way): the sector +-1
+block becomes one real block of the same size, and each real sector
+(0 and 2, or the trivial group's one) splits into its two mirror parities
+of about half the size.  Only the sector +-1 block of a chiral mask, C4
+without the mirror, is eigensolved complex.
 """
 
 from __future__ import annotations
@@ -65,9 +70,11 @@ class Sector(NamedTuple):
     s, Rs, R^2 s, ... equal to i^(-mk)/sqrt(|orbit|) at R^k s, so each row
     has at most one nonzero: the flat grid site c lies in column col[c]
     (-1 when the sector's basis leaves it out) with amplitude amp[c] (0
-    there).  w and V are the eigenvalues and eigenvectors (orbits x modes)
-    of the block B_m^H H B_m, so expand(V[:, k]) is a full-grid eigenvector
-    of H.  reps are the flat grid indices of the orbits' first sites.
+    there).  w (ascending) and V are the eigenvalues and eigenvectors
+    (orbits x modes) of the block B_m^H H B_m, so expand(V[:, k]) is a
+    full-grid eigenvector of H.  V is real in the real sectors (0 and g/2),
+    also where the mirror split their block by parity, and complex in
+    sectors +-1.  reps are the flat grid indices of the orbits' first sites.
     """
     col: np.ndarray
     amp: np.ndarray
@@ -102,6 +109,63 @@ def _orbits(d: Domain) -> np.ndarray:
     return images[images[:, 0] == images.min(axis=1)]
 
 
+def _sector_modes(col, amp, reps, flip, entries):
+    """(w, V) of one sector's block, solved in its real basis (see _free_modes).
+
+    flip maps each flat site to its mirror image; None, for a mask without
+    the mirror, makes every orbit its own image with c_O = 1.  The real
+    basis lists the plus vectors, (b_O + c_O b_O')/sqrt(2) or sqrt(c_O) b_O
+    where O' = O, then the minus vectors, t (b_O - c_O b_O')/sqrt(2) with
+    t = 1 in a real sector and i otherwise, or b_O where O' = O and c_O = -1.
+    Row O of the unitary U from orbit to real-basis coefficients holds
+    u[O, 0] and u[O, 1] at the columns k[O, 0] and k[O, 1], column n
+    standing for none.  A real sector's block splits into its plus and
+    minus rows (the parities); a complex sector's stays whole.
+    """
+    n = len(reps)
+    j = np.arange(n)
+    real = not np.iscomplexobj(amp)
+    image = j if flip is None else col[flip[reps]]
+    c = np.ones(n) if flip is None else amp[flip[reps]].conj() / amp[reps]
+    alone = image == j
+    odd = alone & (c.real < 0) & real
+    plus = (image >= j) & ~odd                 # leads a plus vector
+    minus = (image > j) | odd                  # leads a minus vector
+    lead = np.minimum(j, image)
+    k = np.stack([np.where(plus[lead], np.cumsum(plus)[lead] - 1, n),
+                  np.where(minus[lead], plus.sum() + np.cumsum(minus)[lead] - 1, n)],
+                 axis=1)
+    share = np.where(image < j, c, 1.0) / np.sqrt(2.0)
+    t = np.where(image < j, -1.0, 1.0) * (1.0 if real else 1j)
+    u = np.stack([np.where(alone, np.sqrt(c + 0j), share),
+                  np.where(alone, 1.0, t * share)], axis=1)
+    u = u.real if real else u
+    sizes = [s for s in ([plus.sum(), minus.sum()] if real else [n]) if s]
+
+    # conj(a) H a summed per pair of real basis vectors, a being a site's
+    # coefficient in each vector it enters; row and column n collect none
+    rows, cols, vals = entries
+    on = (col[rows] >= 0) & (col[cols] >= 0)
+    r, q = rows[on], cols[on]
+    a_r = amp[r, None] * u[col[r]]
+    a_q = amp[q, None] * u[col[q]]
+    entry = a_r.conj()[:, :, None] * vals[on, None, None] * a_q[:, None, :]
+    at = (k[col[r]][:, :, None] * (n + 1) + k[col[q]][:, None, :]).ravel()
+    block = np.bincount(at, entry.real.ravel(), (n + 1) ** 2)
+    if flip is None and not real:
+        block = block + 1j * np.bincount(at, entry.imag.ravel(), (n + 1) ** 2)
+    block = block.reshape(n + 1, n + 1)
+
+    w, W = [], np.zeros((n + 1, n), dtype=block.dtype)
+    for lo, hi in zip(np.cumsum([0] + sizes[:-1]), np.cumsum(sizes)):
+        w_b, W[lo:hi, lo:hi] = np.linalg.eigh(block[lo:hi, lo:hi])
+        w.append(w_b)
+    w = np.concatenate(w)
+    order = np.argsort(w, kind="stable")
+    W = W[:, order]
+    return w[order], u[:, :1] * W[k[:, 0]] + u[:, 1:] * W[k[:, 1]]
+
+
 def _free_modes(d: Domain, p: Params, purpose: str) -> list:
     """Sectors m = 0 .. g-1 of the real zero-potential H on the active sites.
 
@@ -111,11 +175,27 @@ def _free_modes(d: Domain, p: Params, purpose: str) -> list:
     sector 0 only.  Sectors 0 and g/2 have real bases and real blocks; for
     C4 the block of sector -1 (m = 3) is the conjugate of sector +1's and is
     not solved again.  The trivial group is the same loop with one orbit per
-    site and one sector, the dense H itself.  Each block is eigensolved
-    densely; the largest (sector 0, one row per orbit) is capped at
-    MAX_BLOCK_SITES.  `purpose` names the caller in the error.  A block
-    entry sums conj(amp) H amp over the nonzero entries of H whose two
-    sites are in the sector's basis.
+    site and one sector, the dense H itself.
+
+    When the mask equals its transpose, the mirror sigma (transposition,
+    which maps R to its inverse) makes every block real, or splits it
+    (Dyson, J. Math. Phys. 3, 1199 (1962), the threefold way).  sigma K
+    (K the complex conjugation) commutes with H, squares to 1 and maps
+    sector m onto itself: sigma K b_O = c_O b_O' for the orbit O' holding
+    the mirror images of O's sites, with |c_O| = 1.  In sector +-1 the
+    sigma K-invariant basis (b_O + c_O b_O')/sqrt(2), i (b_O - c_O b_O')/
+    sqrt(2), and sqrt(c_O) b_O where O' = O, gives one real block of the
+    same size.  In the real sectors, where c_O = +-1, the mirror parities
+    (b_O +- c_O b_O')/sqrt(2), and b_O in the parity c_O where O' = O, give
+    two real blocks of about half the size.  Only the sector +-1 block of a
+    mask without the mirror (a chiral one) is solved complex.
+
+    A block entry sums conj(a) H a over the nonzero entries of H whose two
+    sites are in the sector's basis, a being a site's coefficient in each
+    of the (at most two) real basis vectors it enters.  Each block is
+    eigensolved densely, and the eigenvectors are mapped back to the orbit
+    basis (V = U W) and sorted with their eigenvalues.  The number of orbits
+    is capped at MAX_BLOCK_SITES.  `purpose` names the caller in the error.
     """
     orbits = _orbits(d)
     n_orbits, g = orbits.shape
@@ -127,7 +207,10 @@ def _free_modes(d: Domain, p: Params, purpose: str) -> list:
     full = (orbits[:, 1:] != orbits[:, :1]).all(axis=1)
     # sqrt(|orbit|)/g per listed image: the centre's g images sum to 1
     scale = np.where(full, 1.0 / np.sqrt(g), 1.0 / g)[:, None]
-    rows, cols, vals = _h_matrix((d.h_active, d.v_active), d, p).entries()
+    flip = None
+    if d.nx == d.ny and np.array_equal(d.active, d.active.T):
+        flip = np.arange(d.nx * d.ny).reshape(d.nx, d.ny).T.ravel()
+    entries = _h_matrix((d.h_active, d.v_active), d, p).entries()
     sectors = []
     for m in range(g):
         keep = full | (m == 0)
@@ -144,12 +227,7 @@ def _free_modes(d: Domain, p: Params, purpose: str) -> list:
         if partner < m:
             w, V = sectors[partner].w, sectors[partner].V.conj()
         else:
-            on = (col[rows] >= 0) & (col[cols] >= 0)
-            r, c = rows[on], cols[on]
-            block = np.zeros((n, n), dtype=np.result_type(amp, vals))
-            np.add.at(block, (col[r], col[c]),
-                      amp[r].conj() * vals[on] * amp[c])
-            w, V = np.linalg.eigh(block)
+            w, V = _sector_modes(col, amp, orbits[keep, 0], flip, entries)
         sectors.append(Sector(col, amp, orbits[keep, 0], w, V))
     return sectors
 

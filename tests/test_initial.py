@@ -1,4 +1,4 @@
-"""Rim states and band limits from the rotation sectors of the free H."""
+"""Rim states and band limits from the rotation and mirror sectors of the free H."""
 
 from unittest import mock
 
@@ -44,6 +44,45 @@ def c4_domains(draw):
         return build_corbino(n, 1.0, r_inner, r_outer)
     except DomainError:         # annulus too thin for its generator loop
         assume(False)
+
+
+@st.composite
+def chiral_c4_domains(draw):
+    """Squares with four holes, each the 90 degree rotation of the last, the
+    first in the lower-left quadrant and not on the diagonal: C4 masks
+    without a mirror, whose sector +-1 block stays complex."""
+    n = draw(st.integers(10, 17))
+    w, h = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    x0 = draw(st.integers(1, n // 2 - 1 - w))
+    y0 = draw(st.integers(1, n // 2 - 1 - h))
+    assume((x0, w) != (y0, h))
+    holes = [(x0, y0, w, h)]
+    for _ in range(3):
+        x, y, a, b = holes[-1]
+        holes.append((y, n - x - a, b, a))
+    try:
+        d = build_rectangle(n, n, 1.0, holes)
+    except DomainError:         # the rotated holes closer than two sites
+        assume(False)
+    assert _orbits(d).shape[1] == 4 and not np.array_equal(d.active, d.active.T)
+    return d
+
+
+@st.composite
+def mirror_domains(draw):
+    """Squares with a hole and its mirror image across the main diagonal
+    (one hole when it lies on the diagonal), without C4 symmetry: the
+    trivial group, split by mirror parity."""
+    n = draw(st.integers(6, 16))
+    w, h = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    x0, y0 = draw(st.integers(1, n - 1 - w)), draw(st.integers(1, n - 1 - h))
+    try:
+        d = build_rectangle(n, n, 1.0, sorted({(x0, y0, w, h), (y0, x0, h, w)}))
+    except DomainError:         # the two holes closer than two sites
+        assume(False)
+    assume(_orbits(d).shape[1] == 1)
+    assert np.array_equal(d.active, d.active.T)
+    return d
 
 
 def unit(v):
@@ -179,10 +218,9 @@ def test_rim_state_independent_of_eigenvalue_roundoff(domain, band, monkeypatch)
             assert not isinstance(got, str) and np.array_equal(got, ref)
 
 
-@given(d=st.one_of(c4_domains(), masked_domains()), seed=st.integers(0, 2 ** 31),
-       band=st.integers(1, 3))
-@settings(max_examples=40, deadline=None)
-def test_sector_modes_match_dense_oracle(d, seed, band):
+def check_against_dense_oracle(d, seed, band):
+    """The sector spectrum, the band_limited projector and, where the choice
+    is clear-cut, the rim state against the eigensolve of the whole dense H."""
     H, sites = dense_hamiltonian((d.h_active, d.v_active), d, P)
     w, V = np.linalg.eigh(H)
     scale = max(abs(w[0]), abs(w[-1]), 1.0)
@@ -213,6 +251,54 @@ def test_sector_modes_match_dense_oracle(d, seed, band):
         else:
             got = rim_pair_state(d, P, norm=1.0)
             assert sign_matched_overlap(rim, got) >= 1 - 1e-12
+
+
+@given(d=st.one_of(c4_domains(), masked_domains()), seed=st.integers(0, 2 ** 31),
+       band=st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_sector_modes_match_dense_oracle(d, seed, band):
+    check_against_dense_oracle(d, seed, band)
+
+
+@given(d=chiral_c4_domains(), seed=st.integers(0, 2 ** 31), band=st.integers(1, 3))
+@settings(max_examples=20, deadline=None)
+def test_chiral_c4_modes_match_dense_oracle(d, seed, band):
+    check_against_dense_oracle(d, seed, band)
+
+
+@given(d=mirror_domains(), seed=st.integers(0, 2 ** 31), band=st.integers(1, 3))
+@settings(max_examples=20, deadline=None)
+def test_mirror_parity_modes_match_dense_oracle(d, seed, band):
+    check_against_dense_oracle(d, seed, band)
+
+
+def chiral_square():
+    """A 12 x 12 square with four holes, each the 90 degree rotation of the
+    last: C4 without a mirror, 34 orbits."""
+    return build_rectangle(12, 12, 1.0, [(2, 3, 2, 1), (3, 8, 1, 2),
+                                         (8, 8, 2, 1), (8, 2, 1, 2)])
+
+
+@pytest.mark.parametrize("domain, blocks", [
+    # sigma K makes the sector +-1 block real; sigma splits sectors 0 and 2
+    (lambda: build_corbino(64, 1.0, 10.0, 30.0),
+     [(321, "f8"), (307, "f8"), (628, "f8"), (321, "f8"), (307, "f8")]),
+    (chiral_square, [(34, "f8"), (34, "c16"), (34, "f8")]),
+], ids=["mirror-annulus", "chiral"])
+def test_eigensolved_blocks(domain, blocks, monkeypatch):
+    d = domain()
+    calls = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a):
+        calls.append((a.shape[0], a.dtype.str[1:]))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    sectors = _free_modes(d, P, "test")
+    assert calls == blocks
+    assert sectors[0].V.dtype == sectors[2].V.dtype == np.float64
+    assert sectors[1].V.dtype == sectors[3].V.dtype == np.complex128
 
 
 def test_dense_block_cap_applies_per_sector():
