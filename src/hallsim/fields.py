@@ -109,19 +109,22 @@ def link_phases(a: LinkField, d: Domain, p) -> tuple:
     The only place a link field is exponentiated: H and the current share it.
     The phase theta = e dx a (1/hbar) is formed once per component; its
     cosine and sine are written straight into the real and imaginary parts of
-    the result, which is then masked in place.  theta is scaled by the
-    reciprocal of hbar, which is how numpy divides a complex array by a real
-    scalar, and exp(0 + i theta) is (cos theta, sin theta) bit for bit, so
-    the phases are those of np.exp(1j * e * dx * a / hbar) * mask.
+    the result, whose inactive links alone are then multiplied by zero in
+    place.  theta is scaled by the reciprocal of hbar, which is how numpy
+    divides a complex array by a real scalar, and exp(0 + i theta) is
+    (cos theta, sin theta) bit for bit.  Adding +0 to theta turns -0 into +0,
+    as the product with a True mask does to sin(-0), so the phases are those
+    of np.exp(1j * e * dx * a / hbar) * mask, signed zeros included.
     """
     out = []
     for x, mask in ((a.a1, d.h_active), (a.a2, d.v_active)):
         theta = np.multiply(x, p.e * d.dx)
         theta *= 1.0 / p.hbar
+        theta += 0.0
         u = np.empty(x.shape, dtype=np.complex128)
         np.cos(theta, out=u.real)
         np.sin(theta, out=u.imag)
-        u *= mask
+        np.multiply(u, 0.0, out=u, where=~mask)
         out.append(u)
     return tuple(out)
 

@@ -564,9 +564,9 @@ def test_initialize_consistent_matches_direct_solve_random_domains(d, sigma_h, s
 @pytest.mark.parametrize("dx", [0.5, 1.7])
 @pytest.mark.parametrize("shape", ["holed", "annulus", "plain"])
 def test_initialize_consistent_matches_direct_solve_scaled_dx(dx, shape):
-    # the preconditioner's eigenvalues carry 1/dx^2 like the Laplacian; CG
-    # corrects a wrong scale, but then the start is no longer the solution
-    # on a hole-free rectangle and one iteration does not suffice
+    # the sine-transform inverse that starts CG carries 1/dx^2 like the
+    # Laplacian; CG corrects a wrong scale, but then the start is no longer
+    # the solution on a hole-free rectangle and one iteration does not suffice
     if shape == "holed":
         d = build_rectangle(15, 13, dx, [(3, 3, 2, 3), (9, 7, 3, 2)])
     elif shape == "annulus":
@@ -591,16 +591,34 @@ def test_initialize_consistent_solver_abort():
 
 
 def test_initialize_consistent_converged_on_last_iteration():
-    # CG converges in exactly 14 iterations here; every iterate is tested,
-    # the last allowed one included, so maxiter 14 succeeds and 13 raises
+    # CG converges in exactly 12 iterations here; every iterate is tested,
+    # the last allowed one included, so maxiter 12 succeeds and 11 raises
     from hallsim import SolverError
     d = build_rectangle(32, 32, 1.0, [(10, 12, 6, 5)])
     psi = gaussian_packet(d, (12.0, 9.0), 3.0, (0.0, 0.0))
     with pytest.raises(SolverError, match="relative residual"):
-        initialize_consistent(d, psi, Params(solver_maxiter=13))
-    s = initialize_consistent(d, psi, Params(solver_maxiter=14))
+        initialize_consistent(d, psi, Params(solver_maxiter=11))
+    s = initialize_consistent(d, psi, Params(solver_maxiter=12))
     ref = initialize_consistent(d, psi, Params())
     assert np.array_equal(s.a.a1, ref.a.a1) and np.array_equal(s.a.a2, ref.a.a2)
+    assert gauss_residual(s)[1] <= 1e-10
+
+
+@pytest.mark.parametrize("shape", [(32, 32), (100, 100), (200, 120),
+                                   (256, 256), "corbino"])
+def test_initialize_consistent_iterations_independent_of_grid(shape):
+    # the multigrid-preconditioned CG needs about the same number of
+    # iterations at every size; a hole of 1/8 of the side and a Corbino
+    # annulus both leave the start mask * L^-1 b far from the solution
+    if shape == "corbino":
+        d = build_corbino(128, 1.0, 20.0, 60.0)
+        psi = gaussian_packet(d, (64.0, 110.0), 4.0, (0.3, 0.0))
+    else:
+        nx, ny = shape
+        d = build_rectangle(nx, ny, 1.0,
+                            [(7 * nx // 16, 7 * ny // 16, nx // 8, ny // 8)])
+        psi = gaussian_packet(d, (0.3 * nx, 0.4 * ny), nx / 32, (0.3, 0.0))
+    s = initialize_consistent(d, psi, Params(solver_maxiter=16))
     assert gauss_residual(s)[1] <= 1e-10
 
 
@@ -611,6 +629,24 @@ def test_initialize_consistent_rejects_nan_state():
     psi[20, 21] = np.nan
     with pytest.raises(SolverError, match="consistent initialization: non-finite"):
         initialize_consistent(d, psi, Params())
+
+
+@given(d=masked_domains(), dx=st.sampled_from([1.0, 0.3]),
+       seed=st.integers(0, 2 ** 31))
+@settings(max_examples=30, deadline=None)
+def test_init_v_cycle_symmetric_positive_definite(d, dx, seed):
+    # the preconditioner of the init's CG: <x, B y> = <B x, y> and
+    # <x, B x> > 0 for fields x, y on the counted plaquettes
+    from hallsim.dynamics import _plaquette_laplacian, _v_cycle
+    mask, scale = d.plaq_active, 1.0 / dx ** 2
+    assume(mask.any())
+    v_cycle = _v_cycle(_plaquette_laplacian(mask, scale), mask, scale)
+    rng = np.random.default_rng(seed)
+    x, y = (rng.normal(size=mask.shape) * mask for _ in range(2))
+    bx, by = v_cycle(x), v_cycle(y)
+    assert not bx[~mask].any()
+    assert abs(np.vdot(x, by) - np.vdot(bx, y)) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(by)
+    assert np.vdot(x, bx) > 0
 
 
 def dense_dirichlet_laplacian(m, n, dx):
@@ -629,8 +665,9 @@ def dense_dirichlet_laplacian(m, n, dx):
 @example(m=37, n=2, dx=1.7, seed=2)
 @settings(max_examples=40, deadline=None)
 def test_init_preconditioner_is_dirichlet_inverse(m, n, dx, seed):
-    # the numpy.fft sine transforms apply the exact inverse of the
-    # whole-grid Dirichlet Laplacian, for odd, even and prime sizes
+    # the numpy.fft sine transforms that start the init's CG apply the exact
+    # inverse of the whole-grid Dirichlet Laplacian, for odd, even and prime
+    # sizes
     from hallsim.dynamics import _dirichlet_inverse
     r = np.random.default_rng(seed).normal(size=(m, n))
     want = (np.linalg.inv(dense_dirichlet_laplacian(m, n, dx))
