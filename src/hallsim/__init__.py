@@ -19,15 +19,14 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 
-from .domain import (Domain, DomainError, build_corbino, build_rectangle,
-                     homology_generators)
+from .domain import Domain, DomainError, build_corbino, build_rectangle
 from .dynamics import (Params, SimState, SolverError, Workspace, advance,
                        cayley_step, default_dt, dense_hamiltonian, gauge_rate,
                        initialize_consistent)
 from .fields import (CurrentField, LinkField, apply_gauge, current_density,
                      density_to_plaquettes, link_divergence, link_phases,
                      plaquette_curl, site_density, site_gradient)
-from .holonomy import LoopPhase, holonomy_drift, insert_flux, wilson_loop, wrap_phase
+from .holonomy import LoopPhase, insert_flux, wilson_loop, wrap_phase
 from .initial import (band_limited, gaussian_packet, normalize,
                       rim_pair_state, uniform_state)
 from .quantization import (Spectrum, WavefunctionSpec, ZeroMode,

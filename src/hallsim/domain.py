@@ -76,11 +76,6 @@ class Domain:
         return len(self.holes)
 
     @property
-    def boundary_sites(self) -> np.ndarray:
-        """(m, 2) int array of boundary site indices."""
-        return np.argwhere(self.boundary_mask)
-
-    @property
     def edge_band(self) -> np.ndarray:
         """bool (nx, ny): active sites within EDGE_WIDTH of the boundary."""
         return self.active & (self.boundary_distance <= EDGE_WIDTH)
@@ -93,12 +88,6 @@ class Domain:
     def area(self) -> float:
         """Sample area: active site count times the cell area."""
         return self.n_active * self.dx ** 2
-
-    def hole_centroid(self, k: int) -> tuple:
-        """Centroid (physical coordinates) of hole k's inactive cells."""
-        cells = self.holes[k]
-        return (float(cells[:, 0].mean()) * self.dx,
-                float(cells[:, 1].mean()) * self.dx)
 
 
 def _boundary_mask(active: np.ndarray) -> np.ndarray:
@@ -308,8 +297,3 @@ def _ring_candidates(m_mid: float):
         for m in (base - step, base + step) if step else (base,):
             if m >= 1:
                 yield m
-
-
-def homology_generators(d: Domain):
-    """One closed loop per hole, winding once around it (empty for g = 0)."""
-    return [loop.copy() for loop in d.generator_loops]

@@ -55,9 +55,8 @@ function, the solution of a Poisson problem on the counted plaquettes.  It
 is solved by conjugate gradients on the whole plaquette grid with the masked
 Laplacian of fields.stencil_matrix, preconditioned by one symmetric
 geometric-multigrid V-cycle, which needs about the same number of
-iterations at every grid size.  CG starts from the exact solve of the
-grid's Dirichlet Laplacian, which sine transforms (DST-I, computed with
-numpy.fft) apply once; every iterate is tested (see initialize_consistent).
+iterations at every grid size.  CG starts from zero, and every iterate is
+tested (see initialize_consistent).
 """
 
 from __future__ import annotations
@@ -315,58 +314,6 @@ def advance(s: SimState, work: Workspace) -> SimState:
                     s.t + dt, rate_mid)
 
 
-def _sine_transform(m: int, n: int):
-    """T x = Im rfft([0, x, 0, -x reversed])[1:n+1] along each row of an
-    (m, n) array, so T = -2 S for the DST-I S[k, j] = sin(pi (j+1)(k+1)/(n+1)),
-    and S^2 = (n+1)/2.
-
-    The rows go through in blocks of 64, so the odd extension (one buffer
-    whose zeros are written once) and rfft's result stay small enough for
-    the allocator to reuse; whole-array rfft results were fresh pages on
-    every call, ten times the page faults of a first 512^2 solve.  A
-    transposed argument is transposed by the copy into the extension.  The
-    result goes to one (m, n) array that every call overwrites; the
-    argument may be that array.
-    """
-    block = 64
-    ext = np.zeros((min(block, m), 2 * n + 2))
-    out = np.empty((m, n))
-
-    def t(x: np.ndarray) -> np.ndarray:
-        for i in range(0, m, block):
-            e = ext[:min(block, m - i)]
-            e[:, 1:n + 1] = x[i:i + block]
-            np.negative(e[:, n:0:-1], out=e[:, n + 2:])
-            out[i:i + block] = np.fft.rfft(e).imag[:, 1:n + 1]
-        return out
-    return t
-
-
-def _dirichlet_inverse(m: int, n: int, dx: float):
-    """Closure applying L^-1 to (m, n) arrays, L the Dirichlet -laplace of an
-    m x n grid of spacing dx (diagonal 4/dx^2, hops -1/dx^2).
-
-    L = (S x S) diag(lam) (S x S) 4/((m+1)(n+1)) in the DST-I S of each
-    axis, so two sine transforms per axis apply its inverse exactly: along
-    the rows, along the columns through a transpose, divide, and back.  The
-    result is a buffer that the next call overwrites.
-    """
-    rows, cols = _sine_transform(m, n), _sine_transform(n, m)
-    # 1/lam in the (n, m) layout of the transformed array, times the factor
-    # 4/((m+1)(n+1)) and the four factors -1/2 of S = -T/2; lam in the form
-    # 4 sin^2 + 4 sin^2, which keeps the small eigenvalues to full precision
-    s1 = np.sin(0.5 * np.pi * np.arange(1, m + 1) / (m + 1)) ** 2
-    s2 = np.sin(0.5 * np.pi * np.arange(1, n + 1) / (n + 1)) ** 2
-    lam = 4.0 * (s2[:, None] + s1) / dx ** 2
-    inv_lam = 1.0 / (4.0 * (m + 1) * (n + 1) * lam)
-
-    def apply(r: np.ndarray) -> np.ndarray:
-        g = cols(rows(r).T)
-        g *= inv_lam
-        return rows(cols(g).T)
-    return apply
-
-
 # The init's V-cycle: weighted-Jacobi factor on the diagonal 4 scale, and
 # sweeps before and after each coarse-grid correction.  A weight below 1
 # keeps every sweep a contraction in the energy norm (the spectrum of D^-1 L
@@ -454,17 +401,14 @@ def initialize_consistent(d: Domain, psi0: np.ndarray, p: Params) -> SimState:
     conjugate gradients on grid arrays that vanish off the counted
     plaquettes, preconditioned with one V-cycle of _v_cycle, which is
     symmetric and positive definite on every mask (Brandt 1977; Tatebe
-    1993); about 11-16 iterations reach the tolerance on grids from 32^2 to
-    512^2, with holes or as an annulus.  CG starts from the same
-    restriction of L^-1 b, which a 2-D sine transform (DST-I, from
-    numpy.fft.rfft of the odd extension, rows and then columns) applies
-    exactly, so the start is the solution on a hole-free rectangle (Concus
-    & Golub 1973).  Every iterate, the start and the solver_maxiter-th
-    included, is accepted once its recurred relative residual is at most
-    1e-13.  The acceptance test of the result is the relative Gauss residual
-    of the returned state, at most 1e-10.  Raises SolverError on a
-    non-finite density, when CG meets a non-finite value or does not
-    converge (naming the true relative residual), and when that test fails.
+    1993); CG from zero reaches the tolerance in about 10-16 iterations on
+    grids from 32^2 to 512^2, hole-free, with holes or as an annulus.
+    Every iterate, the zero start and the solver_maxiter-th included, is
+    accepted once its recurred relative residual is at most 1e-13.  The
+    acceptance test of the result is the relative Gauss residual of the
+    returned state, at most 1e-10.  Raises SolverError on a non-finite
+    density, when CG meets a non-finite value or does not converge (naming
+    the true relative residual), and when that test fails.
     """
     rho_p = density_to_plaquettes(charge_density(psi0, d, p), d)
     target = rho_p / p.sigma_h
@@ -480,8 +424,7 @@ def initialize_consistent(d: Domain, psi0: np.ndarray, p: Params) -> SimState:
 
     b = -target
     bnorm = np.linalg.norm(b)
-    chi = _dirichlet_inverse(*mask.shape, d.dx)(b) * mask
-    r = b - neg_lap.apply(chi)
+    chi, r = np.zeros_like(b), b.copy()
     tmp = np.empty_like(r)
     direction = rz = None
     it = 0

@@ -49,20 +49,6 @@ def wilson_loop(a: LinkField, loop, d: Domain, p) -> LoopPhase:
     return LoopPhase(float(raw), wrap_phase(p.e * raw / p.hbar))
 
 
-def holonomy_drift(states, loop: np.ndarray) -> float:
-    """Max wrapped phase excursion from the first state of a recorded series."""
-    states = list(states)
-    if len(states) < 2:
-        raise ValueError("holonomy_drift needs at least two recorded states")
-    links = loop_links(loop, states[0].domain)
-    base = wilson_loop(states[0].a, links, states[0].domain, states[0].params)
-    drift = 0.0
-    for s in states[1:]:
-        ph = wilson_loop(s.a, links, s.domain, s.params)
-        drift = max(drift, abs(wrap_phase(ph.phase - base.phase)))
-    return drift
-
-
 def insert_flux(a: LinkField, d: Domain, hole: int, flux: float) -> LinkField:
     """Thread a flux through hole `hole` without touching any counted curl.
 

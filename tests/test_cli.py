@@ -94,9 +94,12 @@ def test_flux_without_hole_exit_2(tmp_path):
 
 
 def test_solver_failure_exit_3_names_step(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, BASE_CFG)
+    # the init's CG converges in 10 iterations here, and a step of dt = 2
+    # needs more than 12 Cayley iterations, so the first step is the one
+    # that fails
+    cfg = write_cfg(tmp_path, BASE_CFG + "dt = 2.0\n")
     code = run_cli(["simulate", "--config", cfg, "--out", str(tmp_path / "x"),
-                    "--set", "solver_maxiter=1"])
+                    "--set", "solver_maxiter=12"])
     assert code == 3
     assert "step 1" in capsys.readouterr().err
 

@@ -11,7 +11,8 @@ from hallsim import (CurrentField, LinkField, Params, SimState, Workspace,
                      initialize_consistent, link_phases, site_gradient,
                      uniform_state)
 from hallsim import diagnostics, domain
-from hallsim.diagnostics import edge_fraction_of, gauss_residual, record_state
+from hallsim.diagnostics import (continuity_residual, edge_fraction_of,
+                                 gauss_residual, record_state)
 
 from conftest import continuity_of_states
 from test_dynamics import masked_domains, random_fields
@@ -63,6 +64,38 @@ def test_global_sigma_scale_invariance(params):
     s2 = SimState(d, params, np.sqrt(2.0) * s.psi,
                   LinkField(2.0 * s.a.a1, 2.0 * s.a.a2))
     assert record_state(s2).sigma_est == pytest.approx(est1, rel=1e-12)
+
+
+def test_sigma_est_missing_below_sigma_floor():
+    # a uniform curl b (a2 = b x) under a uniform density: sigma_est reads
+    # n e / b from SIGMA_FLOOR = 1e-12 on and is missing below it
+    d = build_rectangle(12, 12, 1.0, [])
+    p = Params(sigma_h=1.0, dt=0.05)
+    psi = uniform_state(d, norm=1.0)
+    x = np.arange(d.nx)[:, None] * d.dx
+    for b, missing in ((0.5e-12, True), (2e-12, False)):
+        a = LinkField(np.zeros((d.nx - 1, d.ny)), np.repeat(b * x, d.ny - 1, 1))
+        rec = record_state(SimState(d, p, psi, a))
+        assert rec.B_mean == pytest.approx(b, rel=1e-9)
+        if missing:
+            assert rec.sigma_est is None
+        else:
+            assert rec.sigma_est == pytest.approx(
+                p.e * np.abs(psi[0, 0]) ** 2 / b, rel=1e-9)
+
+
+def test_continuity_one_link_current_at_dx_half(params):
+    # equal densities and one link current J in both states: the divergence
+    # is +-J/dx at the link's two sites and the current scale is J/dx, so
+    # the residual is exactly 1 at any dx (2 or 1/2 at dx = 1/2 if either
+    # misses its 1/dx)
+    d = build_rectangle(8, 8, 0.5, [])
+    psi = uniform_state(d, norm=1.0)
+    s1, s2 = (SimState(d, params, psi, LinkField.zeros(d), t) for t in (0.0, 0.1))
+    j1 = np.zeros((d.nx - 1, d.ny))
+    j1[3, 4] = 0.75
+    j = CurrentField(j1, np.zeros((d.nx, d.ny - 1)))
+    assert continuity_residual(s1, s2, j, j) == 1.0
 
 
 def test_continuity_static_zero(rect12, params):

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hallsim import (Domain, DomainError, build_corbino, build_rectangle,
-                     homology_generators)
+from hallsim import Domain, DomainError, build_corbino, build_rectangle
 from test_dynamics import masked_domains
 
 
@@ -43,7 +42,7 @@ def brute_force_boundary(active):
 def test_plain_rectangle_simply_connected():
     d = build_rectangle(8, 8, 1.0, [])
     assert d.g == 0
-    assert homology_generators(d) == []
+    assert len(d.generator_loops) == 0
     assert d.active.all()
 
 
@@ -66,10 +65,9 @@ def test_broken_generator_loop_rejected_naming_the_step():
 def test_two_hole_winding_matrix():
     d = build_rectangle(32, 32, 1.0, [(5, 5, 4, 4), (18, 20, 6, 5)])
     assert d.g == 2
-    loops = homology_generators(d)
-    for i, loop in enumerate(loops):
+    for i, loop in enumerate(d.generator_loops):
         for j in range(d.g):
-            cx, cy = d.hole_centroid(j)
+            cx, cy = d.holes[j].mean(axis=0) * d.dx
             expected = 1 if i == j else 0
             assert winding_number(loop, cx, cy) == expected
 
@@ -101,9 +99,9 @@ def test_boundary_closure(rect12):
 
 def test_corbino_basic(corbino32):
     assert corbino32.g == 1
-    loops = homology_generators(corbino32)
+    loops = corbino32.generator_loops
     assert len(loops) == 1
-    cx, cy = corbino32.hole_centroid(0)
+    cx, cy = corbino32.holes[0].mean(axis=0) * corbino32.dx
     assert winding_number(loops[0], cx, cy) == 1
 
 
@@ -123,7 +121,7 @@ def test_corbino_two_disjoint_rims():
     d = build_corbino(64, 0.5, 4.0, 15.0)
     assert np.array_equal(d.boundary_mask, brute_force_boundary(d.active))
     c = (64 - 1) / 2 * 0.5
-    bs = d.boundary_sites
+    bs = np.argwhere(d.boundary_mask)
     r = np.hypot(bs[:, 0] * 0.5 - c, bs[:, 1] * 0.5 - c)
     mid = (4.0 + 15.0) / 2
     inner, outer = r[r < mid], r[r >= mid]

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hallsim import (DomainError, LinkField, Params, SimState, apply_gauge,
-                     build_rectangle,
-                     holonomy_drift, insert_flux, plaquette_curl,
+                     build_rectangle, insert_flux, plaquette_curl,
                      site_gradient, wilson_loop, wrap_phase)
 from hallsim.domain import _rect_ring
 from test_dynamics import masked_domains
@@ -199,6 +198,13 @@ def test_wilson_phase_gauge_invariant(corbino32, params, rng):
         a2, _ = apply_gauge(a, psi, lam, corbino32, params)
         ph = wilson_loop(a2, corbino32.generator_loops[0], corbino32, params).phase
         assert ph == pytest.approx(base, abs=5e-13)
+
+
+def holonomy_drift(states, loop):
+    """Largest wrapped excursion of the loop phase from the first state's."""
+    base = wilson_loop(states[0].a, loop, states[0].domain, states[0].params).phase
+    return max(abs(wrap_phase(wilson_loop(s.a, loop, s.domain, s.params).phase
+                              - base)) for s in states[1:])
 
 
 def test_holonomy_drift_static(corbino32, params):
