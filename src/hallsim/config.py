@@ -67,11 +67,8 @@ class ConfigError(ValueError):
 # checks of build_config only.
 
 def _number(kind=float, empty=None, minimum=None, positive=False,
-            unsigned=False, nonzero=False):
-    """Parser of an int or a finite float; a float key given as '' is `empty`.
-
-    unsigned keys read 0 as "use the default" and reject negatives only.
-    """
+            nonzero=False):
+    """Parser of an int or a finite float; a float key given as '' is `empty`."""
     def parse(raw, bad):
         if raw == "" and kind is float:
             return empty
@@ -83,7 +80,7 @@ def _number(kind=float, empty=None, minimum=None, positive=False,
         if kind is float and not math.isfinite(v):
             bad(f"must be finite, got {raw!r}")
             return empty
-        if positive and not v > 0 or unsigned and v < 0:
+        if positive and not v > 0:
             bad(f"must be positive, got {v}")
         if nonzero and v == 0:
             bad("must be nonzero")
@@ -140,7 +137,7 @@ class RunConfig:
     hbar: float = _key("1.0", _number(empty=1.0, positive=True))
     e: float = _key("1.0", _number(empty=1.0, positive=True))
     mu: float = _key("1.0", _number(empty=1.0, positive=True))
-    dt: float = _key("", _number(empty=0.0, unsigned=True))  # 0: stability default
+    dt: float = _key("", _number(empty=0.0, minimum=0))  # 0: stability default
     steps: int = _key("100", _count(0))
     record_every: int = _key("1", _count(1))
     solver_maxiter: int = _key("500", _count(1))
@@ -148,11 +145,11 @@ class RunConfig:
                                      "file"))
     psi0_center_x: float = _key("", _number())  # None: domain center
     psi0_center_y: float = _key("", _number())
-    psi0_width: float = _key("", _number(empty=0.0, unsigned=True))  # 0: 4*dx
+    psi0_width: float = _key("", _number(empty=0.0, minimum=0))  # 0: 4*dx
     psi0_kx: float = _key("0.0", _number(empty=0.0))
     psi0_ky: float = _key("0.0", _number(empty=0.0))
     psi0_norm: float = _key("1.0", _number(empty=1.0, minimum=0))
-    psi0_ecut: float = _key("", _number(empty=0.0, unsigned=True))  # 0: off
+    psi0_ecut: float = _key("", _number(empty=0.0, minimum=0))  # 0: off
     psi0_file: str = _key("", lambda raw, bad: raw)
     flux: float = _key("0.0", _number(empty=0.0))
     raw: dict = field(default_factory=dict)

@@ -23,11 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import Domain
-from .dynamics import make_hamiltonian
+from .dynamics import gauge_rate, make_hamiltonian
 from .fields import (CurrentField, charge_density, current_density,
-                     density_to_plaquettes, j1_at_vlinks, j2_at_hlinks,
-                     link_divergence, link_phases, plaquette_curl,
-                     site_density)
+                     density_to_plaquettes, link_divergence, link_phases,
+                     plaquette_curl, site_density)
 
 FLOOR = 1e-300
 # Kept apart from FLOOR: merging the two would move which sigma_est cells
@@ -97,23 +96,21 @@ def edge_fraction_of(j: CurrentField, d: Domain):
 
 
 def ohm_residual(prev, cur, nxt) -> float:
-    """Hall-law consistency along a run: j = -sigma_H eps dA/dt.
+    """Hall-law consistency along a run: dA/dt = gauge_rate(j).
 
-    Compares the transverse-interpolated current of the middle state with
-    the centered time difference of the potential, component-wise on each
-    link family, and returns the sup mismatch relative to the current scale.
-    Second order in dt for the built-in integrator.
+    Compares the Hall rate of the middle state's current with the centered
+    time difference of the potential on every link, and returns the sup
+    mismatch relative to the sup of the rate.  Second order in dt for the
+    built-in integrator.
     """
     d, p = cur.domain, cur.params
     dt2 = nxt.t - prev.t
-    j = current_density(cur.psi, link_phases(cur.a, d, p), d, p)
-    jt2 = j2_at_hlinks(j.j2, d)              # matches +sigma_H dA1/dt
-    jt1 = j1_at_vlinks(j.j1, d)              # matches -sigma_H dA2/dt
-    da1 = (nxt.a.a1 - prev.a.a1) / dt2
-    da2 = (nxt.a.a2 - prev.a.a2) / dt2
-    m1 = np.abs(p.sigma_h * da1 - jt2).max(initial=0.0)
-    m2 = np.abs(-p.sigma_h * da2 - jt1).max(initial=0.0)
-    scale = max(np.abs(jt1).max(initial=0.0), np.abs(jt2).max(initial=0.0), FLOOR)
+    rate = gauge_rate(current_density(cur.psi, link_phases(cur.a, d, p), d, p),
+                      d, p)
+    m1 = np.abs((nxt.a.a1 - prev.a.a1) / dt2 - rate.a1).max(initial=0.0)
+    m2 = np.abs((nxt.a.a2 - prev.a.a2) / dt2 - rate.a2).max(initial=0.0)
+    scale = max(np.abs(rate.a1).max(initial=0.0),
+                np.abs(rate.a2).max(initial=0.0), FLOOR)
     return float(max(m1, m2) / scale)
 
 

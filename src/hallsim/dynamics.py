@@ -8,6 +8,7 @@ The temporal gauge A0 = 0 is built in.  One full step advances
 
 where jt denotes the current interpolated onto the transverse link (mean of
 the four nearest links of the other orientation, zeros off-domain).
+gauge_rate is this Hall map, and the only code that forms jt.
 
 Scheme (second order overall):
 
@@ -67,8 +68,8 @@ import numpy as np
 
 from .domain import Domain
 from .fields import (CurrentField, LinkField, Stencil, charge_density,
-                     current_density, density_to_plaquettes, j1_at_vlinks,
-                     j2_at_hlinks, link_phases, stencil_matrix)
+                     current_density, density_to_plaquettes, link_phases,
+                     stencil_matrix)
 
 
 class SolverError(RuntimeError):
@@ -279,10 +280,32 @@ def cayley_step(psi: np.ndarray, phases, d: Domain, p: Params, dt: float,
         f"after {p.solver_maxiter} iterations")
 
 
+def _transverse_mean(j: np.ndarray, mask: np.ndarray, sigma: float) -> np.ndarray:
+    """Mean of the four vertical-link values j nearest each horizontal link,
+    missing links counting as zero (the weights stay 1/4), times mask (the
+    horizontal links' activity) and divided by sigma.
+
+    Given the transposes of horizontal-link values and of the vertical
+    links' mask, it returns the transpose of the same on the vertical links.
+    The zero pad takes j's memory layout, so a transposed call reads and
+    writes its arrays in memory order.
+    """
+    pad = np.zeros_like(j, shape=(j.shape[0], j.shape[1] + 2))
+    pad[:, 1:-1] = j
+    return (0.25 * (pad[:-1, 1:] + pad[1:, 1:] + pad[:-1, :-1] + pad[1:, :-1])
+            * mask / sigma)
+
+
 def gauge_rate(j: CurrentField, d: Domain, p: Params) -> LinkField:
-    """d_t A from the Hall law, with transverse current interpolation."""
-    return LinkField(j2_at_hlinks(j.j2, d) / p.sigma_h,
-                     -j1_at_vlinks(j.j1, d) / p.sigma_h)
+    """d_t A = (jt2, -jt1) / sigma_H: the Hall law, the one Hall map R.
+
+    jt is the current interpolated onto the transverse links.  Both halves
+    are _transverse_mean, the vertical-link one on the transposed arrays
+    and with divisor -sigma_H, so x . R(y) = -y . R(x), summed over the
+    links, for link fields x and y that vanish on inactive links.
+    """
+    return LinkField(_transverse_mean(j.j2, d.h_active, p.sigma_h),
+                     _transverse_mean(j.j1.T, d.v_active.T, -p.sigma_h).T)
 
 
 def _gauge_update(a: LinkField, rate: LinkField, c: float) -> LinkField:

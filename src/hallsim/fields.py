@@ -215,9 +215,10 @@ class Stencil:
         dtype = np.result_type(hop1, hop2, diag, scale)
         grid = np.shape(diag) or self.shape
         if grid != self.shape or not np.can_cast(dtype, self.coef.dtype):
-            raise ValueError(f"out: a {self.coef.dtype} stencil over the cells "
-                             f"of {self.shape}, expected one over the cells of "
-                             f"{grid} that holds {dtype} entries")
+            raise ValueError(f"Stencil.fill: filling a {self.coef.dtype} stencil "
+                             f"over the cells of {self.shape}, but the entries "
+                             f"need one over the cells of {grid} that holds "
+                             f"{dtype} entries")
         c = self.coef.reshape(5, *self.shape)           # a view: the zeros stay
         np.multiply(hop1, -scale, out=c[1, :-1, :])     # M[x + e1, x]
         np.conjugate(c[1, :-1, :], out=c[0, 1:, :])     # M[x, x + e1]
@@ -274,22 +275,3 @@ def density_to_plaquettes(rho: np.ndarray, d: Domain) -> np.ndarray:
     avg = 0.25 * (rho[:-1, :-1] + rho[1:, :-1] + rho[:-1, 1:] + rho[1:, 1:])
     return np.where(d.plaq_active, avg, 0.0)
 
-
-def j2_at_hlinks(j2: np.ndarray, d: Domain) -> np.ndarray:
-    """Transverse current at horizontal links: mean of the 4 nearest vertical
-    links, counting missing links as zero (the weights stay 1/4)."""
-    nx, ny = d.nx, d.ny
-    pad = np.zeros((nx, ny + 1))
-    pad[:, 1:ny] = j2
-    out = 0.25 * (pad[:-1, 1:] + pad[1:, 1:] + pad[:-1, :-1] + pad[1:, :-1])
-    return out * d.h_active
-
-
-def j1_at_vlinks(j1: np.ndarray, d: Domain) -> np.ndarray:
-    """Transverse current at vertical links: mean of the 4 nearest horizontal
-    links, counting missing links as zero."""
-    nx, ny = d.nx, d.ny
-    pad = np.zeros((nx + 1, ny))
-    pad[1:nx, :] = j1
-    out = 0.25 * (pad[1:, :-1] + pad[1:, 1:] + pad[:-1, :-1] + pad[:-1, 1:])
-    return out * d.v_active

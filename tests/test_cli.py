@@ -88,6 +88,17 @@ def test_invalid_config_exit_2(tmp_path, capsys):
     assert "sigma_h" in err and "steps" in err
 
 
+def test_zero_means_default_keys_reject_negatives_as_below_zero():
+    # 0 is the stability default of dt, 4 dx for psi0_width and "off" for
+    # psi0_ecut, so a negative value breaks ">= 0", not positivity
+    from hallsim.config import ConfigError, build_config
+    keys = ("dt", "psi0_width", "psi0_ecut")
+    assert build_config({k: "0" for k in keys}).dt == 0.0
+    with pytest.raises(ConfigError) as err:
+        build_config({k: "-1" for k in keys})
+    assert err.value.problems == [f"{k}: must be >= 0, got -1.0" for k in keys]
+
+
 def test_flux_without_hole_exit_2(tmp_path):
     cfg = write_cfg(tmp_path, "nx = 12\nny = 12\nsteps = 2\nflux = 1.0\n")
     assert run_cli(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2

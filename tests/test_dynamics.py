@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from hallsim import (CurrentField, LinkField, Params, SimState, Workspace,
                      advance, apply_gauge, band_limited, build_rectangle,
-                     cayley_step, dense_hamiltonian, gauge_rate,
+                     cayley_step, default_dt, dense_hamiltonian, gauge_rate,
                      gaussian_packet, initialize_consistent, plaquette_curl,
                      uniform_state)
 from hallsim import DomainError, build_corbino, link_divergence
@@ -312,10 +312,14 @@ def test_energy_drift_second_order_in_dt():
         assert 3.6 <= coarse / fine <= 4.4, drift
 
 
-def test_ohm_law_internal_consistency():
+@pytest.mark.parametrize("sigma_h, dx, n, dt", [(1.0, 1.0, 16, 0.05),
+                                                 (-2.5, 0.5, 31, None)],
+                         ids=["sigma1-dx1", "sigma-2.5-dx0.5"])
+def test_ohm_law_internal_consistency(sigma_h, dx, n, dt):
+    # the same 15 x 15 box either way; dt None is the stability default
     from hallsim.diagnostics import ohm_residual
-    d = build_rectangle(16, 16, 1.0, [])
-    p = Params(sigma_h=1.0, dt=0.05)
+    d = build_rectangle(n, n, dx, [])
+    p = Params(sigma_h=sigma_h, dt=dt or default_dt(d))
     psi0 = gaussian_packet(d, (7.5, 7.5), 2.5, (0.3, 0.0), norm=1.0)
     s = initialize_consistent(d, psi0, p)
     states = [s]
@@ -396,15 +400,34 @@ def test_cayley_step_continuity_with_own_phases(d, seed):
        sigma_h=st.floats(0.05, 20.0) | st.floats(-20.0, -0.05))
 @settings(max_examples=40, deadline=None)
 def test_hall_law_does_no_work(d, seed, sigma_h):
-    # sum over links of j . dA/dt vanishes: the transverse interpolations
-    # j2_at_hlinks and j1_at_vlinks are transposes of each other, so the
-    # matter energy Re<psi|H(A)|psi> is an invariant of the semi-discrete flow
+    # sum over links of j . dA/dt vanishes: gauge_rate forms its two halves
+    # with one function, the second on the transposed arrays and with the
+    # opposite sign, so the matter energy Re<psi|H(A)|psi> is an invariant
+    # of the semi-discrete flow
     p = Params(sigma_h=sigma_h, dt=0.05)
     psi, a = random_fields(d, seed)
     j = current_density(psi, link_phases(a, d, p), d, p)
     rate = gauge_rate(j, d, p)
     terms = np.concatenate([(j.j1 * rate.a1).ravel(), (j.j2 * rate.a2).ravel()])
     assert abs(terms.sum()) <= 1e-13 * np.abs(terms).sum()
+
+
+@given(d=masked_domains(), seed=st.integers(0, 2 ** 31))
+@settings(max_examples=40, deadline=None)
+def test_hall_map_antisymmetric(d, seed):
+    # x . R(y) = -y . R(x) exactly for R = gauge_rate at sigma_H = 1: with
+    # small integer link currents every product and sum is exact
+    p = Params(sigma_h=1.0)
+    rng = np.random.default_rng(seed)
+    x, y = (CurrentField(*(np.where(m, rng.integers(-8, 9, m.shape), 0.0)
+                           for m in (d.h_active, d.v_active)))
+            for _ in range(2))
+
+    def pair(u, v):
+        r = gauge_rate(v, d, p)
+        return (u.j1 * r.a1).sum() + (u.j2 * r.a2).sum()
+
+    assert pair(x, y) == -pair(y, x)
 
 
 def cayley_residual(psi, new, phases, d, p, dt):
@@ -684,7 +707,9 @@ def test_workspace_of_another_grid_rejected(rng):
     d = build_rectangle(12, 16, 1.0, [])
     psi = np.where(d.active, rng.normal(size=(12, 16)) + 0j, 0.0)
     p = Params()
-    with pytest.raises(ValueError, match="out: "):
+    with pytest.raises(ValueError, match=r"^Stencil\.fill: filling a complex128 "
+                       r"stencil over the cells of \(16, 12\), but the entries "
+                       r"need one over the cells of \(12, 16\)"):
         cayley_step(psi, link_phases(LinkField.zeros(d), d, p), d, p, 0.05,
                     Workspace(build_rectangle(16, 12, 1.0, [])))
 

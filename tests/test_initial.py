@@ -180,6 +180,29 @@ def test_rim_state_independent_of_eigensolver_basis(domain, monkeypatch):
         assert np.abs(rim_pair_state(d, P, norm=1.0) - ref).max() <= 1e-12
 
 
+def test_rim_pair_needs_eigenvalues_within_degeneracy_tol(monkeypatch):
+    # the trivial group solves one block, so each degenerate pair comes back
+    # from one eigh; splitting every pair by delta times the spectrum scale
+    # keeps the state for delta below DEGENERACY_TOL = 1e-9 and leaves no
+    # pair above it
+    d = padded_corbino()
+    ref = rim_pair_state(d, P, norm=1.0)
+    eigh = np.linalg.eigh
+
+    def split(delta):
+        def split_eigh(a):
+            w, V = eigh(a)
+            w[1::2] += delta * max(abs(w[0]), abs(w[-1]), 1.0)
+            return w, V
+        monkeypatch.setattr(np.linalg, "eigh", split_eigh)
+
+    split(1e-10)
+    assert np.abs(rim_pair_state(d, P, norm=1.0) - ref).max() <= 1e-15
+    split(1e-7)
+    with pytest.raises(DomainError, match="no degenerate rim-localized"):
+        rim_pair_state(d, P, norm=1.0)
+
+
 @pytest.mark.parametrize("domain, band", [
     (lambda: build_rectangle(12, 12, 1.0, []), 2),
     (lambda: build_rectangle(15, 15, 1.0, []), 3),
