@@ -145,8 +145,8 @@ def current_density(psi: np.ndarray, phases, d: Domain, p) -> CurrentField:
     j = []
     for tail, u, head, mask in ((psi[:-1, :], u1, psi[1:, :], d.h_active),
                                 (psi[:, :-1], u2, psi[:, 1:], d.v_active)):
-        w = np.conjugate(tail)
-        w *= np.conjugate(u)
+        w = np.multiply(tail, u)        # conj(tail) conj(u) = conj(tail u)
+        np.conjugate(w, out=w)
         w *= head
         jl = np.multiply(w.imag, scale)
         jl *= mask
@@ -172,12 +172,16 @@ BLOCK_SITES = 16384
 
 
 class Stencil:
-    """A five-point lattice operator M on the cells of a grid, row-major.
+    """A Hermitian five-point lattice operator M on the cells of a grid,
+    row-major.
 
-    coef keeps M in the storage of a diagonal sparse matrix: row k holds at
-    column c the entry M[c - offsets[k], c], with offsets (ny, -ny, 1, -1, 0)
-    for the neighbours along e1 and e2 and the diagonal.  The entries that
-    would couple the end of one grid row to the start of the next are zero.
+    coef keeps the lower triangle of M in diagonal storage, one row per
+    diagonal: at column c, row 0 holds M[c + ny, c] (the hop along e1), row
+    1 holds M[c + 1, c] (along e2) and row 2 the diagonal M[c, c].  The
+    hops above the diagonal are not stored: M[c, c + ny] is the conjugate
+    of M[c + ny, c], which apply forms block by block (a real stencil reads
+    the lower row as it is), and likewise along e2.  The entries that would
+    couple the end of one grid row to the start of the next are zero.
     stencil_matrix assembles one; fill rewrites its entries in place, so a
     caller that rebuilds the operator each step keeps one.
     """
@@ -186,31 +190,36 @@ class Stencil:
         nx, ny = shape
         n = nx * ny
         self.shape = (nx, ny)
-        self.offsets = (ny, -ny, 1, -1, 0)
-        self.coef = np.zeros((5, n), dtype=dtype)
+        self.coef = np.zeros((3, n), dtype=dtype)
+        conj = np.iscomplexobj(self.coef)
         # apply's plan, one entry per block of rows [s, e): the diagonal's
-        # coefficients and, per neighbour, its coefficients (views that
-        # fill keeps current), the rows [lo, hi) that have that neighbour
-        # and its offset
+        # coefficients and, per neighbour, the lower hops it reads (views
+        # that fill keeps current), the rows [lo, hi) that have that
+        # neighbour, its offset and whether the hops are conjugated (the
+        # neighbours above of a complex stencil)
         self._blocks = []
         for s in range(0, n, BLOCK_SITES):
             e = min(s + BLOCK_SITES, n)
             terms = []
-            for coef, off in zip(self.coef[:4], self.offsets[:4]):
-                lo, hi = max(s, -off), min(e, n - off)
-                if lo < hi:
-                    terms.append((coef[lo + off:hi + off], lo, hi, off))
-            self._blocks.append((self.coef[4, s:e], s, e, terms))
+            for low, step in zip(self.coef[:2], (ny, 1)):
+                for off in (step, -step):
+                    lo, hi = max(s, -off), min(e, n - off)
+                    at = min(off, 0)            # M[r, r + off] sits at r + at
+                    if lo < hi:
+                        terms.append((low[lo + at:hi + at], lo, hi, off,
+                                      conj and off > 0))
+            self._blocks.append((self.coef[2, s:e], s, e, terms))
 
     def fill(self, hop1, hop2, diag, scale) -> "Stencil":
         """Rewrite the entries to scale * (diag - hops); returns self.
 
-        For c' = c + e1, M[c', c] = -scale hop1[c] and M[c, c'] is its
-        conjugate; likewise hop2 along e2; M[c, c] = scale diag[c].  Scalars
-        broadcast; every input is multiplied straight into coef, so no
-        temporary is formed.  The inputs' result type must cast safely into
-        coef's dtype (real hops into a complex stencil, say), and an array
-        diag must have the stencil's shape; otherwise ValueError.
+        For c' = c + e1, M[c', c] = -scale hop1[c], and M[c, c'] is its
+        conjugate, which is not stored; likewise hop2 along e2;
+        M[c, c] = scale diag[c].  Scalars broadcast; every input is
+        multiplied straight into coef, so no temporary is formed.  The
+        inputs' result type must cast safely into coef's dtype (real hops
+        into a complex stencil, say), and an array diag must have the
+        stencil's shape; otherwise ValueError.
         """
         dtype = np.result_type(hop1, hop2, diag, scale)
         grid = np.shape(diag) or self.shape
@@ -219,12 +228,10 @@ class Stencil:
                              f"over the cells of {self.shape}, but the entries "
                              f"need one over the cells of {grid} that holds "
                              f"{dtype} entries")
-        c = self.coef.reshape(5, *self.shape)           # a view: the zeros stay
-        np.multiply(hop1, -scale, out=c[1, :-1, :])     # M[x + e1, x]
-        np.conjugate(c[1, :-1, :], out=c[0, 1:, :])     # M[x, x + e1]
-        np.multiply(hop2, -scale, out=c[3, :, :-1])     # M[x + e2, x]
-        np.conjugate(c[3, :, :-1], out=c[2, :, 1:])     # M[x, x + e2]
-        np.multiply(diag, scale, out=c[4])
+        c = self.coef.reshape(3, *self.shape)           # a view: the zeros stay
+        np.multiply(hop1, -scale, out=c[0, :-1, :])     # M[x + e1, x]
+        np.multiply(hop2, -scale, out=c[1, :, :-1])     # M[x + e2, x]
+        np.multiply(diag, scale, out=c[2])
         return self
 
     def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -232,8 +239,10 @@ class Stencil:
 
         The result has x's shape and goes to out (C-contiguous) when given.
         The sites go through in blocks of BLOCK_SITES: each block's row of
-        M x is the diagonal term plus the four neighbour terms, each product
-        formed in one block-sized buffer.
+        M x is the diagonal term plus the four neighbour terms (along +e1,
+        -e1, +e2, -e2), each product formed in one block-sized buffer, into
+        which a complex stencil first conjugates the hops of the neighbours
+        above.
         """
         xf = x.reshape(-1)
         if out is None:
@@ -242,21 +251,29 @@ class Stencil:
         tmp = np.empty(min(BLOCK_SITES, y.size), dtype=y.dtype)
         for diag, s, e, terms in self._blocks:
             np.multiply(diag, xf[s:e], out=y[s:e])
-            for coef, lo, hi, off in terms:
+            for coef, lo, hi, off, conj in terms:
                 t = tmp[:hi - lo]
-                np.multiply(coef, xf[lo + off:hi + off], out=t)
+                if conj:
+                    np.conjugate(coef, out=t)
+                    t *= xf[lo + off:hi + off]
+                else:
+                    np.multiply(coef, xf[lo + off:hi + off], out=t)
                 y[lo:hi] += t
         return out
 
     def entries(self) -> tuple:
-        """(rows, cols, values) of the nonzero entries, flat cell indices."""
+        """(rows, cols, values) of the nonzero entries, flat cell indices:
+        above and below the diagonal along e1, then along e2, then the
+        diagonal, each in cell order; an entry above the diagonal is the
+        conjugate of its mirror below."""
         n = self.coef.shape[1]
         parts = []
-        for coef, off in zip(self.coef, self.offsets):
-            cols = np.arange(max(0, off), min(n, n + off))
-            vals = coef[cols]
-            nz = vals != 0
-            parts.append((cols[nz] - off, cols[nz], vals[nz]))
+        for row, off in zip(self.coef, (self.shape[1], 1, 0)):
+            cols = np.flatnonzero(row[:n - off])
+            vals = row[cols]
+            if off:
+                parts.append((cols, cols + off, np.conjugate(vals)))
+            parts.append((cols + off, cols, vals))
         return tuple(np.concatenate(p) for p in zip(*parts))
 
 

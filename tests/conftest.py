@@ -1,3 +1,6 @@
+# hallsim before numpy: it sets OPENBLAS_NUM_THREADS before numpy loads
+# OpenBLAS, so the suite runs with the library's one-thread default
+import hallsim  # noqa: F401
 import numpy as np
 import pytest
 

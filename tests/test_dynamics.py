@@ -10,7 +10,8 @@ from hallsim import (CurrentField, LinkField, Params, SimState, Workspace,
 from hallsim import DomainError, build_corbino, link_divergence
 from hallsim.diagnostics import gauss_residual, record_state
 from hallsim.dynamics import CAYLEY_TOL, make_hamiltonian
-from hallsim.fields import current_density, link_phases, stencil_matrix
+from hallsim.fields import (Stencil, current_density, link_phases,
+                            stencil_matrix)
 
 
 def norm(s):
@@ -811,3 +812,23 @@ def test_stencil_apply_across_blocks_matches_neighbour_loops(complex_hops):
         rng, shape, 1.0, 1.0, complex_hops)).fill(*args)
     for got in (op.apply(v), refilled.apply(v)):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@given(d=masked_domains(), seed=st.integers(0, 2 ** 31))
+@settings(max_examples=30, deadline=None)
+def test_stencil_stores_each_hop_once_and_lists_hermitian_entries(d, seed):
+    # three rows of storage (the hops along e1 and e2 below the diagonal,
+    # and the diagonal), and every entry above the diagonal is listed as the
+    # conjugate of its mirror below, bit for bit
+    rng = np.random.default_rng(seed)
+    shape = (d.nx, d.ny)
+    assert Stencil(shape, np.complex128).coef.nbytes == 3 * 16 * d.nx * d.ny
+    op = stencil_matrix(shape, *random_stencil_inputs(
+        rng, shape, d.h_active, d.v_active, True))
+    rows, cols, vals = op.entries()
+    entry = {(r, c): v for r, c, v in zip(rows.tolist(), cols.tolist(), vals)}
+    assert len(entry) == len(rows)
+    off = rows != cols
+    assert off.sum() == 2 * (d.h_active.sum() + d.v_active.sum())
+    for r, c, v in zip(rows[off].tolist(), cols[off].tolist(), vals[off]):
+        assert entry[c, r].tobytes() == np.conjugate(v).tobytes()
