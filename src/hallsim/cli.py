@@ -36,7 +36,7 @@ def _params(cfg: RunConfig, d: Domain) -> Params:
     dt = cfg.dt if cfg.dt > 0 else default_dt(d, cfg.mu, cfg.hbar)
     try:
         return Params(sigma_h=cfg.sigma_h, hbar=cfg.hbar, e=cfg.e, mu=cfg.mu,
-                      dt=dt, solver_maxiter=cfg.solver_maxiter)
+                      dt=dt)
     except ValueError as err:   # e.g. a default dt that underflows to 0
         raise ConfigError([str(err)]) from err
 
@@ -45,7 +45,7 @@ def _read_snapshot(path, want: str, d: Domain) -> np.ndarray:
     kind, nx, ny, dx, arr = read_field(path)
     if kind != want:
         raise SnapshotError(f"{path}: holds {kind!r}, expected {want}")
-    check_grid(path, kind, nx, ny, dx, d)
+    check_grid(path, nx, ny, dx, d)
     return arr
 
 

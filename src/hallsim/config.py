@@ -23,9 +23,6 @@ Keys (defaults in parentheses):
     dt (0.05 mu dx^2/hbar)   time step
     steps (100)              step count
     record_every (1)         recording cadence; must divide steps
-    solver_maxiter (500)     iteration cap of both solves: the matter step's
-                             Krylov iterations (one H apply each) and the
-                             initial Poisson solve's CG iterations
   initial state
     psi0 (zero)              zero | gaussian | uniform | rim | file; the rim
                              state sits on the edge band and its
@@ -41,9 +38,9 @@ Keys (defaults in parentheses):
   run
     flux (0.0)               flux threaded through hole 0 after initialization
 
-The edge band width and the breakdown and sigma_est thresholds are fixed
-constants (domain.EDGE_WIDTH; diagnostics.RHO_STAR, B_STAR, SIGMA_FLOOR), not
-keys.
+The edge band width, the breakdown and sigma_est thresholds and the solvers'
+iteration cap are fixed constants (domain.EDGE_WIDTH; diagnostics.RHO_STAR,
+B_STAR, SIGMA_FLOOR; dynamics.MAX_ITERATIONS), not keys.
 """
 
 from __future__ import annotations
@@ -140,7 +137,6 @@ class RunConfig:
     dt: float = _key("", _number(empty=0.0, minimum=0))  # 0: stability default
     steps: int = _key("100", _count(0))
     record_every: int = _key("1", _count(1))
-    solver_maxiter: int = _key("500", _count(1))
     psi0: str = _key("zero", _choice("|", "zero", "gaussian", "uniform", "rim",
                                      "file"))
     psi0_center_x: float = _key("", _number())  # None: domain center

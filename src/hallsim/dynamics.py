@@ -81,24 +81,27 @@ class SolverError(RuntimeError):
 # is fixed where the Gauss residual stays at roundoff (<= 1e-10 relative).
 CAYLEY_TOL = 1e-14
 
+# Iteration cap of both linear solves: the Cayley matter step's Krylov
+# iterations (one H apply each) and the conjugate gradients of
+# initialize_consistent.  Both test their last allowed iterate, so a solve
+# that converges in k iterations succeeds with MAX_ITERATIONS = k.
+MAX_ITERATIONS = 500
+
 
 @dataclass(frozen=True)
 class Params:
     """Physical and integration parameters (natural units by default).
 
-    solver_maxiter caps the iterations of both linear solves: the Cayley
-    matter step's and the conjugate gradients of initialize_consistent.
-    Both test their last allowed iterate, so a solve that converges in k
-    iterations succeeds with solver_maxiter = k.  Their tolerances are fixed
-    (CAYLEY_TOL and the 1e-13 of initialize_consistent).  A rejected value
-    raises ValueError whose message starts with the parameter's name.
+    The linear solves take no parameter: their iteration cap is
+    MAX_ITERATIONS and their tolerances are fixed (CAYLEY_TOL and the 1e-13
+    of initialize_consistent).  A rejected value raises ValueError whose
+    message starts with the parameter's name.
     """
     sigma_h: float = 1.0
     hbar: float = 1.0
     e: float = 1.0
     mu: float = 1.0
     dt: float = 0.05
-    solver_maxiter: int = 500
 
     def __post_init__(self):
         if self.sigma_h == 0.0:
@@ -227,7 +230,7 @@ def cayley_step(psi: np.ndarray, phases, d: Domain, p: Params, dt: float,
     sqrt(|psi|^2 + alpha^2 |H psi|^2) (H is Hermitian), read off the first
     iteration's apply.  The unit roundoff covers the drift between the
     recurred residual and the one recomputed from psi'.  Raises SolverError
-    if that takes more than solver_maxiter iterations or the state or
+    if that takes more than MAX_ITERATIONS iterations or the state or
     residual turns non-finite.
     """
     apply_h = make_hamiltonian(phases, d, p, work)
@@ -245,7 +248,7 @@ def cayley_step(psi: np.ndarray, phases, d: Domain, p: Params, dt: float,
     y = np.zeros_like(r)
     np.copyto(q, r)
     res, tol = 2.0 * np.sqrt(rr), CAYLEY_TOL * np.sqrt(rr)
-    for it in range(p.solver_maxiter):
+    for it in range(MAX_ITERATIONS):
         hq = apply_h(q)
         if it == 0:                                 # q = psi
             bnorm = np.sqrt(rr + alpha ** 2 * np.vdot(hq, hq).real)
@@ -277,7 +280,7 @@ def cayley_step(psi: np.ndarray, phases, d: Domain, p: Params, dt: float,
         rr = rr_new
     raise SolverError(
         f"matter step did not converge: residual {res:.3e} > {tol:.3e} "
-        f"after {p.solver_maxiter} iterations")
+        f"after {MAX_ITERATIONS} iterations")
 
 
 def _transverse_mean(j: np.ndarray, mask: np.ndarray, sigma: float) -> np.ndarray:
@@ -426,7 +429,7 @@ def initialize_consistent(d: Domain, psi0: np.ndarray, p: Params) -> SimState:
     symmetric and positive definite on every mask (Brandt 1977; Tatebe
     1993); CG from zero reaches the tolerance in about 10-16 iterations on
     grids from 32^2 to 512^2, hole-free, with holes or as an annulus.
-    Every iterate, the zero start and the solver_maxiter-th included, is
+    Every iterate, the zero start and the MAX_ITERATIONS-th included, is
     accepted once its recurred relative residual is at most 1e-13.  The
     acceptance test of the result is the relative Gauss residual of the
     returned state, at most 1e-10.  Raises SolverError on a non-finite
@@ -455,7 +458,7 @@ def initialize_consistent(d: Domain, psi0: np.ndarray, p: Params) -> SimState:
         rel = np.linalg.norm(r) / bnorm
         if rel <= 1e-13:
             break
-        if it >= p.solver_maxiter or not np.isfinite(rel):
+        if it >= MAX_ITERATIONS or not np.isfinite(rel):
             res = np.linalg.norm(b - neg_lap.apply(chi)) / bnorm
             raise SolverError(
                 f"consistent initialization: Poisson CG solve did not converge: "

@@ -163,14 +163,7 @@ def _sector_modes(col, amp, reps, flip, entries):
     w = np.concatenate(w)
     order = np.argsort(w, kind="stable")
     W = W[:, order]
-    if W.dtype == u.dtype:
-        return w[order], u[:, :1] * W[k[:, 0]] + u[:, 1:] * W[k[:, 1]]
-    # complex u, real W (sector +-1 of a mirror mask): one real matmul of the
-    # two rows of W each orbit combines by the (re, im) pairs of its u, which
-    # leaves V's real and imaginary parts interleaved
-    pairs = np.stack([u.real, u.imag], axis=-1)
-    V = np.matmul(W[k].transpose(0, 2, 1), pairs)
-    return w[order], V.view(np.complex128)[..., 0]
+    return w[order], u[:, :1] * W[k[:, 0]] + u[:, 1:] * W[k[:, 1]]
 
 
 def _free_modes(d: Domain, p: Params, purpose: str) -> list:

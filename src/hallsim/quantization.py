@@ -88,7 +88,6 @@ class Spectrum:
     candidates: tuple
     mismatches: tuple           # |exp(2 pi i sigma l / hbar) - 1| per candidate
     allowed: tuple
-    tol: float
 
     @property
     def allowed_nonnegative(self) -> tuple:
@@ -109,7 +108,7 @@ def single_valuedness_scan(candidates, l: float = 1.0, hbar: float = 1.0,
     cands = tuple(float(s) for s in candidates)
     mism = tuple(abs(np.exp(2j * np.pi * s * l / hbar) - 1.0) for s in cands)
     allowed = tuple(s for s, m in zip(cands, mism) if m <= tol)
-    return Spectrum(cands, mism, allowed, tol)
+    return Spectrum(cands, mism, allowed)
 
 
 def commutator_check(sigma: float, grid: np.ndarray, test_functions,

@@ -130,7 +130,7 @@ def write_state(outdir, tag: str, psi: np.ndarray, a: LinkField, d: Domain):
     return paths
 
 
-def check_grid(path, kind, nx, ny, dx, d: Domain):
+def check_grid(path, nx, ny, dx, d: Domain):
     """Raise unless the loaded header matches the domain."""
     if (nx, ny) != (d.nx, d.ny) or dx != d.dx:
         raise SnapshotError(

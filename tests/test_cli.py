@@ -7,7 +7,7 @@ import pytest
 from conftest import continuity_of_states, write_v1
 
 import hallsim.cli
-from hallsim import build_rectangle
+from hallsim import build_rectangle, dynamics
 from hallsim.cli import main
 from hallsim.snapshots import read_field, write_field
 
@@ -104,13 +104,13 @@ def test_flux_without_hole_exit_2(tmp_path):
     assert run_cli(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
 
 
-def test_solver_failure_exit_3_names_step(tmp_path, capsys):
+def test_solver_failure_exit_3_names_step(tmp_path, capsys, monkeypatch):
     # the init's CG converges in 10 iterations here, and a step of dt = 2
     # needs more than 12 Cayley iterations, so the first step is the one
     # that fails
+    monkeypatch.setattr(dynamics, "MAX_ITERATIONS", 12)
     cfg = write_cfg(tmp_path, BASE_CFG + "dt = 2.0\n")
-    code = run_cli(["simulate", "--config", cfg, "--out", str(tmp_path / "x"),
-                    "--set", "solver_maxiter=12"])
+    code = run_cli(["simulate", "--config", cfg, "--out", str(tmp_path / "x")])
     assert code == 3
     assert "step 1" in capsys.readouterr().err
 
@@ -529,10 +529,12 @@ def test_psi0_file_v1_and_v2_same_diagnostics(tmp_path):
 
 # Keys that fixed constants replaced: the Cayley tolerance and the
 # Gauss-consistent start, so no config can start or take a run off the Gauss
-# surface; the edge band width and the regime thresholds of the diagnostics.
+# surface; the edge band width and the regime thresholds of the diagnostics;
+# the solvers' iteration cap.
 REMOVED_KEYS = {"solver_tol": "1e-8", "consistent_init": "false",
                 "rim_band": "3", "edge_k": "3", "rho_star": "1e-4",
-                "b_star": "1e-4", "sigma_floor": "1e-12"}
+                "b_star": "1e-4", "sigma_floor": "1e-12",
+                "solver_maxiter": "500"}
 
 
 @pytest.mark.parametrize("args, fragment", [

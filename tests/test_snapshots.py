@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -316,7 +317,6 @@ NON_DEFAULT = {
     "sigma_h": {"sigma_h": "-2.0"}, "hbar": {"hbar": "0.7"},
     "e": {"e": "1.3"}, "mu": {"mu": "2.0"}, "dt": {"dt": "0.01"},
     "steps": {"steps": "7"}, "record_every": {"record_every": "5"},
-    "solver_maxiter": {"solver_maxiter": "50"},
     "psi0": {"psi0": "File", "psi0_file": "psi.hsfield"},
     "psi0_center_x": {"psi0_center_x": "2.0", "psi0_center_y": "3.0"},
     "psi0_center_y": {"psi0_center_x": "-1", "psi0_center_y": "1e1"},
@@ -349,3 +349,22 @@ def test_module_docstring_names_every_key():
     doc = hallsim.config.__doc__
     missing = [k for k in DEFAULTS if not re.search(rf"\b{k}\b", doc)]
     assert missing == []
+
+
+def key_names(cell):
+    """Key names in a key column: comma or slash separated, without the
+    parenthesised defaults."""
+    return set(re.split(r"[\s,/]+", re.sub(r"\([^)]*\)", "", cell))) - {""}
+
+
+def test_readme_table_and_docstring_list_exactly_the_keys():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("### Config keys")[1].split("\n## ")[0]
+    rows = [line.split("|")[1] for line in table.splitlines()
+            if line.startswith("| ")][2:]          # header and rule go
+    assert set().union(*map(key_names, rows)) == set(DEFAULTS)
+    keys = hallsim.config.__doc__.split("Keys (defaults in parentheses):")[1]
+    entries = [re.split(r"\s{2,}", line.strip())[0]
+               for line in keys.strip("\n").split("\n\n")[0].splitlines()
+               if re.match(r" {4}\S", line)]
+    assert set().union(*map(key_names, entries)) == set(DEFAULTS)
