@@ -1,4 +1,4 @@
-"""Rim states and band limits from the rotation and mirror sectors of the free H."""
+"""Rim states and band limits from the grid-mirror sectors of the free H."""
 
 from unittest import mock
 
@@ -10,7 +10,7 @@ from hallsim import (Domain, DomainError, Params, band_limited, build_corbino,
                      build_rectangle, dense_hamiltonian, gaussian_packet,
                      normalize, rim_pair_state)
 from hallsim.initial import (DEGENERACY_TOL, MAX_BLOCK_SITES, MIN_RIM_WEIGHT,
-                             _free_modes, _orbits, circulation)
+                             _free_modes, _mirrors, circulation)
 
 from test_dynamics import masked_domains
 
@@ -18,10 +18,10 @@ P = Params(dt=0.05)
 
 
 def padded_corbino():
-    """The acceptance annulus on a 33 x 32 grid: C4-symmetric about a point
-    that is not the grid centre, so the trivial group applies."""
+    """The acceptance annulus on a 33 x 34 grid: symmetric about a point that
+    is not the grid centre, so no grid mirror maps the mask onto itself."""
     d = build_corbino(32, 1.0, 5.0, 14.0)
-    return Domain(33, 32, 1.0, np.pad(d.active, ((0, 1), (0, 0))), d.holes,
+    return Domain(33, 34, 1.0, np.pad(d.active, ((0, 1), (0, 2))), d.holes,
                   d.generator_loops)
 
 
@@ -50,7 +50,7 @@ def c4_domains(draw):
 def chiral_c4_domains(draw):
     """Squares with four holes, each the 90 degree rotation of the last, the
     first in the lower-left quadrant and not on the diagonal: C4 masks
-    without a mirror, whose sector +-1 block stays complex."""
+    without a mirror, split by the half-turn parity only."""
     n = draw(st.integers(10, 17))
     w, h = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     x0 = draw(st.integers(1, n // 2 - 1 - w))
@@ -64,15 +64,16 @@ def chiral_c4_domains(draw):
         d = build_rectangle(n, n, 1.0, holes)
     except DomainError:         # the rotated holes closer than two sites
         assume(False)
-    assert _orbits(d).shape[1] == 4 and not np.array_equal(d.active, d.active.T)
+    assert np.array_equal(d.active, np.rot90(d.active))
+    assert not np.array_equal(d.active, d.active.T)
     return d
 
 
 @st.composite
 def mirror_domains(draw):
     """Squares with a hole and its mirror image across the main diagonal
-    (one hole when it lies on the diagonal), without C4 symmetry: the
-    trivial group, split by mirror parity."""
+    (one hole when it lies on the diagonal), without C4 symmetry: split by
+    the transpose parity (and the anti-transpose's, where it applies)."""
     n = draw(st.integers(6, 16))
     w, h = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     x0, y0 = draw(st.integers(1, n - 1 - w)), draw(st.integers(1, n - 1 - h))
@@ -80,8 +81,55 @@ def mirror_domains(draw):
         d = build_rectangle(n, n, 1.0, sorted({(x0, y0, w, h), (y0, x0, h, w)}))
     except DomainError:         # the two holes closer than two sites
         assume(False)
-    assume(_orbits(d).shape[1] == 1)
+    assume(not np.array_equal(d.active, np.rot90(d.active)))
     assert np.array_equal(d.active, d.active.T)
+    return d
+
+
+@st.composite
+def xy_mirror_domains(draw):
+    """Rectangles with nx != ny and a centred rectangular hole: the x and y
+    mirrors without the diagonal ones, four sectors."""
+    nx, ny = draw(st.integers(6, 17)), draw(st.integers(6, 17))
+    assume(nx != ny)
+    a, b = draw(st.integers(2, (nx - 1) // 2)), draw(st.integers(2, (ny - 1) // 2))
+    try:
+        d = build_rectangle(nx, ny, 1.0, [(a, b, nx - 2 * a, ny - 2 * b)])
+    except DomainError:         # hole too close to the frame or empty
+        assume(False)
+    assert list(_mirrors(d)) == ["X", "Y", "XY"]
+    return d
+
+
+@st.composite
+def axis_mirror_domains(draw):
+    """Rectangles with a hole centred along one axis only: the x mirror or
+    the y mirror alone, two sectors."""
+    axis = draw(st.sampled_from(["X", "Y"]))
+    nx, ny = draw(st.integers(6, 17)), draw(st.integers(6, 17))
+    a = draw(st.integers(2, (nx - 1) // 2))
+    y0, h = draw(st.integers(2, ny - 3)), draw(st.integers(1, 3))
+    try:
+        if axis == "X":
+            d = build_rectangle(nx, ny, 1.0, [(a, y0, nx - 2 * a, h)])
+        else:
+            d = build_rectangle(ny, nx, 1.0, [(y0, a, h, nx - 2 * a)])
+    except DomainError:         # hole too close to the frame or empty
+        assume(False)
+    assume(list(_mirrors(d)) == [axis])
+    return d
+
+
+@st.composite
+def diagonal_mirror_domains(draw):
+    """Squares with two square holes on the main diagonal, each the half-turn
+    image of the other: the two diagonal mirrors without the axis ones,
+    four sectors."""
+    w = draw(st.integers(1, 3))
+    n = draw(st.integers(2 * w + 6, 17))
+    x0 = draw(st.integers(2, (n - 2 * w - 2) // 2))
+    d = build_rectangle(n, n, 1.0, [(x0, x0, w, w), (n - x0 - w, n - x0 - w, w, w)])
+    assert list(_mirrors(d)) == ["T", "A", "XY"]
     return d
 
 
@@ -143,13 +191,15 @@ def test_rim_state_circulates_counter_clockwise(n, r_inner, r_outer):
 
 def test_padded_annulus_uses_trivial_group_and_same_state():
     d = padded_corbino()
-    assert _orbits(d).shape[1] == 1
-    assert _orbits(build_corbino(32, 1.0, 5.0, 14.0)).shape[1] == 4
+    assert not _mirrors(d) and len(_free_modes(d, P, "test")) == 1
+    corbino = build_corbino(32, 1.0, 5.0, 14.0)
+    assert np.array_equal(corbino.active, np.rot90(corbino.active))
+    assert np.array_equal(corbino.active, corbino.active.T)
     psi = rim_pair_state(d, P, norm=1.0)
-    ref = rim_pair_state(build_corbino(32, 1.0, 5.0, 14.0), P, norm=1.0)
+    ref = rim_pair_state(corbino, P, norm=1.0)
     assert circulation(psi, d, P) > 0.0
-    assert np.abs(psi[:32] - ref).max() <= 1e-12
-    assert np.all(psi[32] == 0.0)
+    assert np.abs(psi[:32, :32] - ref).max() <= 1e-12
+    assert np.all(psi[32] == 0.0) and np.all(psi[:, 32:] == 0.0)
 
 
 @pytest.mark.parametrize("domain", [lambda: build_corbino(32, 1.0, 5.0, 14.0),
@@ -295,19 +345,32 @@ def test_mirror_parity_modes_match_dense_oracle(d, seed, band):
     check_against_dense_oracle(d, seed, band)
 
 
+@given(d=st.one_of(xy_mirror_domains(), axis_mirror_domains(),
+                   diagonal_mirror_domains()),
+       seed=st.integers(0, 2 ** 31), band=st.integers(1, 3))
+@settings(max_examples=45, deadline=None)
+def test_abelian_mirror_modes_match_dense_oracle(d, seed, band):
+    check_against_dense_oracle(d, seed, band)
+
+
 def chiral_square():
     """A 12 x 12 square with four holes, each the 90 degree rotation of the
-    last: C4 without a mirror, 34 orbits."""
+    last: C4 without a mirror, two half-turn blocks of 68 rows."""
     return build_rectangle(12, 12, 1.0, [(2, 3, 2, 1), (3, 8, 1, 2),
                                          (8, 8, 2, 1), (8, 2, 1, 2)])
 
 
 @pytest.mark.parametrize("domain, blocks", [
-    # sigma K makes the sector +-1 block real; sigma splits sectors 0 and 2
+    # D4: the four characters of X and T, then (X: +1, Y: -1), whose
+    # transpose is the sixth sector
     (lambda: build_corbino(64, 1.0, 10.0, 30.0),
-     [(321, "f8"), (307, "f8"), (628, "f8"), (321, "f8"), (307, "f8")]),
-    (chiral_square, [(34, "f8"), (34, "c16"), (34, "f8")]),
-], ids=["mirror-annulus", "chiral"])
+     [(321, "f8"), (307, "f8"), (321, "f8"), (307, "f8"), (628, "f8")]),
+    # the x and y mirrors of a 14 x 19 grid with a centred hole
+    (lambda: build_rectangle(14, 19, 1.0, [(5, 7, 4, 5)]),
+     [(64, "f8"), (59, "f8"), (64, "f8"), (59, "f8")]),
+    # C4 without a mirror: the half-turn parities
+    (chiral_square, [(68, "f8"), (68, "f8")]),
+], ids=["mirror-annulus", "xy-rectangle", "chiral"])
 def test_eigensolved_blocks(domain, blocks, monkeypatch):
     d = domain()
     calls = []
@@ -320,12 +383,11 @@ def test_eigensolved_blocks(domain, blocks, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     sectors = _free_modes(d, P, "test")
     assert calls == blocks
-    assert sectors[0].V.dtype == sectors[2].V.dtype == np.float64
-    assert sectors[1].V.dtype == sectors[3].V.dtype == np.complex128
+    assert all(s.V.dtype == np.float64 for s in sectors)
 
 
 def test_dense_block_cap_applies_per_sector():
-    # 4,096 active sites: each C4 block has 1,024 rows
+    # 4,096 active sites: the largest mirror block has 1,024 rows
     d = build_corbino(74, 1.0, 8.0, 37.0)
     assert MAX_BLOCK_SITES < d.n_active < 4 * MAX_BLOCK_SITES
     psi = rim_pair_state(d, P, norm=1.0)
@@ -333,7 +395,31 @@ def test_dense_block_cap_applies_per_sector():
 
 
 def test_dense_block_cap_without_symmetry():
-    d = build_rectangle(64, 65, 1.0, [])
+    d = build_rectangle(64, 65, 1.0, [(10, 12, 3, 3)])
+    assert not _mirrors(d)
     packet = gaussian_packet(d, (32.0, 32.0), 4.0)
-    with pytest.raises(DomainError, match="band limiting .* 4160 sites"):
+    with pytest.raises(DomainError, match="band limiting .* 4151 sites"):
+        band_limited(packet, d, P, 0.1)
+
+
+def test_dense_block_cap_applies_per_mirror_sector():
+    # 4,160 active sites: the x and y mirrors split them into 1,040-row blocks
+    d = build_rectangle(64, 65, 1.0, [])
+    assert d.n_active > MAX_BLOCK_SITES
+    packet = gaussian_packet(d, (32.0, 32.0), 4.0)
+    psi = band_limited(packet, d, P, 0.1)
+    assert np.isfinite(psi).all() and np.abs(psi).max() > 0.0
+
+
+def test_dense_block_cap_chiral_pinwheel():
+    # C4 without a mirror splits by the half-turn parity only: 9,616 active
+    # sites give a 4,808-row block, refused before any eigensolve
+    holes = [(16, 20, 12, 8)]
+    for _ in range(3):
+        x, y, a, b = holes[-1]
+        holes.append((y, 100 - x - a, b, a))
+    d = build_rectangle(100, 100, 1.0, holes)
+    assert list(_mirrors(d)) == ["XY"] and d.n_active == 9616
+    packet = gaussian_packet(d, (50.0, 50.0), 4.0)
+    with pytest.raises(DomainError, match="band limiting .* 4808 sites"):
         band_limited(packet, d, P, 0.1)
