@@ -9,10 +9,11 @@ diagnostics and snapshots.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 import time
+from collections.abc import Sequence
+from itertools import chain
 
 import numpy as np
 
@@ -23,13 +24,14 @@ from .diagnostics import DiagnosticsRecord, continuity_residual, record_state
 from .domain import Domain, DomainError
 from .dynamics import (Params, SimState, SolverError, Workspace, advance,
                        default_dt, initialize_consistent)
-from .fields import LinkField, current_density, link_phases
+from .fields import LinkField, current_density, link_phases, site_density
 from .holonomy import insert_flux
 from .initial import band_limited, gaussian_packet, rim_pair_state, uniform_state
 from .quantization import single_valuedness_scan
 from .snapshots import SnapshotError, check_grid, read_field, write_state
 
 MAX_CANDIDATES = 1_000_000      # sigma_H candidates one quantize scan may build
+RECORD_BLOCK_BYTES = 1 << 20    # bytes of record rows per allocation (Records)
 
 
 def _params(cfg: RunConfig, d: Domain) -> Params:
@@ -74,13 +76,72 @@ def _initial_psi(cfg: RunConfig, d: Domain, p: Params) -> np.ndarray:
     return psi
 
 
+class Records(Sequence):
+    """The recorded states of a run, held on the active sites and links.
+
+    A record keeps its t and one row of the values of psi, a1 and a2 on
+    d.active, d.h_active and d.v_active.  The states of a run are +0.0 off
+    the domain, so reading an item rebuilds its SimState bit for bit, with
+    rate None (the rows never read the predictor).  A slice gives a list of
+    states.
+
+    The rows of the `count` records of a run are allocated in blocks of
+    about RECORD_BLOCK_BYTES, the last one cut to the records left.  With
+    one array per row, the peak RSS of 1,001 records on a 64^2 Corbino
+    swung between 112 and 137 MB with unrelated allocations; one table for
+    all rows read 119 MB there and raised a 256^2 run's peak by 3 MB.
+    Blocks of 1 MiB read 114 MB, and a 256^2 row (2 MB) is a block of its
+    own.
+    """
+
+    def __init__(self, d: Domain, p: Params, count: int):
+        self.domain, self.params = d, p
+        n_h = int(d.h_active.sum())
+        self._cuts = (2 * d.n_active, 2 * d.n_active + n_h)
+        self._size = self._cuts[1] + int(d.v_active.sum())
+        self._per_block = max(1, RECORD_BLOCK_BYTES // (8 * self._size))
+        self._count = count
+        self._t, self._blocks = [], []
+
+    def _row(self, i: int) -> np.ndarray:
+        return self._blocks[i // self._per_block][i % self._per_block]
+
+    def append(self, s: SimState):
+        d, i = self.domain, len(self._t)
+        if i % self._per_block == 0:
+            rows = min(self._per_block, self._count - i)
+            self._blocks.append(np.empty((rows, self._size)))
+        psi, a1, a2 = np.split(self._row(i), self._cuts)
+        psi.view(np.complex128)[:] = s.psi[d.active]
+        a1[:] = s.a.a1[d.h_active]
+        a2[:] = s.a.a2[d.v_active]
+        self._t.append(s.t)
+
+    def __len__(self) -> int:
+        return len(self._t)
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]
+        if isinstance(i, range):
+            return [self[k] for k in i]
+        d = self.domain
+        psi_on, a1_on, a2_on = np.split(self._row(i), self._cuts)
+        psi = np.zeros((d.nx, d.ny), dtype=np.complex128)
+        psi[d.active] = psi_on.view(np.complex128)
+        a = LinkField.zeros(d)
+        a.a1[d.h_active] = a1_on
+        a.a2[d.v_active] = a2_on
+        return SimState(d, self.params, psi, a, self._t[i])
+
+
 def simulate_run(cfg: RunConfig):
     """Run one simulation; returns (domain, params, recorded states).
 
     The initial potential solves the Gauss constraint for the initial psi
-    (dynamics.initialize_consistent), and the steps keep it.  Every recorded
-    state has rate None (see dynamics.SimState).  All steps share one
-    Workspace, built with the rest of the set-up.
+    (dynamics.initialize_consistent), and the steps keep it.  The recorded
+    states are a Records sequence: the initial state and every
+    record_every-th step.  All steps share one Workspace, built with the
+    rest of the set-up.
     """
     d = make_domain(cfg)
     p = _params(cfg, d)
@@ -97,7 +158,8 @@ def simulate_run(cfg: RunConfig):
             raise ConfigError(["flux: domain has no hole to thread flux through"])
         state = SimState(d, p, state.psi, insert_flux(state.a, d, 0, cfg.flux), 0.0)
 
-    records = [state]
+    records = Records(d, p, 1 + cfg.steps // cfg.record_every)
+    records.append(state)
     work = Workspace(d)
     for step in range(1, cfg.steps + 1):
         try:
@@ -105,32 +167,34 @@ def simulate_run(cfg: RunConfig):
         except SolverError as err:
             raise SolverError(f"step {step}: {err}") from err
         if step % cfg.record_every == 0:
-            # a record does not keep the predictor: the rows never read it
-            records.append(dataclasses.replace(state, rate=None))
+            records.append(state)
     return d, p, records
 
 
 def records_to_rows(records) -> list:
     """DiagnosticsRecord per recorded state.
 
-    Walks the records with a three-state window: each state's current is
-    computed once and serves its own edge fraction and its neighbors'
-    continuity check.
+    Walks the records once with a three-state window: each state is read
+    once, and its site density and current are computed once and serve its
+    own row and its neighbors' continuity check.
     """
-    def current(s):
+    def with_fields(s):
         d, p = s.domain, s.params
-        return current_density(s.psi, link_phases(s.a, d, p), d, p)
+        return (s, site_density(s.psi, d),
+                current_density(s.psi, link_phases(s.a, d, p), d, p))
 
     rows = []
-    j_prev, j_cur = None, current(records[0])
-    for i, s in enumerate(records):
-        j_next = current(records[i + 1]) if i + 1 < len(records) else None
-        cont = None
-        if j_prev is not None and j_next is not None:
-            cont = continuity_residual(records[i - 1], records[i + 1], j_prev,
-                                       j_next)
-        rows.append(record_state(s, continuity=cont, current=j_cur))
-        j_prev, j_cur = j_cur, j_next
+    prev = cur = None
+    for nxt in chain(map(with_fields, records), [None]):
+        if cur is not None:
+            s, rho, j = cur
+            cont = None
+            if prev is not None and nxt is not None:
+                (sp, rho_p, jp), (sn, rho_n, jn) = prev, nxt
+                cont = continuity_residual(sp, sn, jp, jn, rho_p, rho_n)
+            rows.append(record_state(s, continuity=cont, current=j,
+                                     density=rho))
+        prev, cur = cur, nxt
     return rows
 
 
@@ -152,8 +216,9 @@ def cmd_simulate(cfg: RunConfig, outdir: str) -> int:
         f.write(DiagnosticsRecord.header(d.g) + "\n")
         for row in rows:
             f.write(row.row() + "\n")
-    write_state(outdir, "initial", records[0].psi, records[0].a, d)
-    write_state(outdir, "final", records[-1].psi, records[-1].a, d)
+    for name, i in (("initial", 0), ("final", -1)):
+        s = records[i]
+        write_state(outdir, name, s.psi, s.a, d)
     _write_manifest(os.path.join(outdir, "manifest.txt"), cfg,
                     time.monotonic() - t0)
     print(f"wrote {csv_path} ({len(rows)} rows)")

@@ -24,9 +24,9 @@ import numpy as np
 
 from .domain import Domain
 from .dynamics import gauge_rate, make_hamiltonian
-from .fields import (CurrentField, charge_density, current_density,
-                     density_to_plaquettes, link_divergence, link_phases,
-                     plaquette_curl, site_density)
+from .fields import (CurrentField, current_density, density_to_plaquettes,
+                     link_divergence, link_phases, plaquette_curl,
+                     site_density)
 
 FLOOR = 1e-300
 # Kept apart from FLOOR: merging the two would move which sigma_est cells
@@ -59,21 +59,22 @@ def gauss_residual(s) -> tuple:
                              plaquette_curl(s.a, d), p)
 
 
-def continuity_residual(prev, nxt, jp: CurrentField, jn: CurrentField) -> float:
+def continuity_residual(prev, nxt, jp: CurrentField, jn: CurrentField,
+                        rho_p: np.ndarray, rho_n: np.ndarray) -> float:
     """Centered continuity check between two recorded states.
 
     Computes || (j0(next) - j0(prev)) / (t_next - t_prev) + div j_bar ||_inf
-    with j_bar the mean of the link currents jp and jn of the two states
-    (their current_density), normalized by the current scale max(|j_bar|)/dx.
-    Second order in the recording interval.
+    with j0 = e rho, rho_p and rho_n the site_density of the two states, and
+    j_bar the mean of their link currents jp and jn (their current_density),
+    normalized by the current scale max(|j_bar|)/dx.  Second order in the
+    recording interval.
     """
     d, p, dt = prev.domain, prev.params, nxt.t - prev.t
     if dt <= 0:
         raise ValueError("continuity_residual needs next.t > prev.t")
     j1b = 0.5 * (jp.j1 + jn.j1)
     j2b = 0.5 * (jp.j2 + jn.j2)
-    resid = ((charge_density(nxt.psi, d, p) - charge_density(prev.psi, d, p))
-             / dt + link_divergence(j1b, j2b, d))
+    resid = ((p.e * rho_n - p.e * rho_p) / dt + link_divergence(j1b, j2b, d))
     scale = max(np.abs(j1b).max(initial=0.0), np.abs(j2b).max(initial=0.0)) / d.dx
     return float(np.abs(resid[d.active]).max(initial=0.0) / max(scale, FLOOR))
 
@@ -85,9 +86,7 @@ def edge_fraction_of(j: CurrentField, d: Domain):
     lattice (BFS) distance from the boundary site set is at most EDGE_WIDTH;
     boundary sites themselves sit at distance 0.
     """
-    band = d.edge_band
-    h = (band[:-1, :] | band[1:, :]) & d.h_active
-    v = (band[:, :-1] | band[:, 1:]) & d.v_active
+    h, v = d.edge_links
     total = np.abs(j.j1).sum() + np.abs(j.j2).sum()
     if total <= FLOOR:
         return None
@@ -168,8 +167,8 @@ class DiagnosticsRecord:
         return ",".join(cells)
 
 
-def record_state(s, continuity: object = None,
-                 current: object = None) -> DiagnosticsRecord:
+def record_state(s, continuity: object = None, current: object = None,
+                 density: object = None) -> DiagnosticsRecord:
     """Assemble the scalar diagnostics of one state.
 
     norm is sum |psi|^2 dx^2 and n_global = norm / area; B_mean is the mean
@@ -186,8 +185,9 @@ def record_state(s, continuity: object = None,
 
     Either s.psi or s.a may be None; every column that needs the missing
     field is then None.  The continuity column needs neighboring records
-    and is passed in by the caller (None on the ends of a series); current,
-    when given, is the state's current_density and is not recomputed.
+    and is passed in by the caller (None on the ends of a series); current
+    and density, when given, are the state's current_density and
+    site_density and are not recomputed.
     """
     from .holonomy import wilson_loop
 
@@ -195,12 +195,12 @@ def record_state(s, continuity: object = None,
     rec = DiagnosticsRecord(t=s.t, continuity_rel=continuity,
                             holonomies=(None,) * d.g)
     if s.psi is not None:
-        rho = site_density(s.psi, d)
+        rho = site_density(s.psi, d) if density is None else density
         rec.norm = float(rho.sum() * d.dx ** 2)
         rec.n_global = rec.norm / d.area
     if s.a is not None:
         curl = plaquette_curl(s.a, d)
-        m = int(d.plaq_active.sum())
+        m = d.n_plaq
         rec.B_mean = float(curl.sum() / m) if m else 0.0
         rec.pure_gauge_max = float(np.abs(curl).max(initial=0.0))
         rec.holonomies = tuple(wilson_loop(s.a, links, d, p).phase
@@ -213,7 +213,6 @@ def record_state(s, continuity: object = None,
         if current is None:
             current = current_density(s.psi, link_phases(s.a, d, p), d, p)
         rec.edge_fraction = edge_fraction_of(current, d)
-        interior = d.active & ~d.edge_band
-        rho_in = float(rho[interior].mean()) if interior.any() else 0.0
+        rho_in = float(rho[d.interior].mean()) if d.interior.any() else 0.0
         rec.breakdown = rho_in > RHO_STAR and rec.pure_gauge_max > B_STAR
     return rec

@@ -75,19 +75,44 @@ class Domain:
         """Genus: number of independent holes."""
         return len(self.holes)
 
-    @property
+    @cached_property
     def edge_band(self) -> np.ndarray:
-        """bool (nx, ny): active sites within EDGE_WIDTH of the boundary."""
-        return self.active & (self.boundary_distance <= EDGE_WIDTH)
+        """bool (nx, ny): active sites within EDGE_WIDTH of the boundary,
+        built on first use (so with the EDGE_WIDTH of that moment)."""
+        return _frozen(self.active & (self.boundary_distance <= EDGE_WIDTH))
 
-    @property
+    @cached_property
+    def edge_links(self) -> tuple:
+        """bool masks (horizontal, vertical) of the active links with an end
+        in the edge band."""
+        band = self.edge_band
+        return (_frozen((band[:-1, :] | band[1:, :]) & self.h_active),
+                _frozen((band[:, :-1] | band[:, 1:]) & self.v_active))
+
+    @cached_property
+    def interior(self) -> np.ndarray:
+        """bool (nx, ny): the active sites outside the edge band."""
+        return _frozen(self.active & ~self.edge_band)
+
+    @cached_property
+    def n_plaq(self) -> int:
+        """Number of counted plaquettes."""
+        return int(self.plaq_active.sum())
+
+    @cached_property
     def n_active(self) -> int:
+        """Number of active sites."""
         return int(self.active.sum())
 
     @property
     def area(self) -> float:
         """Sample area: active site count times the cell area."""
         return self.n_active * self.dx ** 2
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def _boundary_mask(active: np.ndarray) -> np.ndarray:

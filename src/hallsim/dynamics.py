@@ -431,6 +431,7 @@ def initialize_consistent(d: Domain, psi0: np.ndarray, p: Params) -> SimState:
     grids from 32^2 to 512^2, hole-free, with holes or as an annulus.
     Every iterate, the zero start and the MAX_ITERATIONS-th included, is
     accepted once its recurred relative residual is at most 1e-13.  The
+    inactive links of the result hold +0.0.  The
     acceptance test of the result is the relative Gauss residual of the
     returned state, at most 1e-10.  Raises SolverError on a non-finite
     density, when CG meets a non-finite value or does not converge (naming
@@ -480,10 +481,11 @@ def initialize_consistent(d: Domain, psi0: np.ndarray, p: Params) -> SimState:
     # chi padded with zeros on the virtual dual sites outside counted plaquettes
     pad = np.zeros((d.nx + 1, d.ny + 1))
     np.copyto(pad[1:-1, 1:-1], chi, where=mask)
-    # a1[x, y] = -(chi(plaq above) - chi(plaq below))/dx
-    a1 = -(pad[1:-1, 1:] - pad[1:-1, :-1]) / d.dx * d.h_active
+    # a1[x, y] = -(chi(plaq above) - chi(plaq below))/dx; the product with a
+    # False mask keeps the sign of a zero, and adding +0 makes it +0
+    a1 = -(pad[1:-1, 1:] - pad[1:-1, :-1]) / d.dx * d.h_active + 0.0
     # a2[x, y] = +(chi(plaq right) - chi(plaq left))/dx
-    a2 = (pad[1:, 1:-1] - pad[:-1, 1:-1]) / d.dx * d.v_active
+    a2 = (pad[1:, 1:-1] - pad[:-1, 1:-1]) / d.dx * d.v_active + 0.0
     state = SimState(d, p, psi0.copy(), LinkField(a1, a2), 0.0)
 
     from .diagnostics import gauss_residual

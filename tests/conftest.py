@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hallsim import (Params, build_corbino, build_rectangle, current_density,
-                     link_phases)
+                     link_phases, site_density)
 from hallsim.diagnostics import continuity_residual
 
 
@@ -30,10 +30,13 @@ def rng():
 
 
 def continuity_of_states(prev, nxt):
-    """continuity_residual of two states, each with its own link current."""
+    """continuity_residual of two states, each with its own link current
+    and site density."""
     jp, jn = (current_density(s.psi, link_phases(s.a, s.domain, s.params),
                               s.domain, s.params) for s in (prev, nxt))
-    return continuity_residual(prev, nxt, jp, jn)
+    return continuity_residual(prev, nxt, jp, jn,
+                               *(site_density(s.psi, s.domain)
+                                 for s in (prev, nxt)))
 
 
 def write_v1(path, kind, array, d):

@@ -7,6 +7,8 @@ import pytest
 from conftest import continuity_of_states, write_v1
 
 import hallsim.cli
+import hallsim.diagnostics
+import hallsim.fields
 from hallsim import build_rectangle, dynamics
 from hallsim.cli import main
 from hallsim.snapshots import read_field, write_field
@@ -279,21 +281,25 @@ def test_records_to_rows_one_current_per_record(monkeypatch):
     _, _, records = hallsim.cli.simulate_run(cfg)
     calls = []
 
-    def counted(name):
-        real = getattr(hallsim.cli, name)
+    def counted(name, module=hallsim.cli):
+        real = getattr(module, name)
 
         def wrapper(*args):
             calls.append(name)
             return real(*args)
-        monkeypatch.setattr(hallsim.cli, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
     counted("current_density")
     counted("continuity_residual")
+    for module in (hallsim.cli, hallsim.diagnostics, hallsim.fields):
+        counted("site_density", module)
     rows = hallsim.cli.records_to_rows(records)
-    # one current per record; one continuity check per inner record, made by
-    # diagnostics.continuity_residual itself (perfbench times it per layer)
+    # one current and one density per record; one continuity check per inner
+    # record, made by diagnostics.continuity_residual itself (perfbench
+    # times it per layer)
     assert len(records) == 5
     assert calls.count("current_density") == len(records)
+    assert calls.count("site_density") == len(records)
     assert calls.count("continuity_residual") == len(records) - 2
     # the shared currents give the rows of the state-level functions
     for i, s in enumerate(records):
@@ -302,6 +308,77 @@ def test_records_to_rows_one_current_per_record(monkeypatch):
             cont = continuity_of_states(records[i - 1], records[i + 1])
         want = record_state(s, continuity=cont)
         assert rows[i].row() == want.row()
+
+
+CORBINO_CFG = """
+shape = corbino
+n = 24
+r_inner = 4
+r_outer = 11
+steps = 12
+record_every = 3
+psi0 = rim
+flux = 0.4
+"""
+
+
+def corbino_config(**keys):
+    from hallsim.config import build_config, parse_config_text
+    values = parse_config_text(CORBINO_CFG)
+    values.update({k: str(v) for k, v in keys.items()})
+    return build_config(values)
+
+
+@pytest.mark.parametrize("two_holes", [True, False], ids=["two-hole-flux",
+                                                          "corbino"])
+def test_records_rebuild_the_live_states_bit_for_bit(monkeypatch, two_holes):
+    from hallsim.config import build_config, parse_config_text
+    cfg = (build_config(parse_config_text(TWO_HOLE_CFG)) if two_holes
+           else corbino_config())
+    live = []
+    real = hallsim.cli.advance
+
+    def spied(s, *args):
+        if not live:
+            live.append(s)
+        live.append(real(s, *args))
+        return live[-1]
+
+    monkeypatch.setattr(hallsim.cli, "advance", spied)
+    # blocks of two or three rows, so the rows span blocks and the last
+    # block is cut to the records left
+    monkeypatch.setattr(hallsim.cli, "RECORD_BLOCK_BYTES", 40_000)
+    _, _, records = hallsim.cli.simulate_run(cfg)
+    assert len(records._blocks) > 1
+    want = live[::cfg.record_every]
+    assert len(records) == len(want) == 5
+    for got, s in zip(records, want):
+        assert got.t == s.t and got.rate is None
+        for x, y in ((got.psi, s.psi), (got.a.a1, s.a.a1), (got.a.a2, s.a.a2)):
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert x.tobytes() == y.tobytes()
+    # negative indices and slices read the same states
+    assert records[-1].psi.tobytes() == want[-1].psi.tobytes()
+    assert [s.t for s in records[1:4]] == [s.t for s in want[1:4]]
+    with pytest.raises(IndexError):
+        records[5]
+
+
+def test_records_hold_the_active_values_only():
+    # each record holds 16 bytes per active site and 8 per active link; the
+    # full grids of the Corbino would take about 1.8 times as much
+    import tracemalloc
+    cfg = corbino_config(steps=120, record_every=1)
+    tracemalloc.start()
+    try:
+        d, _, records = hallsim.cli.simulate_run(cfg)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    links = int(d.h_active.sum() + d.v_active.sum())
+    packed = len(records) * (16 * d.n_active + 8 * links)
+    assert len(records) == 121
+    assert packed <= held <= 1.1 * packed
 
 
 def test_simulate_nan_snapshot_exit_3_without_csv(tmp_path, capsys):

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from hallsim import (CurrentField, LinkField, Params, SimState, Workspace,
                      advance, apply_gauge, build_rectangle, cayley_step,
                      current_density, dense_hamiltonian, gaussian_packet,
-                     initialize_consistent, link_phases, site_gradient,
-                     uniform_state)
+                     initialize_consistent, link_phases, site_density,
+                     site_gradient, uniform_state)
 from hallsim import diagnostics, domain
 from hallsim.diagnostics import (continuity_residual, edge_fraction_of,
                                  gauss_residual, record_state)
@@ -95,7 +95,8 @@ def test_continuity_one_link_current_at_dx_half(params):
     j1 = np.zeros((d.nx - 1, d.ny))
     j1[3, 4] = 0.75
     j = CurrentField(j1, np.zeros((d.nx, d.ny - 1)))
-    assert continuity_residual(s1, s2, j, j) == 1.0
+    rho = site_density(psi, d)
+    assert continuity_residual(s1, s2, j, j, rho, rho) == 1.0
 
 
 def test_continuity_static_zero(rect12, params):
@@ -216,10 +217,11 @@ def test_edge_fraction_monotone_in_k(params, rng):
     psi = gaussian_packet(d, (11.5, 11.5), 3.0, (0.4, 0.2), norm=1.0)
     a = LinkField(rng.normal(size=(23, 24)) * 0.1 * d.h_active,
                   rng.normal(size=(24, 23)) * 0.1 * d.v_active)
-    s = SimState(d, params, psi, a)
     vals = []
     for k in range(1, 12):
+        # a domain reads EDGE_WIDTH when it first builds its edge band
         with mock.patch.object(domain, "EDGE_WIDTH", k):
+            s = SimState(dataclasses.replace(d), params, psi, a)
             vals.append(record_state(s).edge_fraction)
     assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
     assert vals[-1] == pytest.approx(1.0)

@@ -206,8 +206,8 @@ def test_padded_annulus_uses_trivial_group_and_same_state():
                                     padded_corbino],
                          ids=["c4", "trivial"])
 def test_rim_state_independent_of_eigensolver_basis(domain, monkeypatch):
-    # eigenvectors come back with arbitrary unit phases (signs for real
-    # blocks) and, inside each degenerate real pair, an arbitrary rotation
+    # eigenvectors come back with arbitrary signs (every block is real) and,
+    # inside each degenerate pair, an arbitrary rotation
     d = domain()
     ref = rim_pair_state(d, P, norm=1.0)
     rng = np.random.default_rng(7)
@@ -215,8 +215,7 @@ def test_rim_state_independent_of_eigensolver_basis(domain, monkeypatch):
 
     def scrambled_eigh(a):
         w, V = eigh(a)
-        if np.iscomplexobj(V):
-            return w, V * np.exp(2j * np.pi * rng.random(V.shape[1]))
+        assert not np.iscomplexobj(V)           # every sector block is real
         V = V * rng.choice([-1.0, 1.0], V.shape[1])
         tol = DEGENERACY_TOL * max(abs(w[0]), abs(w[-1]), 1.0)
         for i in np.flatnonzero(np.abs(np.diff(w)) <= tol):
