@@ -176,7 +176,8 @@ def records_to_rows(records) -> list:
 
     Walks the records once with a three-state window: each state is read
     once, and its site density and current are computed once and serve its
-    own row and its neighbors' continuity check.
+    own row and its neighbors' continuity check.  Once its row is built, a
+    state keeps only its t in the window, without psi and a.
     """
     def with_fields(s):
         d, p = s.domain, s.params
@@ -187,21 +188,31 @@ def records_to_rows(records) -> list:
     prev = cur = None
     for nxt in chain(map(with_fields, records), [None]):
         if cur is not None:
-            s, rho, j = cur
             cont = None
             if prev is not None and nxt is not None:
-                (sp, rho_p, jp), (sn, rho_n, jn) = prev, nxt
-                cont = continuity_residual(sp, sn, jp, jn, rho_p, rho_n)
+                cont = continuity_residual(prev[0], nxt[0], prev[2], nxt[2],
+                                           prev[1], nxt[1])
+            s, rho, j = cur
             rows.append(record_state(s, continuity=cont, current=j,
                                      density=rho))
+            cur = (SimState(s.domain, s.params, None, None, s.t), rho, j)
+            del s
         prev, cur = cur, nxt
     return rows
 
 
 def _write_manifest(path, cfg: RunConfig, wall: float):
+    """The version, wall time, the environment that byte identity of the
+    outputs depends on (Python, numpy and the BLAS thread settings as the
+    run saw them) and the config echo."""
+    python = sys.version.replace("\n", " ")
     with open(path, "w") as f:
         f.write(f"hallsim {__version__}\n")
         f.write(f"wall_time_s = {wall:.3f}\n")
+        f.write(f"python = {python}\n")
+        f.write(f"numpy = {np.__version__}\n")
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            f.write(f"{name} = {os.environ.get(name, 'unset')}\n")
         f.write("\n[config]\n")
         f.write(cfg.echo())
 

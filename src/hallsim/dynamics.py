@@ -197,10 +197,12 @@ class Workspace:
     and hq receives its applies; r and q are the residual and direction
     vectors of cayley_step, and t holds the products of its vector updates.
     (Its iterate y becomes the new state, so each step allocates that one.)
-    A step rewrites the entries of H and the vectors before it reads them,
-    so its result does not depend on the workspace's history.  The updates
-    are numpy ufuncs into these buffers; the only BLAS calls of a step are
-    the inner products of np.vdot.
+    After the solve, advance writes the midpoint state (psi + psi')/2 into
+    t and the current's complex link products into hq, as scratch.  A step
+    rewrites the entries of H and every buffer before it reads them, so its
+    result does not depend on the workspace's history.  The updates are
+    numpy ufuncs into these buffers; the only BLAS calls of a step are the
+    inner products of np.vdot.
     """
 
     def __init__(self, d: Domain):
@@ -324,18 +326,25 @@ def advance(s: SimState, work: Workspace) -> SimState:
     the only case that computes a current besides j_mid.  Either prediction
     is O(dt^2) accurate, which keeps the scheme second order.  The returned
     state carries rate(j_mid), the rate of its own gauge update.
+
+    The predictor's rate stays alive for the step, as s.rate does; every
+    other lattice-sized intermediate is dropped after its last read, and
+    the midpoint state and the current's complex products are written into
+    the Workspace's t and hq, which the solve leaves free.
     """
     d, p, dt = s.domain, s.params, s.params.dt
     rate = s.rate
     if rate is None:
         rate = gauge_rate(current_density(s.psi, link_phases(s.a, d, p), d, p),
                           d, p)
-    a_half = _gauge_update(s.a, rate, 0.5 * dt)
-    u_half = link_phases(a_half, d, p)
+    u_half = link_phases(_gauge_update(s.a, rate, 0.5 * dt), d, p)
     psi_new = cayley_step(s.psi, u_half, d, p, dt, work)
-    psi_mid = 0.5 * (s.psi + psi_new)
-    j_mid = current_density(psi_mid, u_half, d, p)
+    psi_mid = np.add(s.psi, psi_new, out=work.t)
+    psi_mid *= 0.5
+    j_mid = current_density(psi_mid, u_half, d, p, work.hq)
+    del u_half
     rate_mid = gauge_rate(j_mid, d, p)
+    del j_mid
     return SimState(d, p, psi_new, _gauge_update(s.a, rate_mid, dt),
                     s.t + dt, rate_mid)
 

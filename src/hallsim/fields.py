@@ -107,10 +107,10 @@ def link_phases(a: LinkField, d: Domain, p) -> tuple:
     """Peierls phases (u1, u2) = exp(i e dx a / hbar), zero on inactive links.
 
     The only place a link field is exponentiated: H and the current share it.
-    The phase theta = e dx a (1/hbar) is formed once per component; its
-    cosine and sine are written straight into the real and imaginary parts of
-    the result, whose inactive links alone are then multiplied by zero in
-    place.  theta is scaled by the reciprocal of hbar, which is how numpy
+    The phase theta = e dx a (1/hbar) is formed once per component, in the
+    imaginary part of the result; its cosine is written into the real part
+    and its sine over theta, and the inactive links alone are then
+    multiplied by zero in place.  theta is scaled by the reciprocal of hbar, which is how numpy
     divides a complex array by a real scalar, and exp(0 + i theta) is
     (cos theta, sin theta) bit for bit.  Adding +0 to theta turns -0 into +0,
     as the product with a True mask does to sin(-0), so the phases are those
@@ -118,18 +118,20 @@ def link_phases(a: LinkField, d: Domain, p) -> tuple:
     """
     out = []
     for x, mask in ((a.a1, d.h_active), (a.a2, d.v_active)):
-        theta = np.multiply(x, p.e * d.dx)
+        u = np.empty(x.shape, dtype=np.complex128)
+        theta = u.imag
+        np.multiply(x, p.e * d.dx, out=theta)
         theta *= 1.0 / p.hbar
         theta += 0.0
-        u = np.empty(x.shape, dtype=np.complex128)
         np.cos(theta, out=u.real)
-        np.sin(theta, out=u.imag)
+        np.sin(theta, out=theta)
         np.multiply(u, 0.0, out=u, where=~mask)
         out.append(u)
     return tuple(out)
 
 
-def current_density(psi: np.ndarray, phases, d: Domain, p) -> CurrentField:
+def current_density(psi: np.ndarray, phases, d: Domain, p,
+                    scratch: np.ndarray | None = None) -> CurrentField:
     """Gauge-invariant charge current on the links,
 
        j(link) = (e hbar / mu dx) Im[ psi*(tail) conj(u) psi(head) ]
@@ -139,13 +141,19 @@ def current_density(psi: np.ndarray, phases, d: Domain, p) -> CurrentField:
     limit this is (e hbar/mu) Im(psi* d_m psi) - (e^2/mu) A_m |psi|^2.
     Because u is the hopping phase of the Hamiltonian, d_t j0 + div j = 0
     (j0 from charge_density) holds exactly for the semi-discrete evolution.
+
+    The complex products of each orientation are formed in a new array, or
+    in the leading entries of scratch, a C-contiguous complex array of at
+    least psi's size that is overwritten.
     """
     u1, u2 = phases
     scale = p.e * p.hbar / (p.mu * d.dx)
     j = []
     for tail, u, head, mask in ((psi[:-1, :], u1, psi[1:, :], d.h_active),
                                 (psi[:, :-1], u2, psi[:, 1:], d.v_active)):
-        w = np.multiply(tail, u)        # conj(tail) conj(u) = conj(tail u)
+        out = (None if scratch is None
+               else scratch.reshape(-1)[:tail.size].reshape(tail.shape))
+        w = np.multiply(tail, u, out=out)   # conj(tail) conj(u) = conj(tail u)
         np.conjugate(w, out=w)
         w *= head
         jl = np.multiply(w.imag, scale)

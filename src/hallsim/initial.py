@@ -82,10 +82,19 @@ class Sector(NamedTuple):
         return np.where(self.col >= 0, self.amp * v[self.col], 0.0)
 
     def project(self, psi: np.ndarray) -> np.ndarray:
-        """B^T psi: the orbit coefficients of a flat grid vector."""
+        """B^T psi: the orbit coefficients of a flat grid vector.
+
+        Each coefficient is the sum of its sites' terms amp * psi in site
+        order, its real and imaginary parts summed by one np.bincount each.
+        """
         on = self.col >= 0
-        out = np.zeros(len(self.w), dtype=np.result_type(self.amp, psi))
-        np.add.at(out, self.col[on], self.amp[on] * psi[on])
+        col, terms = self.col[on], self.amp[on] * psi[on]
+        n = len(self.w)
+        if not np.iscomplexobj(terms):
+            return np.bincount(col, weights=terms, minlength=n)
+        out = np.empty(n, dtype=terms.dtype)
+        out.real = np.bincount(col, weights=terms.real, minlength=n)
+        out.imag = np.bincount(col, weights=terms.imag, minlength=n)
         return out
 
 

@@ -1,6 +1,7 @@
 import filecmp
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -488,6 +489,26 @@ def test_manifest_echo_reproduces_run(tmp_path):
     assert run_cli(["simulate", "--config", cfg2, "--out", str(out2)]) == 0
     assert ((out1 / "diagnostics.csv").read_text()
             == (out2 / "diagnostics.csv").read_text())
+
+
+def test_manifest_records_its_environment(tmp_path, monkeypatch):
+    # the manifest names what byte identity depends on: the Python and numpy
+    # versions and the BLAS thread settings as the run saw them
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    out = tmp_path / "run"
+    assert run_cli(["simulate", "--config", write_cfg(tmp_path, BASE_CFG),
+                    "--out", str(out)]) == 0
+    head = (out / "manifest.txt").read_text().split("\n\n[config]\n", 1)[0]
+    lines = head.splitlines()
+    assert lines[0] == f"hallsim {hallsim.__version__}"
+    keys = dict(line.split(" = ", 1) for line in lines[1:])
+    assert list(keys) == ["wall_time_s", "python", "numpy",
+                          "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"]
+    assert keys["python"] == sys.version.replace("\n", " ")
+    assert keys["numpy"] == np.__version__
+    assert keys["OPENBLAS_NUM_THREADS"] == "unset"
+    assert keys["OMP_NUM_THREADS"] == "3"
 
 
 def test_simulate_malformed_snapshot_value_exit_3(tmp_path, capsys):

@@ -716,6 +716,49 @@ def test_advance_with_one_workspace_bit_identical(d, seed, k):
         assert_same_state(s, fresh)
 
 
+@given(d=masked_domains(), seed=st.integers(0, 2 ** 31))
+@settings(max_examples=25, deadline=None)
+def test_advance_in_a_nan_filled_workspace_bit_identical(d, seed):
+    # every entry of H that fill writes and every vector, the scratch t and
+    # hq included, is NaN on entry: a step without and a step with the
+    # predictor's rate give the bits of a fresh workspace
+    p = Params(dt=0.05)
+    psi, a = random_fields(d, seed)
+    s = SimState(d, p, psi, a)
+    for _ in range(2):
+        dirty = Workspace(d)
+        dirty.h.fill(np.nan, np.nan, np.nan, 1.0)
+        for buf in (dirty.hq, dirty.r, dirty.q, dirty.t):
+            buf.fill(np.nan)
+        s, fresh = advance(s, dirty), advance(s, Workspace(d))
+        assert_same_state(s, fresh)
+
+
+@pytest.mark.parametrize("predictor", [False, True], ids=["warm", "no-rate"])
+def test_advance_working_set(predictor):
+    # one step on a 96^2 rectangle with a 12^2 hole holds at most five
+    # complex site arrays above its entry, three of them the returned state
+    # (a step that kept each intermediate until it returned held 8.5); a
+    # step without a rate may hold one more, the rate it computes, which a
+    # warm step holds on entry
+    import tracemalloc
+    d = build_rectangle(96, 96, 1.0, [(42, 42, 12, 12)])
+    p = Params()
+    work = Workspace(d)
+    s = advance(initialize_consistent(
+        d, gaussian_packet(d, (24.0, 24.0), 4.0, (0.3, 0.1)), p), work)
+    if predictor:
+        s = SimState(d, p, s.psi, s.a, s.t)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        advance(s, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - entry <= (5 + predictor) * 16 * d.nx * d.ny
+
+
 def test_workspace_of_another_grid_rejected(rng):
     # same number of sites, transposed grid: the stencil offsets differ
     d = build_rectangle(12, 16, 1.0, [])

@@ -422,3 +422,21 @@ def test_dense_block_cap_chiral_pinwheel():
     packet = gaussian_packet(d, (50.0, 50.0), 4.0)
     with pytest.raises(DomainError, match="band limiting .* 4808 sites"):
         band_limited(packet, d, P, 0.1)
+
+
+@pytest.mark.parametrize("d", [build_corbino(24, 1.0, 4.0, 11.0),
+                               build_rectangle(16, 16, 1.0, [(6, 6, 4, 4)])],
+                         ids=["corbino", "holed-rectangle"])
+def test_sector_projection_sums_like_add_at(d, rng):
+    # each orbit coefficient adds its sites' terms in site order, bit for
+    # bit as np.add.at does, for complex and real vectors
+    x, y = rng.normal(size=(2, d.nx * d.ny))
+    sectors = _free_modes(d, P, "test")
+    assert any(np.bincount(s.col[s.col >= 0]).max() > 1 for s in sectors)
+    for psi in (x + 1j * y, x):
+        for s in sectors:
+            on = s.col >= 0
+            ref = np.zeros(len(s.w), dtype=np.result_type(s.amp, psi))
+            np.add.at(ref, s.col[on], s.amp[on] * psi[on])
+            got = s.project(psi)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
