@@ -29,6 +29,5 @@ from .fields import (CurrentField, LinkField, apply_gauge, current_density,
 from .holonomy import LoopPhase, insert_flux, wilson_loop, wrap_phase
 from .initial import (band_limited, gaussian_packet, normalize,
                       rim_pair_state, uniform_state)
-from .quantization import (Spectrum, WavefunctionSpec, ZeroMode,
-                           commutator_check, single_valuedness_scan,
-                           wavefunction_value, zero_mode)
+from .quantization import (Spectrum, ZeroMode, single_valuedness_scan,
+                           zero_mode, zero_mode_bracket)

@@ -20,9 +20,10 @@ from hallsim import (LinkField, Params, SimState, Workspace, advance,
                      wilson_loop, wrap_phase)
 from hallsim.diagnostics import gauss_residual, ohm_residual, record_state
 from hallsim.domain import EDGE_WIDTH, _rect_ring
-from hallsim.quantization import commutator_check, single_valuedness_scan
+from hallsim.quantization import single_valuedness_scan
 
 from conftest import continuity_of_states
+from test_quantization import scaled_bracket
 
 
 def report(criterion, ok, detail):
@@ -80,23 +81,15 @@ def edge_and_bulk_runs():
 
 
 def test_criterion_01_quantization_spectrum():
+    # the mismatch |exp(2 pi i sigma l / hbar) - 1| of F(R) exp(i sigma l phi
+    # / hbar) between phi = 0 and 2 pi does not depend on the radial profile
+    # F, so the allowed set is checked once
     cands = [0.25 * i for i in range(21)]
     spec = single_valuedness_scan(cands, l=1.0, hbar=1.0, tol=1e-9)
-    ok = spec.allowed == (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)
-    rng = np.random.default_rng(11)
-    R = np.linspace(0.05, 2.0, 29)
-    from hallsim import WavefunctionSpec, wavefunction_value
-    for _ in range(10):
-        c = rng.normal(size=4)
-        prof = lambda r, c=c: c[0] + c[1] * r + c[2] * r ** 2 + c[3] * np.exp(-r)
-        allowed = tuple(
-            s for s in cands
-            if np.abs(wavefunction_value(WavefunctionSpec(s, profile=prof), R, 2 * math.pi)
-                      - wavefunction_value(WavefunctionSpec(s, profile=prof), R, 0.0)).max()
-            <= 1e-9 * np.abs(prof(R)).max())
-        ok = ok and allowed == spec.allowed
-    report(1, ok, f"allowed set = {sorted(spec.allowed)}, invariant under 10 "
-                  "random radial profiles")
+    ok = (spec.allowed == (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)
+          and spec.allowed_nonnegative == spec.allowed)
+    report(1, ok, f"allowed set = {sorted(spec.allowed)} of {len(cands)} "
+                  "candidates 0, 0.25, ..., 5")
 
 
 def test_criterion_02_global_hall_relation():
@@ -243,23 +236,23 @@ def test_criterion_09_edge_regime(edge_and_bulk_runs):
 
 
 def test_criterion_10_commutator_representation():
-    area = float(build_rectangle(32, 32, 1.0, []).area)
-    kappa = 1.0 / area
-    fs = [lambda x: np.exp(-x ** 2),
-          lambda x: np.exp(-(x - 0.4) ** 2 / 0.8),
-          lambda x: np.cos(1.1 * x) * np.exp(-0.5 * x ** 2)]
-    grids = [np.linspace(-2.0, 2.0, 81), np.linspace(-2.0, 2.0, 161)]
-    dev = {(s, i): commutator_check(s, g, fs, hbar=1.0, kappa=kappa)
-           for s in (1.0, 2.0) for i, g in enumerate(grids)}
-    ratio1 = dev[(1.0, 0)] / dev[(1.0, 1)]
-    ratio2 = dev[(2.0, 0)] / dev[(2.0, 1)]
-    half0 = abs(dev[(2.0, 0)] - dev[(1.0, 0)] / 2) / (dev[(1.0, 0)] / 2)
-    half1 = abs(dev[(2.0, 1)] - dev[(1.0, 1)] / 2) / (dev[(1.0, 1)] / 2)
-    ok = (3.5 <= ratio1 <= 4.5 and 3.5 <= ratio2 <= 4.5
-          and half0 <= 1e-10 and half1 <= 1e-10)
-    report(10, ok, f"grid-halving ratios = {ratio1:.2f}, {ratio2:.2f} "
-                   f"(expect ~4); sigma=2 vs sigma=1/2 rel err = "
-                   f"{max(half0, half1):.2e} (tol 1e-10)")
+    # [abar1, abar2] = i hbar {abar1, abar2} with the lattice Poisson
+    # bracket of the Hall dynamics: sigma_H area {abar1, abar2} -> -1 at
+    # second order in dx on the square of side 16, for either sign of
+    # sigma_H
+    def error(k, sigma_h):
+        d = build_rectangle(16 * k, 16 * k, 1.0 / k)
+        return abs(scaled_bracket(d, sigma_h) + 1.0)
+
+    errs = {s: [error(k, s) for k in (1, 2, 4)] for s in (1.0, -2.0)}
+    ratios = [e[i] / e[i + 1] for e in errs.values() for i in range(2)]
+    ok = (all(3.5 <= r <= 4.5 for r in ratios) and errs[1.0][-1] < 2e-4
+          and np.allclose(errs[1.0], errs[-2.0], rtol=1e-12, atol=0.0))
+    report(10, ok, f"|sigma_H area {{abar1, abar2}} + 1| = "
+                   + ", ".join(f"{e:.2e}" for e in errs[1.0])
+                   + " at dx = 1, 1/2, 1/4; dx-halving ratios = "
+                   + ", ".join(f"{r:.2f}" for r in ratios[:2])
+                   + " (expect ~4); sigma_H = -2 gives the same")
 
 
 def test_criterion_11_determinism(tmp_path):

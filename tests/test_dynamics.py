@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -7,7 +9,8 @@ from hallsim import (CurrentField, LinkField, Params, SimState, Workspace,
                      cayley_step, default_dt, dense_hamiltonian, gauge_rate,
                      gaussian_packet, initialize_consistent, plaquette_curl,
                      uniform_state)
-from hallsim import DomainError, build_corbino, dynamics, link_divergence
+from hallsim import (DomainError, build_corbino, density_to_plaquettes,
+                     dynamics, link_divergence, site_gradient)
 from hallsim.diagnostics import gauss_residual, record_state
 from hallsim.dynamics import CAYLEY_TOL, make_hamiltonian
 from hallsim.fields import (Stencil, current_density, link_phases,
@@ -437,6 +440,64 @@ def test_hall_map_antisymmetric(d, seed):
         return (u.j1 * r.a1).sum() + (u.j2 * r.a2).sum()
 
     assert pair(x, y) == -pair(y, x)
+
+
+def curl_adjoint(lam, d):
+    """curl^T lam: the link field x with sum(curl(a) lam) = a . x."""
+    lm = np.where(d.plaq_active, lam, 0.0) / d.dx
+    x1, x2 = np.zeros((d.nx - 1, d.ny)), np.zeros((d.nx, d.ny - 1))
+    x1[:, :-1] += lm
+    x1[:, 1:] -= lm
+    x2[1:, :] += lm
+    x2[:-1, :] -= lm
+    return x1, x2
+
+
+def map_adjoint(lam, d):
+    """map^T lam: the site field r with sum(map(rho) lam) = rho . r, map
+    the four-corner mean density_to_plaquettes."""
+    lm = 0.25 * np.where(d.plaq_active, lam, 0.0)
+    r = np.zeros((d.nx, d.ny))
+    r[:-1, :-1] += lm
+    r[1:, :-1] += lm
+    r[:-1, 1:] += lm
+    r[1:, 1:] += lm
+    return r
+
+
+@given(d=masked_domains(), seed=st.integers(0, 2 ** 31))
+@settings(max_examples=40, deadline=None)
+def test_gauss_law_generates_gauge_transformations(d, seed):
+    # R curl^T lam = -grad(map^T lam) / sigma_H for every plaquette field
+    # lam, R = gauge_rate: the Gauss functional generates, through the Hall
+    # dynamics' Poisson structure, the gauge transformation with gauge
+    # function map^T lam.  Exact for integer lam at sigma_H = 1 and dx = 1,
+    # where every sum of quarters is exact; to roundoff at dx = 1/2
+    rng = np.random.default_rng(seed)
+    shape = d.plaq_active.shape
+    lam = rng.integers(-8, 9, shape).astype(float)
+    a = LinkField(*(np.where(m, rng.integers(-8, 9, m.shape), 0.0)
+                    for m in (d.h_active, d.v_active)))
+    rho = np.where(d.active, rng.integers(-8, 9, d.active.shape), 0.0)
+    x1, x2 = curl_adjoint(lam, d)
+    assert ((plaquette_curl(a, d) * lam).sum()
+            == (a.a1 * x1).sum() + (a.a2 * x2).sum())
+    assert ((density_to_plaquettes(rho, d) * lam).sum()
+            == (rho * map_adjoint(lam, d)).sum())
+
+    for dom, sigma_h, lam in ((d, 1.0, lam),
+                              (dataclasses.replace(d, dx=0.5), -1.7,
+                               rng.normal(size=shape))):
+        rate = gauge_rate(CurrentField(*curl_adjoint(lam, dom)), dom,
+                          Params(sigma_h=sigma_h))
+        g1, g2 = site_gradient(map_adjoint(lam, dom), dom)
+        lhs = np.concatenate([rate.a1.ravel(), rate.a2.ravel()])
+        rhs = -np.concatenate([g1.ravel(), g2.ravel()]) / sigma_h
+        if sigma_h == 1.0:
+            assert np.array_equal(lhs, rhs)
+        else:
+            scale = np.abs(rhs).max(initial=1.0)
+            assert np.abs(lhs - rhs).max() <= 1e-15 * scale
 
 
 def cayley_residual(psi, new, phases, d, p, dt):

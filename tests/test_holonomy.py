@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from hallsim import (DomainError, LinkField, Params, SimState, apply_gauge,
                      build_rectangle, insert_flux, plaquette_curl,
                      site_gradient, wilson_loop, wrap_phase)
+from hallsim.cli import records_to_rows, simulate_run
+from hallsim.config import build_config
 from hallsim.domain import _rect_ring
 from test_dynamics import masked_domains
 
@@ -185,6 +187,48 @@ def test_flux_requires_a_hole(params):
     d = build_rectangle(12, 12, 1.0, [])
     with pytest.raises(DomainError):
         insert_flux(LinkField.zeros(d), d, 0, 1.0)
+
+
+# dx = 1/2, where insert_flux's 1/dx matters; 100 steps of dt = 0.0125
+FLUX_RUNS = {
+    "corbino-rim": {"shape": "corbino", "n": "40", "r_inner": "2.5",
+                    "r_outer": "9.5", "psi0": "rim"},
+    "two-hole-packet": {"nx": "40", "ny": "24", "holes": "6,8,6,6;24,8,6,6",
+                        "psi0": "gaussian"},
+}
+
+
+@pytest.mark.parametrize("run", FLUX_RUNS)
+def test_flux_quantum_leaves_a_run_unchanged(run):
+    # threading one flux quantum 2 pi hbar/e through hole 0 changes no
+    # gauge-invariant observable of the run (Byers and Yang), so every row
+    # matches the zero-flux run but for gauss_rel (a roundoff value); half
+    # a quantum changes the field strength the run develops
+    def run_rows(flux):
+        cfg = build_config({"dx": "0.5", "dt": "0.0125", "steps": "100",
+                            "record_every": "20", "flux": repr(flux),
+                            **FLUX_RUNS[run]})
+        return records_to_rows(simulate_run(cfg)[2])
+
+    def table(rows):
+        # every column but gauss_rel and the holonomies, None as nan
+        return np.array([[math.nan if v is None else float(v)
+                          for k, v in vars(r).items()
+                          if k not in ("gauss_rel", "holonomies")]
+                         for r in rows])
+
+    ref = run_rows(0.0)
+    for quanta in (1, 2):
+        got = run_rows(2 * math.pi * quanta)
+        assert np.allclose(table(got), table(ref), rtol=1e-12, atol=0.0,
+                           equal_nan=True)
+        turn = (np.array([r.holonomies for r in got])
+                - [r.holonomies for r in ref])
+        assert np.abs(np.angle(np.exp(1j * turn))).max() <= 1e-13
+    half = run_rows(math.pi)
+    change = max(abs(h.B_mean / r.B_mean - 1.0) for h, r in zip(half, ref))
+    print(f"{run}: flux pi changes B_mean by up to {change:.2e} relative")
+    assert change > 1e-4
 
 
 def test_wilson_phase_gauge_invariant(corbino32, params, rng):

@@ -4,35 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hallsim import (LinkField, WavefunctionSpec, build_rectangle,
-                     commutator_check, single_valuedness_scan,
-                     wavefunction_value, zero_mode)
+from hallsim import (LinkField, Params, ZeroMode, build_corbino,
+                     build_rectangle, current_density, link_phases,
+                     single_valuedness_scan, zero_mode, zero_mode_bracket)
+from hallsim.diagnostics import energy
 
 
 def test_zero_mode_trivials(rect12):
-    zm = zero_mode(LinkField.zeros(rect12), rect12)
-    assert zm.R == 0.0 and zm.phi == 0.0
+    assert zero_mode(LinkField.zeros(rect12), rect12) == ZeroMode(0.0, 0.0)
 
-    a = LinkField.zeros(rect12)
-    a.a1[:, :] = 1.0 * rect12.h_active
-    zm = zero_mode(a, rect12)
-    assert zm.abar1 == pytest.approx(1.0)
-    assert zm.R == pytest.approx(1.0) and zm.phi == pytest.approx(0.0)
-
-    a = LinkField.zeros(rect12)
-    a.a2[:, :] = -1.0 * rect12.v_active
-    zm = zero_mode(a, rect12)
-    assert zm.R == pytest.approx(1.0)
-    assert zm.phi == pytest.approx(-math.pi / 2)
-
-
-def test_zero_mode_polar_roundtrip(rect12):
     a = LinkField.zeros(rect12)
     a.a1[:, :] = 0.6 * rect12.h_active
     a.a2[:, :] = -0.8 * rect12.v_active
     zm = zero_mode(a, rect12)
-    assert zm.R * math.cos(zm.phi) == pytest.approx(zm.abar1, rel=1e-14)
-    assert zm.R * math.sin(zm.phi) == pytest.approx(zm.abar2, rel=1e-14)
+    assert zm.abar1 == pytest.approx(0.6, rel=1e-14)
+    assert zm.abar2 == pytest.approx(-0.8, rel=1e-14)
 
 
 @pytest.mark.parametrize("hole", [None, (5.0, 6.0, 3.0)])
@@ -74,23 +60,6 @@ def test_zero_mode_second_order_in_dx(hole):
     assert np.all((3.6 <= ratios) & (ratios <= 4.4)), ratios
 
 
-def test_wavefunction_values():
-    w = WavefunctionSpec(sigma=0.0)
-    assert wavefunction_value(w, 1.0, 2.3) == pytest.approx(1.0)
-
-    w = WavefunctionSpec(sigma=1.0, l=1.0, hbar=1.0)
-    assert wavefunction_value(w, 1.0, math.pi) == pytest.approx(-1.0)
-
-    w = WavefunctionSpec(sigma=2.0)
-    assert wavefunction_value(w, 1.0, math.pi / 2) == pytest.approx(-1.0)
-
-
-def test_wavefunction_radial_profile():
-    w = WavefunctionSpec(sigma=1.0, profile=lambda r: np.exp(-r))
-    v = wavefunction_value(w, 2.0, 0.7)
-    assert abs(v) == pytest.approx(math.exp(-2.0))
-
-
 def test_scan_integer_spectrum():
     cands = [0.25 * i for i in range(21)]
     spec = single_valuedness_scan(cands, tol=1e-9)
@@ -115,26 +84,6 @@ def test_scan_tol_validation():
     assert single_valuedness_scan(cands, tol=3.0).allowed == tuple(cands)
 
 
-def test_scan_radial_profile_independence(rng):
-    # the allowed set never depends on F(R): measured through the
-    # wavefunction itself at phi and phi + 2 pi
-    cands = [0.25 * i for i in range(21)]
-    spec = single_valuedness_scan(cands, tol=1e-9)
-    R = np.linspace(0.1, 2.0, 17)
-    for _ in range(10):
-        coeffs = rng.normal(size=3)
-        profile = lambda r, c=coeffs: c[0] + c[1] * r + c[2] * r ** 2
-        allowed = []
-        for sigma in cands:
-            w = WavefunctionSpec(sigma=sigma, profile=profile)
-            mism = np.abs(wavefunction_value(w, R, 2 * math.pi)
-                          - wavefunction_value(w, R, 0.0))
-            scale = np.abs(w.F(R)).max()
-            if mism.max() <= 1e-9 * scale:
-                allowed.append(sigma)
-        assert tuple(allowed) == spec.allowed
-
-
 @given(st.integers(-6, 6))
 @settings(max_examples=20, deadline=None)
 def test_scan_integers_always_allowed(n):
@@ -142,27 +91,74 @@ def test_scan_integers_always_allowed(n):
     assert spec.allowed == (float(n),)
 
 
-def test_commutator_linear_exact():
-    grid = np.linspace(-2, 2, 41)
-    dev = commutator_check(1.0, grid, [lambda x: 2.0 * x + 1.0], kappa=0.5)
-    assert dev < 1e-12
+@pytest.mark.parametrize("d", [build_rectangle(10, 9, 0.5, [(3, 3, 2, 2)]),
+                               build_corbino(14, 1.0, 2.0, 6.5)])
+def test_link_current_is_the_energy_gradient(d):
+    # j = -dx^-2 dE/dA, so d_t A = R j = Omega dE/dA with Omega = -dx^-2 R:
+    # the Poisson structure that zero_mode_bracket evaluates.  Central
+    # differences along a random link direction, with units other than 1
+    p = Params(sigma_h=-1.3, hbar=1.1, e=0.9, mu=1.2)
+    rng = np.random.default_rng(3)
+    psi = np.where(d.active, rng.normal(size=d.active.shape)
+                   + 1j * rng.normal(size=d.active.shape), 0.0)
+    a, da = (LinkField(*(rng.normal(size=m.shape) * m
+                         for m in (d.h_active, d.v_active)))
+             for _ in range(2))
+    h = 1e-4
+    fd = (energy(psi, LinkField(a.a1 + h * da.a1, a.a2 + h * da.a2), d, p)
+          - energy(psi, LinkField(a.a1 - h * da.a1, a.a2 - h * da.a2), d, p)
+          ) / (2 * h)
+    j = current_density(psi, link_phases(a, d, p), d, p)
+    grad = -d.dx ** 2 * ((j.j1 * da.a1).sum() + (j.j2 * da.a2).sum())
+    assert fd == pytest.approx(grad, rel=1e-7)
 
 
-def test_commutator_second_order():
-    fs = [lambda x: np.exp(-x ** 2)]
-    d1 = commutator_check(1.0, np.linspace(-2, 2, 81), fs)
-    d2 = commutator_check(1.0, np.linspace(-2, 2, 161), fs)
-    assert 3.5 <= d1 / d2 <= 4.5
+def scaled_bracket(d, sigma_h=1.0):
+    """sigma_H * area * {abar1, abar2}, area the mean of the two link
+    families' active counts times dx^2: -1 in the continuum limit."""
+    area = 0.5 * (d.h_active.sum() + d.v_active.sum()) * d.dx ** 2
+    return sigma_h * area * zero_mode_bracket(d, Params(sigma_h=sigma_h))
+
+
+def test_zero_mode_bracket_on_a_square():
+    # the square of side 16 at dx = 1, 1/2, 1/4 (16/dx sites a side)
+    got = [scaled_bracket(build_rectangle(round(16 / dx), round(16 / dx), dx))
+           for dx in (1.0, 0.5, 0.25)]
+    assert got == pytest.approx([-0.99674, -0.99923, -0.99981], abs=1e-5)
+
+
+def test_zero_mode_bracket_without_plaquettes():
+    d = build_rectangle(12, 12, 1.0, [(1, 1, 10, 10)])
+    assert d.n_plaq == 0 and zero_mode_bracket(d, Params()) == 0.0
 
 
 def test_commutator_sigma_scaling():
-    fs = [lambda x: np.exp(-x ** 2), lambda x: np.cos(1.3 * x)]
-    grid = np.linspace(-2, 2, 101)
-    d1 = commutator_check(1.0, grid, fs)
-    d2 = commutator_check(2.0, grid, fs)
-    assert d2 == pytest.approx(d1 / 2.0, rel=1e-10)
+    # {abar1, abar2} scales as 1/sigma_H, sign included
+    d = build_rectangle(12, 10, 0.5, [(4, 3, 3, 3)])
+    ref = scaled_bracket(d)
+    for sigma_h in (-1.0, 2.5, -2.5, 0.3, -7.0):
+        assert scaled_bracket(d, sigma_h) == pytest.approx(ref, rel=1e-14)
 
 
-def test_commutator_rejects_sigma_zero():
-    with pytest.raises(ValueError):
-        commutator_check(0.0, np.linspace(-1, 1, 11), [lambda x: x])
+def test_commutator_second_order():
+    # a 12 x 10 rectangle with a 3 x 3 hole at (4, 3), refined from dx = 1
+    # to 1/8 with the same physical hole: the error of sigma_H area {abar1,
+    # abar2} against -1 falls at second order (2.1e-2, 3.8e-3, 8.2e-4,
+    # 1.9e-4)
+    errors = []
+    for k in (1, 2, 4, 8):
+        d = build_rectangle(12 * k, 10 * k, 1.0 / k,
+                            [(4 * k, 3 * k, 3 * k, 3 * k)])
+        errors.append(abs(scaled_bracket(d) + 1.0))
+    ratios = np.array(errors[:-1]) / errors[1:]
+    assert np.all(ratios >= 3.5), (errors, ratios)
+
+
+def test_zero_mode_bracket_on_corbino_annuli():
+    # the Corbino's staircase boundary converges without a clean order;
+    # measured -1.0054, -1.0039, -1.0022 at n = 32, 64, 128 (radii scaled
+    # from 10..30 at 64)
+    got = [scaled_bracket(build_corbino(n, 1.0, n * 10 / 64, n * 30 / 64))
+           for n in (32, 64, 128)]
+    print("corbino sigma_H area {abar1, abar2}:", got)
+    assert got == pytest.approx([-1.0054, -1.0039, -1.0022], abs=1e-4)
