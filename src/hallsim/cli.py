@@ -13,7 +13,6 @@ import os
 import sys
 import time
 from collections.abc import Sequence
-from itertools import chain
 
 import numpy as np
 
@@ -174,43 +173,51 @@ def simulate_run(cfg: RunConfig):
 def records_to_rows(records) -> list:
     """DiagnosticsRecord per recorded state.
 
-    Walks the records once with a three-state window: each state is read
-    once, and its site density and current are computed once and serve its
-    own row and its neighbors' continuity check.  Once its row is built, a
-    state keeps only its t in the window, without psi and a.
+    Reads each record once, by index, and builds its row at once: its site
+    density and current are computed once and serve its own row and its
+    neighbors' continuity check.  A row's continuity cell is filled when
+    the record after it is read, from the density, current and t kept of
+    the record before and the one after, so only one record's psi and a
+    are alive at a time.
     """
-    def with_fields(s):
+    rows, kept = [], []             # (t-only state, rho, j) of the last two
+    for i in range(len(records)):
+        s = records[i]
         d, p = s.domain, s.params
-        return (s, site_density(s.psi, d),
-                current_density(s.psi, link_phases(s.a, d, p), d, p))
-
-    rows = []
-    prev = cur = None
-    for nxt in chain(map(with_fields, records), [None]):
-        if cur is not None:
-            cont = None
-            if prev is not None and nxt is not None:
-                cont = continuity_residual(prev[0], nxt[0], prev[2], nxt[2],
-                                           prev[1], nxt[1])
-            s, rho, j = cur
-            rows.append(record_state(s, continuity=cont, current=j,
-                                     density=rho))
-            cur = (SimState(s.domain, s.params, None, None, s.t), rho, j)
-            del s
-        prev, cur = cur, nxt
+        rho = site_density(s.psi, d)
+        j = current_density(s.psi, link_phases(s.a, d, p), d, p)
+        rows.append(record_state(s, current=j, density=rho))
+        kept.append((SimState(d, p, None, None, s.t), rho, j))
+        del s
+        if len(kept) == 3:
+            (prev, rho_p, jp), _, (nxt, rho_n, jn) = kept
+            rows[-2].continuity_rel = continuity_residual(prev, nxt, jp, jn,
+                                                          rho_p, rho_n)
+            del kept[0]
     return rows
+
+
+def _blas() -> str:
+    """'name version' of the BLAS numpy was built with, or 'unknown' where
+    numpy cannot say (show_config has no mode before numpy 1.25)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return "unknown"
+    return f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}"
 
 
 def _write_manifest(path, cfg: RunConfig, wall: float):
     """The version, wall time, the environment that byte identity of the
-    outputs depends on (Python, numpy and the BLAS thread settings as the
-    run saw them) and the config echo."""
+    outputs depends on (Python, numpy, its BLAS library and the BLAS thread
+    settings as the run saw them) and the config echo."""
     python = sys.version.replace("\n", " ")
     with open(path, "w") as f:
         f.write(f"hallsim {__version__}\n")
         f.write(f"wall_time_s = {wall:.3f}\n")
         f.write(f"python = {python}\n")
         f.write(f"numpy = {np.__version__}\n")
+        f.write(f"blas = {_blas()}\n")
         for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
             f.write(f"{name} = {os.environ.get(name, 'unset')}\n")
         f.write("\n[config]\n")

@@ -42,14 +42,17 @@ Together these preserve the discrete Gauss functional
 to solver tolerance at every step, independent of dt.
 
 The continuity identity needs H and j_mid to carry the same Peierls link
-phases.  fields.link_phases is their one owner: advance evaluates the phases
-of A_half once and passes them to both the Cayley solve and j_mid.  How
-A_half was predicted does not enter, so the predictor leaves Gauss
-preservation as it is.
+phases.  fields.link_phases is their one owner: advance has it write the
+phases of A_half into the Workspace's H once, and both the Cayley solve and
+j_mid read them there.  How A_half was predicted does not enter, so the
+predictor leaves Gauss preservation as it is.
 
 A run keeps one Workspace for all its steps: the five-point stencil of H,
-whose entries each step rewrites in place, and the vectors of the Cayley
-solve.  A step's result does not depend on the workspace it is given.
+whose hops are the cache of the phases they were last written for, and the
+vectors of the Cayley solve.  The Hall law moves A only where current
+flows, so a step rewrites the hops only on the links whose phase moved
+(about 5% of them for a packet in the bulk).  A step's result does not
+depend on the workspace it is given.
 
 The initial potential meets the Gauss constraint through a plaquette stream
 function, the solution of a Poisson problem on the counted plaquettes.  It
@@ -67,9 +70,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import Domain
-from .fields import (CurrentField, LinkField, Stencil, charge_density,
-                     current_density, density_to_plaquettes, link_phases,
-                     stencil_matrix)
+from .fields import (BLOCK_SITES, CurrentField, LinkField, Stencil,
+                     charge_density, current_density, density_to_plaquettes,
+                     kinetic_scale, link_phases, stencil_matrix)
 
 
 class SolverError(RuntimeError):
@@ -137,7 +140,7 @@ def _h_matrix(phases, d: Domain, p: Params,
     """H over the whole grid; the phases and Domain.degree vanish off-domain.
 
     With h (a complex stencil of the same grid), its entries are rewritten."""
-    args = (*phases, d.degree, p.hbar ** 2 / (2.0 * p.mu * d.dx ** 2))
+    args = (*phases, d.degree, kinetic_scale(d, p))
     return stencil_matrix((d.nx, d.ny), *args) if h is None else h.fill(*args)
 
 
@@ -156,15 +159,22 @@ def make_hamiltonian(phases, d: Domain, p: Params,
     neighbor to x).  Hermitian, and gauge-covariant under apply_gauge.
 
     H is fields.stencil_matrix with hops u, diagonal Domain.degree and scale
-    hbar^2 / 2 mu dx^2, built once per call, and H maps onto active sites
-    without a separate mask.  Without `work` every apply returns a new
-    array.  With a Workspace, H is written into its stencil work.h and every
-    apply into work.hq, which the next apply overwrites.
+    fields.kinetic_scale, built once per call, and H maps onto active sites
+    without a separate mask.  phases may also be H itself, the stencil that
+    link_phases returns from a Workspace, which is then applied as it is.
+    Without `work` every apply returns a new array.  With a Workspace, H
+    (unless given) is written into its stencil work.h, which drops the
+    phases cached there, and every apply goes into work.hq, which the next
+    apply overwrites.
     """
-    if work is None:
-        h, out = _h_matrix(phases, d, p), None
+    if isinstance(phases, Stencil):
+        h = phases
+    elif work is None:
+        h = _h_matrix(phases, d, p)
     else:
-        h, out = _h_matrix(phases, d, p, work.h), work.hq
+        work.phases_of = None
+        h = _h_matrix(phases, d, p, work.h)
+    out = None if work is None else work.hq
 
     def apply_h(v: np.ndarray) -> np.ndarray:
         return h.apply(v, out)
@@ -193,23 +203,35 @@ def dense_hamiltonian(phases, d: Domain, p: Params):
 class Workspace:
     """The arrays one run reuses in every matter step, for one grid.
 
-    h is the complex stencil of H, which make_hamiltonian rewrites in place,
-    and hq receives its applies; r and q are the residual and direction
-    vectors of cayley_step, and t holds the products of its vector updates.
-    (Its iterate y becomes the new state, so each step allocates that one.)
-    After the solve, advance writes the midpoint state (psi + psi')/2 into
-    t and the current's complex link products into hq, as scratch.  A step
-    rewrites the entries of H and every buffer before it reads them, so its
-    result does not depend on the workspace's history.  The updates are
-    numpy ufuncs into these buffers; the only BLAS calls of a step are the
-    inner products of np.vdot.
+    h is the complex stencil of H and hq receives its applies; r and q are
+    the residual and direction vectors of cayley_step, and t, one block of
+    BLOCK_SITES sites, holds the products of its vector updates.  (Its
+    iterate y becomes the new state, so each step allocates that one.)
+
+    Two of these are caches, which a step reads without writing them first:
+    H's diagonal and hop rows, which fields.link_phases writes only where
+    the Peierls phase moved, and theta, the phases e dx A / hbar they were
+    written for.  phases_of is the (domain, kinetic scale) they hold, or
+    None; link_phases writes the whole stencil when its domain or scale is
+    not that one, and make_hamiltonian sets it to None whenever it fills h
+    from other phases (a direct cayley_step with explicit phases).  The
+    other buffers are scratch that a step writes before it reads: link_phases
+    forms theta in the float view of hq, and after the solve advance writes
+    the midpoint state (psi + psi')/2 into r and the current's complex link
+    products into hq.  So a step's result does not depend on the workspace's
+    history.  The updates are numpy ufuncs into these buffers; the only BLAS
+    calls of a step are the inner products of np.vdot.
     """
 
     def __init__(self, d: Domain):
         shape = (d.nx, d.ny)
         self.h = Stencil(shape, np.complex128)
-        self.hq, self.r, self.q, self.t = (
-            np.empty(shape, dtype=np.complex128) for _ in range(4))
+        self.hq, self.r, self.q = (
+            np.empty(shape, dtype=np.complex128) for _ in range(3))
+        self.t = np.empty(min(BLOCK_SITES, d.nx * d.ny), dtype=np.complex128)
+        self.theta = LinkField(np.empty((d.nx - 1, d.ny)),
+                               np.empty((d.nx, d.ny - 1)))
+        self.phases_of = None
 
 
 def cayley_step(psi: np.ndarray, phases, d: Domain, p: Params, dt: float,
@@ -217,8 +239,9 @@ def cayley_step(psi: np.ndarray, phases, d: Domain, p: Params, dt: float,
     """One trapezoidal step (1 + i dt H/2hbar) psi' = (1 - i dt H/2hbar) psi.
 
     H carries the link phases (u1, u2) of link_phases, or the link masks
-    (d.h_active, d.v_active) of the zero potential; `work` holds H and the
-    solver's vectors.  With alpha = dt/2hbar, psi' = 2y - psi where
+    (d.h_active, d.v_active) of the zero potential, or is the stencil that
+    link_phases wrote into `work`, which also holds the solver's vectors.
+    With alpha = dt/2hbar, psi' = 2y - psi where
     (1 + i alpha H) y = psi, and the residual of the Cayley system is twice
     that of the y system.  The y
     system is solved by the Galerkin method on the Krylov space of H
@@ -231,13 +254,15 @@ def cayley_step(psi: np.ndarray, phases, d: Domain, p: Params, dt: float,
     roundoff, times the norm of the right-hand side,
     sqrt(|psi|^2 + alpha^2 |H psi|^2) (H is Hermitian), read off the first
     iteration's apply.  The unit roundoff covers the drift between the
-    recurred residual and the one recomputed from psi'.  Raises SolverError
+    recurred residual and the one recomputed from psi'.  The updates of y
+    and r go through the sites in blocks of BLOCK_SITES, as Stencil.apply
+    does, so each block's four products stay in cache.  Raises SolverError
     if that takes more than MAX_ITERATIONS iterations or the state or
     residual turns non-finite.
     """
     apply_h = make_hamiltonian(phases, d, p, work)
     alpha = dt / (2.0 * p.hbar)
-    r, q, t = work.r, work.q, work.t
+    r, q = work.r, work.q
 
     # residual of y = 0, that is psi on active sites and 0 elsewhere
     r.fill(0.0)
@@ -249,6 +274,10 @@ def cayley_step(psi: np.ndarray, phases, d: Domain, p: Params, dt: float,
         return np.zeros_like(psi)
     y = np.zeros_like(r)
     np.copyto(q, r)
+    n = y.size
+    blocks = [(slice(s, s + BLOCK_SITES), work.t[:min(BLOCK_SITES, n - s)])
+              for s in range(0, n, BLOCK_SITES)]
+    yf, rf, qf = y.reshape(-1), r.reshape(-1), q.reshape(-1)
     res, tol = 2.0 * np.sqrt(rr), CAYLEY_TOL * np.sqrt(rr)
     for it in range(MAX_ITERATIONS):
         hq = apply_h(q)
@@ -262,11 +291,14 @@ def cayley_step(psi: np.ndarray, phases, d: Domain, p: Params, dt: float,
         size = abs(pivot)
         phase = pivot.conjugate() / size            # 1/pivot = phase/size
         step = (rr / size) * phase
-        np.multiply(q, step, out=t)
-        y += t                                      # y += step q
-        r -= t                                      # r -= step (1 + i alpha H) q
-        np.multiply(hq, -1j * alpha * step, out=t)
-        r += t
+        hstep = -1j * alpha * step
+        hqf = hq.reshape(-1)
+        for b, t in blocks:
+            np.multiply(qf[b], step, out=t)
+            yf[b] += t                              # y += step q
+            rf[b] -= t                              # r -= step (1 + i alpha H) q
+            np.multiply(hqf[b], hstep, out=t)
+            rf[b] += t
         rr_new = np.vdot(r, r).real
         res = 2.0 * np.sqrt(rr_new)
         if res <= tol:
@@ -327,22 +359,24 @@ def advance(s: SimState, work: Workspace) -> SimState:
     is O(dt^2) accurate, which keeps the scheme second order.  The returned
     state carries rate(j_mid), the rate of its own gauge update.
 
-    The predictor's rate stays alive for the step, as s.rate does; every
-    other lattice-sized intermediate is dropped after its last read, and
-    the midpoint state and the current's complex products are written into
-    the Workspace's t and hq, which the solve leaves free.
+    The phases of A_half (and of a, when the rate is computed) go into the
+    Workspace's H through link_phases, which rewrites them only on the links
+    where they moved, and j_mid reads its hops from there.  The predictor's
+    rate stays alive for the step, as s.rate does; every other
+    lattice-sized intermediate is dropped after its last read, and the
+    midpoint state and the current's complex products are written into the
+    Workspace's r and hq, which the solve leaves free.
     """
     d, p, dt = s.domain, s.params, s.params.dt
     rate = s.rate
     if rate is None:
-        rate = gauge_rate(current_density(s.psi, link_phases(s.a, d, p), d, p),
-                          d, p)
-    u_half = link_phases(_gauge_update(s.a, rate, 0.5 * dt), d, p)
-    psi_new = cayley_step(s.psi, u_half, d, p, dt, work)
-    psi_mid = np.add(s.psi, psi_new, out=work.t)
+        rate = gauge_rate(current_density(s.psi, link_phases(s.a, d, p, work),
+                                          d, p, work.hq), d, p)
+    h = link_phases(_gauge_update(s.a, rate, 0.5 * dt), d, p, work)
+    psi_new = cayley_step(s.psi, h, d, p, dt, work)
+    psi_mid = np.add(s.psi, psi_new, out=work.r)
     psi_mid *= 0.5
-    j_mid = current_density(psi_mid, u_half, d, p, work.hq)
-    del u_half
+    j_mid = current_density(psi_mid, h, d, p, work.hq)
     rate_mid = gauge_rate(j_mid, d, p)
     del j_mid
     return SimState(d, p, psi_new, _gauge_update(s.a, rate_mid, dt),

@@ -103,31 +103,86 @@ def apply_gauge(a: LinkField, psi: np.ndarray, lam: np.ndarray, d: Domain,
     return a_new, np.where(d.active, psi * phase, 0.0)
 
 
-def link_phases(a: LinkField, d: Domain, p) -> tuple:
+def kinetic_scale(d: Domain, p) -> float:
+    """hbar^2 / 2 mu dx^2, the scale of the kinetic Hamiltonian's stencil."""
+    return p.hbar ** 2 / (2.0 * p.mu * d.dx ** 2)
+
+
+def _theta(x: np.ndarray, d: Domain, p, out: np.ndarray) -> np.ndarray:
+    """The Peierls phase e dx x (1/hbar) + 0 of link values x, into out."""
+    np.multiply(x, p.e * d.dx, out=out)
+    out *= 1.0 / p.hbar
+    out += 0.0
+    return out
+
+
+def _exp_i(u: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """exp(i theta) for the theta held in u.imag, in place; times zero
+    where mask is False."""
+    np.cos(u.imag, out=u.real)
+    np.sin(u.imag, out=u.imag)
+    np.multiply(u, 0.0, out=u, where=~mask)
+    return u
+
+
+def link_phases(a: LinkField, d: Domain, p, work=None):
     """Peierls phases (u1, u2) = exp(i e dx a / hbar), zero on inactive links.
 
     The only place a link field is exponentiated: H and the current share it.
-    The phase theta = e dx a (1/hbar) is formed once per component, in the
-    imaginary part of the result; its cosine is written into the real part
-    and its sine over theta, and the inactive links alone are then
-    multiplied by zero in place.  theta is scaled by the reciprocal of hbar, which is how numpy
-    divides a complex array by a real scalar, and exp(0 + i theta) is
-    (cos theta, sin theta) bit for bit.  Adding +0 to theta turns -0 into +0,
-    as the product with a True mask does to sin(-0), so the phases are those
-    of np.exp(1j * e * dx * a / hbar) * mask, signed zeros included.
+    The phase theta = e dx a (1/hbar) is formed once per component; its
+    cosine is written into the real part and its sine over theta, held in
+    the imaginary part, and the inactive links alone are then multiplied by
+    zero in place.  theta is scaled by the reciprocal of hbar, which is how
+    numpy divides a complex array by a real scalar, and exp(0 + i theta) is
+    (cos theta, sin theta) bit for bit.  Adding +0 to theta turns -0 into
+    +0, as the product with a True mask does to sin(-0), so the phases are
+    those of np.exp(1j * e * dx * a / hbar) * mask, signed zeros included.
+
+    With a dynamics.Workspace `work`, the phases go into the hop rows of its
+    H stencil work.h, which is returned instead of (u1, u2): it is then H
+    itself, fields.stencil_matrix of the phases with diagonal d.degree and
+    scale kinetic_scale(d, p), bit for bit.  Those rows cache the phases of
+    the potential they were last written for.  theta is formed in the float
+    view of work.hq, compared bitwise with the work.theta it was last
+    written for, and cosine, sine and scale are formed only on the links
+    where it moved.  The whole stencil, diagonal included, is written when
+    work.phases_of is not (d, kinetic_scale(d, p)); make_hamiltonian resets
+    it whenever it fills work.h from other phases.
     """
-    out = []
-    for x, mask in ((a.a1, d.h_active), (a.a2, d.v_active)):
-        u = np.empty(x.shape, dtype=np.complex128)
-        theta = u.imag
-        np.multiply(x, p.e * d.dx, out=theta)
-        theta *= 1.0 / p.hbar
-        theta += 0.0
-        np.cos(theta, out=u.real)
-        np.sin(theta, out=theta)
-        np.multiply(u, 0.0, out=u, where=~mask)
-        out.append(u)
-    return tuple(out)
+    pairs = ((a.a1, d.h_active), (a.a2, d.v_active))
+    if work is None:
+        out = []
+        for x, mask in pairs:
+            u = np.empty(x.shape, dtype=np.complex128)
+            _theta(x, d, p, u.imag)
+            out.append(_exp_i(u, mask))
+        return tuple(out)
+    h, scale = work.h, kinetic_scale(d, p)
+    held, work.phases_of = work.phases_of, None     # until h and theta agree
+    fresh = held is None or held[0] is not d or held[1] != scale
+    if fresh:
+        h.fill(0.0, 0.0, d.degree, scale)
+    free = work.hq.view(np.float64).reshape(-1)
+    for (x, mask), cached, row, hop in zip(
+            pairs, (work.theta.a1, work.theta.a2), h.coef[:2], h.hops()):
+        theta = _theta(x, d, p, free[:x.size].reshape(x.shape))
+        free = free[x.size:]
+        if fresh:           # in place: no link-sized temporaries
+            np.copyto(cached, theta)
+            np.copyto(hop.imag, theta)
+            np.multiply(_exp_i(hop, mask), -scale, out=hop)
+            continue
+        theta, cached = theta.reshape(-1), cached.reshape(-1)
+        moved = np.flatnonzero(theta.view(np.int64) != cached.view(np.int64))
+        theta = cached[moved] = theta[moved]
+        u = np.empty(theta.shape, dtype=np.complex128)
+        u.imag = theta
+        _exp_i(u, mask.reshape(-1)[moved])
+        # link (i, j) leaves the cell i ny + j of its stencil row
+        row[moved + moved // x.shape[1] * (d.ny - x.shape[1])] = np.multiply(
+            u, -scale, out=u)
+    work.phases_of = (d, scale)
+    return h
 
 
 def current_density(psi: np.ndarray, phases, d: Domain, p,
@@ -142,12 +197,19 @@ def current_density(psi: np.ndarray, phases, d: Domain, p,
     Because u is the hopping phase of the Hamiltonian, d_t j0 + div j = 0
     (j0 from charge_density) holds exactly for the semi-discrete evolution.
 
+    phases may also be H itself, such as the Stencil that link_phases
+    writes into a Workspace: its hops are -kinetic_scale(d, p) u, and j's
+    one scale factor divides that scale back out, which gives the bits of
+    the current of u whenever the kinetic scale is a power of two.
+
     The complex products of each orientation are formed in a new array, or
     in the leading entries of scratch, a C-contiguous complex array of at
     least psi's size that is overwritten.
     """
-    u1, u2 = phases
     scale = p.e * p.hbar / (p.mu * d.dx)
+    if isinstance(phases, Stencil):         # H's hops: -kinetic_scale * u
+        phases, scale = phases.hops(), scale / -kinetic_scale(d, p)
+    u1, u2 = phases
     j = []
     for tail, u, head, mask in ((psi[:-1, :], u1, psi[1:, :], d.h_active),
                                 (psi[:, :-1], u2, psi[:, 1:], d.v_active)):
@@ -236,11 +298,17 @@ class Stencil:
                              f"over the cells of {self.shape}, but the entries "
                              f"need one over the cells of {grid} that holds "
                              f"{dtype} entries")
-        c = self.coef.reshape(3, *self.shape)           # a view: the zeros stay
-        np.multiply(hop1, -scale, out=c[0, :-1, :])     # M[x + e1, x]
-        np.multiply(hop2, -scale, out=c[1, :, :-1])     # M[x + e2, x]
-        np.multiply(diag, scale, out=c[2])
+        low1, low2 = self.hops()                        # the zeros stay
+        np.multiply(hop1, -scale, out=low1)
+        np.multiply(hop2, -scale, out=low2)
+        np.multiply(diag, scale, out=self.coef[2].reshape(self.shape))
         return self
+
+    def hops(self) -> tuple:
+        """Views of the stored hops M[x + e1, x] and M[x + e2, x], of shapes
+        (nx - 1, ny) and (nx, ny - 1): one per link of the grid."""
+        c = self.coef.reshape(3, *self.shape)
+        return c[0, :-1, :], c[1, :, :-1]
 
     def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """M x for a C-contiguous array x of the grid's nx*ny values.

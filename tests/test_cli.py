@@ -491,24 +491,37 @@ def test_manifest_echo_reproduces_run(tmp_path):
             == (out2 / "diagnostics.csv").read_text())
 
 
-def test_manifest_records_its_environment(tmp_path, monkeypatch):
-    # the manifest names what byte identity depends on: the Python and numpy
-    # versions and the BLAS thread settings as the run saw them
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    monkeypatch.setenv("OMP_NUM_THREADS", "3")
-    out = tmp_path / "run"
+def manifest_environment(tmp_path, name="run") -> dict:
+    out = tmp_path / name
     assert run_cli(["simulate", "--config", write_cfg(tmp_path, BASE_CFG),
                     "--out", str(out)]) == 0
     head = (out / "manifest.txt").read_text().split("\n\n[config]\n", 1)[0]
     lines = head.splitlines()
     assert lines[0] == f"hallsim {hallsim.__version__}"
-    keys = dict(line.split(" = ", 1) for line in lines[1:])
-    assert list(keys) == ["wall_time_s", "python", "numpy",
+    return dict(line.split(" = ", 1) for line in lines[1:])
+
+
+def test_manifest_records_its_environment(tmp_path, monkeypatch):
+    # the manifest names what byte identity depends on: the Python and numpy
+    # versions, numpy's BLAS library and the BLAS thread settings as the run
+    # saw them
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    keys = manifest_environment(tmp_path)
+    assert list(keys) == ["wall_time_s", "python", "numpy", "blas",
                           "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"]
     assert keys["python"] == sys.version.replace("\n", " ")
     assert keys["numpy"] == np.__version__
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert keys["blas"] == f"{blas['name']} {blas['version']}"
+    except TypeError:                   # numpy before 1.25
+        assert keys["blas"] == "unknown"
     assert keys["OPENBLAS_NUM_THREADS"] == "unset"
     assert keys["OMP_NUM_THREADS"] == "3"
+    # a numpy whose show_config takes no mode records the library as unknown
+    monkeypatch.setattr(np, "show_config", lambda: None)
+    assert manifest_environment(tmp_path, "old-numpy")["blas"] == "unknown"
 
 
 def test_simulate_malformed_snapshot_value_exit_3(tmp_path, capsys):

@@ -396,16 +396,21 @@ def test_dense_hamiltonian_matches_apply(d, seed):
 @settings(max_examples=30, deadline=None)
 def test_cayley_step_continuity_with_own_phases(d, seed):
     # e (|psi'|^2 - |psi|^2)/dt + div j_mid = 0 per site, with j_mid the
-    # current of (psi + psi')/2 on the phases that built the step's H
-    p = Params(dt=0.05)
+    # current of (psi + psi')/2 on the phases that built the step's H: the
+    # phases themselves, or H's hops when link_phases writes them into a
+    # Workspace, also at a kinetic scale that is no power of two (mu = 1.3),
+    # where the current of the hops is that of the phases to roundoff
     psi, a = random_fields(d, seed)
-    phases = link_phases(a, d, p)
-    new = cayley_step(psi, phases, d, p, p.dt, Workspace(d))
-    j_mid = current_density(0.5 * (psi + new), phases, d, p)
-    res = (p.e * (np.abs(new) ** 2 - np.abs(psi) ** 2) / p.dt
-           + link_divergence(j_mid.j1, j_mid.j2, d))
-    scale = p.e * (np.abs(psi) ** 2).max() / p.dt
-    assert np.abs(res).max() <= 1e-12 * scale
+    for p in (Params(dt=0.05), Params(dt=0.05, mu=1.3)):
+        work = Workspace(d)
+        for cached in (False, True):
+            phases = link_phases(a, d, p, work if cached else None)
+            new = cayley_step(psi, phases, d, p, p.dt, work)
+            j_mid = current_density(0.5 * (psi + new), phases, d, p)
+            res = (p.e * (np.abs(new) ** 2 - np.abs(psi) ** 2) / p.dt
+                   + link_divergence(j_mid.j1, j_mid.j2, d))
+            scale = p.e * (np.abs(psi) ** 2).max() / p.dt
+            assert np.abs(res).max() <= 1e-12 * scale
 
 
 @given(d=masked_domains(), seed=st.integers(0, 2 ** 31),
@@ -782,26 +787,87 @@ def test_advance_with_one_workspace_bit_identical(d, seed, k):
 def test_advance_in_a_nan_filled_workspace_bit_identical(d, seed):
     # every entry of H that fill writes and every vector, the scratch t and
     # hq included, is NaN on entry: a step without and a step with the
-    # predictor's rate give the bits of a fresh workspace
+    # predictor's rate give the bits of a fresh workspace.  So does a
+    # workspace warmed by a step of another state whose buffers other than
+    # the caches (H, theta) are then NaN
     p = Params(dt=0.05)
     psi, a = random_fields(d, seed)
+    other = SimState(d, p, *random_fields(d, seed + 1))
     s = SimState(d, p, psi, a)
     for _ in range(2):
-        dirty = Workspace(d)
+        dirty, warm = Workspace(d), Workspace(d)
         dirty.h.fill(np.nan, np.nan, np.nan, 1.0)
-        for buf in (dirty.hq, dirty.r, dirty.q, dirty.t):
+        advance(other, warm)
+        for buf in (dirty.hq, dirty.r, dirty.q, dirty.t,
+                    warm.hq, warm.r, warm.q, warm.t):
             buf.fill(np.nan)
-        s, fresh = advance(s, dirty), advance(s, Workspace(d))
+        fresh = advance(s, Workspace(d))
+        assert_same_state(advance(s, warm), fresh)
+        s = advance(s, dirty)
         assert_same_state(s, fresh)
+
+
+def warm_ups(d, p, psi, a, seed):
+    """Ways to leave a Workspace that the next step must not notice: a step
+    of another state; a step of the same state at another kinetic scale (mu,
+    hbar) or dx; one at another charge, from a stored zero rate, so that its
+    A_half is a and only theta tells the potentials apart; and a step
+    followed by a direct cayley_step with the phases of another potential."""
+    psi2, a2 = garbage_fields(d, seed + 1)
+
+    def step(d=d, p=p, psi=psi, a=a, rate=None):
+        return lambda work: advance(SimState(d, p, psi, a, 0.0, rate), work)
+
+    def refill(work):
+        advance(SimState(d, p, psi, a), work)
+        cayley_step(psi2, link_phases(a2, d, p), d, p, p.dt, work)
+    return {
+        "another state": step(psi=psi2, a=a2),
+        "mu": step(p=dataclasses.replace(p, mu=1.7)),
+        "hbar": step(p=dataclasses.replace(p, hbar=0.6)),
+        "dx": step(d=dataclasses.replace(d, dx=0.5)),
+        "charge": step(p=dataclasses.replace(p, e=-1.3), rate=LinkField(
+            np.zeros_like(a.a1), np.zeros_like(a.a2))),
+        "explicit phases": refill,
+    }
+
+
+def garbage_fields(d, seed):
+    """random_fields with random values on the inactive links as well, which
+    the phases must ignore."""
+    psi, _ = random_fields(d, seed)
+    rng = np.random.default_rng(seed)
+    return psi, LinkField(rng.normal(size=(d.nx - 1, d.ny)),
+                          rng.normal(size=(d.nx, d.ny - 1)))
+
+
+@given(d=masked_domains(), seed=st.integers(0, 2 ** 31))
+@settings(max_examples=25, deadline=None)
+def test_advance_in_a_warmed_workspace_bit_identical(d, seed):
+    # the phases cached in a Workspace's H: after each warm_ups entry, a
+    # step without and a step with the predictor's rate give the bits of a
+    # fresh workspace
+    p = Params(dt=0.05)
+    psi, a = garbage_fields(d, seed)
+    want = [advance(SimState(d, p, psi, a), Workspace(d))]
+    want.append(advance(want[0], Workspace(d)))
+    for name, warm_up in warm_ups(d, p, psi, a, seed).items():
+        work = Workspace(d)
+        warm_up(work)
+        s = SimState(d, p, psi, a)
+        for fresh in want:
+            s = advance(s, work)
+            assert_same_state(s, fresh)
 
 
 @pytest.mark.parametrize("predictor", [False, True], ids=["warm", "no-rate"])
 def test_advance_working_set(predictor):
-    # one step on a 96^2 rectangle with a 12^2 hole holds at most five
+    # one step on a 96^2 rectangle with a 12^2 hole holds at most 4.5
     # complex site arrays above its entry, three of them the returned state
-    # (a step that kept each intermediate until it returned held 8.5); a
-    # step without a rate may hold one more, the rate it computes, which a
-    # warm step holds on entry
+    # (4.44 here, at the Hall map of j_mid; a step that kept each
+    # intermediate until it returned held 8.5); a step without a rate may
+    # hold one more, the rate it computes, which a warm step holds on entry.
+    # The phases live in the Workspace, so no step allocates a phase array
     import tracemalloc
     d = build_rectangle(96, 96, 1.0, [(42, 42, 12, 12)])
     p = Params()
@@ -817,7 +883,7 @@ def test_advance_working_set(predictor):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - entry <= (5 + predictor) * 16 * d.nx * d.ny
+    assert peak - entry <= (4.5 + predictor) * 16 * d.nx * d.ny
 
 
 def test_workspace_of_another_grid_rejected(rng):

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from hallsim import (LinkField, Params, apply_gauge, current_density,
                      build_rectangle, link_divergence, link_phases,
                      plaquette_curl, site_gradient)
-from hallsim.fields import charge_density
+from hallsim import Workspace
+from hallsim.fields import charge_density, kinetic_scale, stencil_matrix
 
 
 def random_state(d, rng, scale=1.0):
@@ -212,3 +213,18 @@ def test_link_phases_bit_identical_to_complex_exp(e, dx, hbar):
     for u, want in zip(got, exp_link_phases(a, d, p)):
         assert u.dtype == np.complex128
         assert np.array_equal(u.view(np.int64), want.view(np.int64))
+    # the phases cached in a Workspace's H, along potentials that each move
+    # a random subset of links (inactive links and signed zeros included):
+    # every entry is that of the stencil filled from the phases above
+    work = Workspace(d)
+    for step in range(6):
+        if step:
+            for x in (a.a1, a.a2):
+                moved = rng.random(x.shape) < 0.1
+                x[moved] = rng.choice(pool, moved.sum())
+                x[rng.random(x.shape) < 0.02] *= -1.0       # -0.0 among them
+        h = link_phases(a, d, p, work)
+        assert h is work.h
+        want = stencil_matrix((40, 40), *exp_link_phases(a, d, p), d.degree,
+                              kinetic_scale(d, p))
+        assert np.array_equal(h.coef.view(np.int64), want.coef.view(np.int64))
