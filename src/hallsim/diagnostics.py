@@ -120,7 +120,7 @@ def energy(psi: np.ndarray, a, d: Domain, p) -> float:
     to j, so E is an invariant of the semi-discrete flow; the coupled
     integrator conserves it to O(dt^2).
     """
-    h = make_hamiltonian(link_phases(a, d, p), d, p)(psi)
+    h = make_hamiltonian(link_phases(a, d, p))(psi)
     return float(np.vdot(psi, h).real * d.dx ** 2)
 
 

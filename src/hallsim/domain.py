@@ -7,7 +7,8 @@ one homology generator loop, a closed lattice loop with winding number one
 around that hole and zero around all others.
 
 Domains are frozen after construction (arrays are read-only) and safe for
-concurrent reads.
+concurrent reads.  A domain compares and hashes by identity: two builds of
+the same geometry are two domains.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ class DomainError(ValueError):
     """Requested domain geometry is invalid."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Domain:
     nx: int
     ny: int

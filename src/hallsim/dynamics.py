@@ -42,10 +42,11 @@ Together these preserve the discrete Gauss functional
 to solver tolerance at every step, independent of dt.
 
 The continuity identity needs H and j_mid to carry the same Peierls link
-phases.  fields.link_phases is their one owner: advance has it write the
-phases of A_half into the Workspace's H once, and both the Cayley solve and
-j_mid read them there.  How A_half was predicted does not enter, so the
-predictor leaves Gauss preservation as it is.
+phases.  They have one form, H's stencil, and one producer,
+fields.link_phases: advance has it write the phases of A_half into the
+Workspace's H once, the Cayley solve applies that H, and j_mid reads its
+hops.  How A_half was predicted does not enter, so the predictor leaves
+Gauss preservation as it is.
 
 A run keeps one Workspace for all its steps: the five-point stencil of H,
 whose hops are the cache of the phases they were last written for, and the
@@ -72,7 +73,7 @@ import numpy as np
 from .domain import Domain
 from .fields import (BLOCK_SITES, CurrentField, LinkField, Stencil,
                      charge_density, current_density, density_to_plaquettes,
-                     kinetic_scale, link_phases, stencil_matrix)
+                     link_phases, stencil_matrix)
 
 
 class SolverError(RuntimeError):
@@ -135,18 +136,8 @@ class SimState:
     rate: LinkField | None = None
 
 
-def _h_matrix(phases, d: Domain, p: Params,
-              h: Stencil | None = None) -> Stencil:
-    """H over the whole grid; the phases and Domain.degree vanish off-domain.
-
-    With h (a complex stencil of the same grid), its entries are rewritten."""
-    args = (*phases, d.degree, kinetic_scale(d, p))
-    return stencil_matrix((d.nx, d.ny), *args) if h is None else h.fill(*args)
-
-
-def make_hamiltonian(phases, d: Domain, p: Params,
-                     work: Workspace | None = None):
-    """Closure applying H for fixed link phases (u1, u2) from link_phases.
+def make_hamiltonian(h: Stencil, work: Workspace | None = None):
+    """Closure applying H, the stencil that fields.link_phases builds.
 
     The kinetic Hamiltonian with Peierls link phases and reflecting
     boundaries,
@@ -157,41 +148,24 @@ def make_hamiltonian(phases, d: Domain, p: Params,
     the hop phase being u = exp(i e dx a / hbar) or its conjugate, as the
     link points to or from x (the phase of the line integral from the
     neighbor to x).  Hermitian, and gauge-covariant under apply_gauge.
-
-    H is fields.stencil_matrix with hops u, diagonal Domain.degree and scale
-    fields.kinetic_scale, built once per call, and H maps onto active sites
-    without a separate mask.  phases may also be H itself, the stencil that
-    link_phases returns from a Workspace, which is then applied as it is.
-    Without `work` every apply returns a new array.  With a Workspace, H
-    (unless given) is written into its stencil work.h, which drops the
-    phases cached there, and every apply goes into work.hq, which the next
-    apply overwrites.
+    The stencil vanishes off-domain, so H maps onto active sites without a
+    separate mask.  Without `work` every apply returns a new array; with a
+    Workspace every apply goes into work.hq, which the next apply
+    overwrites.
     """
-    if isinstance(phases, Stencil):
-        h = phases
-    elif work is None:
-        h = _h_matrix(phases, d, p)
-    else:
-        work.phases_of = None
-        h = _h_matrix(phases, d, p, work.h)
     out = None if work is None else work.hq
-
-    def apply_h(v: np.ndarray) -> np.ndarray:
-        return h.apply(v, out)
-
-    return apply_h
+    return lambda v: h.apply(v, out)
 
 
-def dense_hamiltonian(phases, d: Domain, p: Params):
-    """Dense matrix of the Hamiltonian on active sites.
+def dense_hamiltonian(h: Stencil, d: Domain):
+    """Dense matrix of the Hamiltonian h on the active sites of d.
 
-    The matrix of make_hamiltonian for the same link phases (u1, u2),
-    restricted to the active sites; returns (H, sites) with
-    sites = np.argwhere(d.active) fixing the basis order.  Real phases, such
-    as the link masks (d.h_active, d.v_active) of the zero potential, give a
-    real matrix.  Intended for small domains (the tests' eigensolve oracle).
+    h is H's stencil on d's grid: that of link_phases, or the real
+    zero-potential H of the initial module, which gives a real matrix.
+    Returns (H, sites) with sites = np.argwhere(d.active) fixing the basis
+    order.  Intended for small domains (the tests' eigensolve oracle).
     """
-    rows, cols, vals = _h_matrix(phases, d, p).entries()
+    rows, cols, vals = h.entries()
     keep = d.active.ravel()
     pos = np.cumsum(keep) - 1               # basis index of an active site
     on = keep[rows] & keep[cols]
@@ -211,11 +185,10 @@ class Workspace:
     Two of these are caches, which a step reads without writing them first:
     H's diagonal and hop rows, which fields.link_phases writes only where
     the Peierls phase moved, and theta, the phases e dx A / hbar they were
-    written for.  phases_of is the (domain, kinetic scale) they hold, or
-    None; link_phases writes the whole stencil when its domain or scale is
-    not that one, and make_hamiltonian sets it to None whenever it fills h
-    from other phases (a direct cayley_step with explicit phases).  The
-    other buffers are scratch that a step writes before it reads: link_phases
+    written for.  Only link_phases writes h, and only it reads and writes
+    phases_of, the (domain, kinetic scale) they hold or None; it writes the
+    whole stencil when its domain or scale is not that one.  The other
+    buffers are scratch that a step writes before it reads: link_phases
     forms theta in the float view of hq, and after the solve advance writes
     the midpoint state (psi + psi')/2 into r and the current's complex link
     products into hq.  So a step's result does not depend on the workspace's
@@ -234,16 +207,14 @@ class Workspace:
         self.phases_of = None
 
 
-def cayley_step(psi: np.ndarray, phases, d: Domain, p: Params, dt: float,
-                work: Workspace) -> np.ndarray:
+def cayley_step(psi: np.ndarray, h: Stencil, d: Domain, p: Params,
+                dt: float, work: Workspace) -> np.ndarray:
     """One trapezoidal step (1 + i dt H/2hbar) psi' = (1 - i dt H/2hbar) psi.
 
-    H carries the link phases (u1, u2) of link_phases, or the link masks
-    (d.h_active, d.v_active) of the zero potential, or is the stencil that
-    link_phases wrote into `work`, which also holds the solver's vectors.
-    With alpha = dt/2hbar, psi' = 2y - psi where
-    (1 + i alpha H) y = psi, and the residual of the Cayley system is twice
-    that of the y system.  The y
+    h is H, the stencil of link_phases (advance passes the one it wrote
+    into `work`); `work` holds the solver's vectors.  With
+    alpha = dt/2hbar, psi' = 2y - psi where (1 + i alpha H) y = psi, and the
+    residual of the Cayley system is twice that of the y system.  The y
     system is solved by the Galerkin method on the Krylov space of H
     (Widlund 1978): conjugate-gradient recurrences with the complex pivot
     q* (1 + i alpha H) q and a direction update scaled by -conj(pivot)/pivot,
@@ -260,7 +231,7 @@ def cayley_step(psi: np.ndarray, phases, d: Domain, p: Params, dt: float,
     if that takes more than MAX_ITERATIONS iterations or the state or
     residual turns non-finite.
     """
-    apply_h = make_hamiltonian(phases, d, p, work)
+    apply_h = make_hamiltonian(h, work)
     alpha = dt / (2.0 * p.hbar)
     r, q = work.r, work.q
 

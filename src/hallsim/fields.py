@@ -125,12 +125,16 @@ def _exp_i(u: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return u
 
 
-def link_phases(a: LinkField, d: Domain, p, work=None):
-    """Peierls phases (u1, u2) = exp(i e dx a / hbar), zero on inactive links.
+def link_phases(a: LinkField, d: Domain, p, work=None) -> Stencil:
+    """H(A), the stencil of the kinetic Hamiltonian with the Peierls phases
+    u = exp(i e dx a / hbar) of the potential a: the one form of the phases.
 
-    The only place a link field is exponentiated: H and the current share it.
-    The phase theta = e dx a (1/hbar) is formed once per component; its
-    cosine is written into the real part and its sine over theta, held in
+    H is fields.stencil_matrix of the hops u (zero on inactive links), the
+    diagonal d.degree and the scale kinetic_scale(d, p), bit for bit, so its
+    stored hops are -kinetic_scale(d, p) u.  H and the link current read
+    their phases from it, and nothing else exponentiates a link field.  The
+    phase theta = e dx a (1/hbar) is formed once per component; its cosine
+    is written into the real part of a hop and its sine over theta, held in
     the imaginary part, and the inactive links alone are then multiplied by
     zero in place.  theta is scaled by the reciprocal of hbar, which is how
     numpy divides a complex array by a real scalar, and exp(0 + i theta) is
@@ -138,41 +142,37 @@ def link_phases(a: LinkField, d: Domain, p, work=None):
     +0, as the product with a True mask does to sin(-0), so the phases are
     those of np.exp(1j * e * dx * a / hbar) * mask, signed zeros included.
 
-    With a dynamics.Workspace `work`, the phases go into the hop rows of its
-    H stencil work.h, which is returned instead of (u1, u2): it is then H
-    itself, fields.stencil_matrix of the phases with diagonal d.degree and
-    scale kinetic_scale(d, p), bit for bit.  Those rows cache the phases of
-    the potential they were last written for.  theta is formed in the float
-    view of work.hq, compared bitwise with the work.theta it was last
-    written for, and cosine, sine and scale are formed only on the links
-    where it moved.  The whole stencil, diagonal included, is written when
-    work.phases_of is not (d, kinetic_scale(d, p)); make_hamiltonian resets
-    it whenever it fills work.h from other phases.
+    Without a Workspace, a new stencil is filled whole.  With a
+    dynamics.Workspace `work`, H is written into its stencil work.h, which
+    is returned; its rows cache the phases of the potential they were last
+    written for.  theta is then formed in the float view of work.hq,
+    compared bitwise with the work.theta it was last written for, and
+    cosine, sine and scale are formed only on the links where it moved.
+    The whole stencil, diagonal included, is written as without a
+    Workspace when work.phases_of, which only this function reads and
+    writes, is not (d, kinetic_scale(d, p)).
     """
-    pairs = ((a.a1, d.h_active), (a.a2, d.v_active))
+    scale = kinetic_scale(d, p)
     if work is None:
-        out = []
-        for x, mask in pairs:
-            u = np.empty(x.shape, dtype=np.complex128)
-            _theta(x, d, p, u.imag)
-            out.append(_exp_i(u, mask))
-        return tuple(out)
-    h, scale = work.h, kinetic_scale(d, p)
-    held, work.phases_of = work.phases_of, None     # until h and theta agree
-    fresh = held is None or held[0] is not d or held[1] != scale
+        h, fresh, thetas = Stencil((d.nx, d.ny), np.complex128), True, (None, None)
+    else:
+        h, fresh = work.h, work.phases_of != (d, scale)
+        # None until h and theta agree
+        thetas, work.phases_of = (work.theta.a1, work.theta.a2), None
     if fresh:
         h.fill(0.0, 0.0, d.degree, scale)
-    free = work.hq.view(np.float64).reshape(-1)
     for (x, mask), cached, row, hop in zip(
-            pairs, (work.theta.a1, work.theta.a2), h.coef[:2], h.hops()):
-        theta = _theta(x, d, p, free[:x.size].reshape(x.shape))
-        free = free[x.size:]
+            ((a.a1, d.h_active), (a.a2, d.v_active)), thetas, h.coef[:2],
+            h.hops()):
         if fresh:           # in place: no link-sized temporaries
-            np.copyto(cached, theta)
-            np.copyto(hop.imag, theta)
+            theta = _theta(x, d, p, hop.imag)
+            if cached is not None:
+                np.copyto(cached, theta)
             np.multiply(_exp_i(hop, mask), -scale, out=hop)
             continue
-        theta, cached = theta.reshape(-1), cached.reshape(-1)
+        free = work.hq.view(np.float64).reshape(-1)[:x.size]
+        theta = _theta(x, d, p, free.reshape(x.shape)).reshape(-1)
+        cached = cached.reshape(-1)
         moved = np.flatnonzero(theta.view(np.int64) != cached.view(np.int64))
         theta = cached[moved] = theta[moved]
         u = np.empty(theta.shape, dtype=np.complex128)
@@ -181,35 +181,34 @@ def link_phases(a: LinkField, d: Domain, p, work=None):
         # link (i, j) leaves the cell i ny + j of its stencil row
         row[moved + moved // x.shape[1] * (d.ny - x.shape[1])] = np.multiply(
             u, -scale, out=u)
-    work.phases_of = (d, scale)
+    if work is not None:
+        work.phases_of = (d, scale)
     return h
 
 
-def current_density(psi: np.ndarray, phases, d: Domain, p,
+def current_density(psi: np.ndarray, h: Stencil, d: Domain, p,
                     scratch: np.ndarray | None = None) -> CurrentField:
     """Gauge-invariant charge current on the links,
 
        j(link) = (e hbar / mu dx) Im[ psi*(tail) conj(u) psi(head) ]
 
-    with (u1, u2) = phases, the link_phases of the potential (the link masks
-    (d.h_active, d.v_active) for the zero potential).  In the continuum
-    limit this is (e hbar/mu) Im(psi* d_m psi) - (e^2/mu) A_m |psi|^2.
-    Because u is the hopping phase of the Hamiltonian, d_t j0 + div j = 0
-    (j0 from charge_density) holds exactly for the semi-discrete evolution.
+    with u the Peierls phase of the link in H = link_phases(a, d, p).  In
+    the continuum limit this is (e hbar/mu) Im(psi* d_m psi) - (e^2/mu) A_m
+    |psi|^2.  Because u is the hopping phase of the Hamiltonian,
+    d_t j0 + div j = 0 (j0 from charge_density) holds exactly for the
+    semi-discrete evolution.
 
-    phases may also be H itself, such as the Stencil that link_phases
-    writes into a Workspace: its hops are -kinetic_scale(d, p) u, and j's
-    one scale factor divides that scale back out, which gives the bits of
-    the current of u whenever the kinetic scale is a power of two.
+    The current reads H's hops, -kinetic_scale(d, p) u, and its one scale
+    factor divides that scale back out.  This gives the bits of the current
+    of u itself whenever the kinetic scale is a power of two, and that
+    current to roundoff otherwise.
 
     The complex products of each orientation are formed in a new array, or
     in the leading entries of scratch, a C-contiguous complex array of at
     least psi's size that is overwritten.
     """
-    scale = p.e * p.hbar / (p.mu * d.dx)
-    if isinstance(phases, Stencil):         # H's hops: -kinetic_scale * u
-        phases, scale = phases.hops(), scale / -kinetic_scale(d, p)
-    u1, u2 = phases
+    scale = p.e * p.hbar / (p.mu * d.dx) / -kinetic_scale(d, p)
+    u1, u2 = h.hops()
     j = []
     for tail, u, head, mask in ((psi[:-1, :], u1, psi[1:, :], d.h_active),
                                 (psi[:, :-1], u2, psi[:, 1:], d.v_active)):
@@ -311,7 +310,8 @@ class Stencil:
         return c[0, :-1, :], c[1, :, :-1]
 
     def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """M x for a C-contiguous array x of the grid's nx*ny values.
+        """M x for a C-contiguous array x of the grid's shape (nx, ny);
+        ValueError for any other shape.
 
         The result has x's shape and goes to out (C-contiguous) when given.
         The sites go through in blocks of BLOCK_SITES: each block's row of
@@ -320,6 +320,9 @@ class Stencil:
         which a complex stencil first conjugates the hops of the neighbours
         above.
         """
+        if x.shape != self.shape:
+            raise ValueError(f"Stencil.apply: a stencil over the cells of "
+                             f"{self.shape} applied to an array of shape {x.shape}")
         xf = x.reshape(-1)
         if out is None:
             out = np.empty(x.shape, dtype=np.result_type(self.coef, x))

@@ -20,8 +20,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .domain import Domain, DomainError
-from .dynamics import Params, _h_matrix
-from .fields import current_density, site_density
+from .dynamics import Params
+from .fields import (Stencil, current_density, kinetic_scale, site_density,
+                     stencil_matrix)
 
 DEGENERACY_TOL = 1e-9     # relative gap below which two eigenvalues pair
 MIN_RIM_WEIGHT = 0.9      # least band weight of each vector of a rim pair
@@ -57,6 +58,12 @@ def gaussian_packet(d: Domain, center, width: float, k=(0.0, 0.0),
 def uniform_state(d: Domain, norm: float = 1.0) -> np.ndarray:
     """Constant amplitude on every active site."""
     return normalize(np.where(d.active, 1.0 + 0.0j, 0.0), d, norm)
+
+
+def _free_hamiltonian(d: Domain, p: Params) -> Stencil:
+    """The zero-potential H, a real stencil: its phases are the link masks."""
+    return stencil_matrix((d.nx, d.ny), d.h_active, d.v_active, d.degree,
+                          kinetic_scale(d, p))
 
 
 class Sector(NamedTuple):
@@ -178,7 +185,7 @@ def _free_modes(d: Domain, p: Params, purpose: str) -> list:
             f"{purpose} eigensolves dense symmetry blocks of the free "
             f"Hamiltonian; the largest block here has {n} sites, "
             f"above the cap of {MAX_BLOCK_SITES}")
-    rows, cols, vals = _h_matrix((d.h_active, d.v_active), d, p).entries()
+    rows, cols, vals = _free_hamiltonian(d, p).entries()
     sectors = []
     for col, amp, reps in bases:
         on = (col[rows] >= 0) & (col[cols] >= 0)
@@ -223,7 +230,7 @@ def circulation(psi: np.ndarray, d: Domain, p: Params) -> float:
     j1 sits at the midpoints of horizontal links and j2 of vertical links;
     (c_x, c_y) is the grid centre.  Positive means counter-clockwise.
     """
-    j = current_density(psi, (d.h_active, d.v_active), d, p)
+    j = current_density(psi, _free_hamiltonian(d, p), d, p)
     x = (np.arange(d.nx) - (d.nx - 1) / 2.0) * d.dx
     y = (np.arange(d.ny) - (d.ny - 1) / 2.0) * d.dx
     return float((x[:, None] * j.j2).sum() - (y[None, :] * j.j1).sum())

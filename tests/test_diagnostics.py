@@ -13,6 +13,7 @@ from hallsim import (CurrentField, LinkField, Params, SimState, Workspace,
 from hallsim import diagnostics, domain
 from hallsim.diagnostics import (continuity_residual, edge_fraction_of,
                                  gauss_residual, record_state)
+from hallsim.initial import _free_hamiltonian
 
 from conftest import continuity_of_states
 from test_dynamics import masked_domains, random_fields
@@ -112,7 +113,7 @@ def test_continuity_eigenstate_stationary():
     # nonzero circulating current; the residual stays at solver level
     d = build_rectangle(4, 4, 1.0, [])
     p = Params(dt=0.05)
-    H, sites = dense_hamiltonian((d.h_active, d.v_active), d, p)
+    H, sites = dense_hamiltonian(_free_hamiltonian(d, p), d)
     w, V = np.linalg.eigh(H)
     pair = None
     for i in range(len(w) - 1):
@@ -125,10 +126,10 @@ def test_continuity_eigenstate_stationary():
     psi[sites[:, 0], sites[:, 1]] = vec
     s = SimState(d, p, psi, LinkField.zeros(d), 0.0)
     states = [s]
-    phases, work = link_phases(s.a, d, p), Workspace(d)
+    h, work = link_phases(s.a, d, p), Workspace(d)
     for _ in range(4):
         prev = states[-1]
-        psi = cayley_step(prev.psi, phases, d, p, p.dt, work)
+        psi = cayley_step(prev.psi, h, d, p, p.dt, work)
         states.append(SimState(d, p, psi, LinkField.zeros(d), prev.t + p.dt))
     assert continuity_of_states(states[0], states[2]) <= 1e-8
     assert continuity_of_states(states[1], states[3]) <= 1e-8

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -70,6 +72,17 @@ def test_two_hole_winding_matrix():
             cx, cy = d.holes[j].mean(axis=0) * d.dx
             expected = 1 if i == j else 0
             assert winding_number(loop, cx, cy) == expected
+
+
+def test_domain_compares_and_hashes_by_identity():
+    # a domain holds arrays, so field-wise == and hash cannot work; a
+    # domain equals itself only, and its hash is that of its identity
+    d = build_rectangle(6, 6, 1.0)
+    twin = dataclasses.replace(d)
+    assert hash(d) == hash(d) and {d: 1}[d] == 1
+    assert d == d and not d != d
+    assert twin != d and not twin == d
+    assert twin != build_rectangle(6, 6, 1.0)
 
 
 def test_hole_touching_frame_rejected():

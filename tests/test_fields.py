@@ -209,10 +209,13 @@ def test_link_phases_bit_identical_to_complex_exp(e, dx, hbar):
     # every special value at least once on each component
     a.a1.flat[:len(special)] = special
     a.a2.flat[:len(special)] = special
-    got = link_phases(a, d, p)
-    for u, want in zip(got, exp_link_phases(a, d, p)):
-        assert u.dtype == np.complex128
-        assert np.array_equal(u.view(np.int64), want.view(np.int64))
+    def assert_h_of_exp(h):
+        want = stencil_matrix((40, 40), *exp_link_phases(a, d, p), d.degree,
+                              kinetic_scale(d, p))
+        assert h.coef.dtype == np.complex128
+        assert np.array_equal(h.coef.view(np.int64), want.coef.view(np.int64))
+
+    assert_h_of_exp(link_phases(a, d, p))
     # the phases cached in a Workspace's H, along potentials that each move
     # a random subset of links (inactive links and signed zeros included):
     # every entry is that of the stencil filled from the phases above
@@ -225,6 +228,28 @@ def test_link_phases_bit_identical_to_complex_exp(e, dx, hbar):
                 x[rng.random(x.shape) < 0.02] *= -1.0       # -0.0 among them
         h = link_phases(a, d, p, work)
         assert h is work.h
-        want = stencil_matrix((40, 40), *exp_link_phases(a, d, p), d.degree,
-                              kinetic_scale(d, p))
-        assert np.array_equal(h.coef.view(np.int64), want.coef.view(np.int64))
+        assert_h_of_exp(h)
+        assert_h_of_exp(link_phases(a, d, p))
+
+
+def exp_current(psi, a, d, p):
+    """The link current of the phases exp_link_phases, written out."""
+    scale = p.e * p.hbar / (p.mu * d.dx)
+    return [scale * np.imag(np.conj(tail * u) * head) * mask
+            for tail, u, head, mask in zip(
+                (psi[:-1, :], psi[:, :-1]), exp_link_phases(a, d, p),
+                (psi[1:, :], psi[:, 1:]), (d.h_active, d.v_active))]
+
+
+def test_current_of_h_matches_current_of_phases(rng):
+    # the current reads H's hops, -kinetic_scale u, and divides the scale
+    # back out: at mu = 1.3 and dx = 0.3 the scale is no power of two, and
+    # the current is that of the phases to roundoff
+    d = build_rectangle(40, 36, 0.3, [(10, 12, 6, 5)])
+    p = Params(mu=1.3)
+    psi, a = random_state(d, rng)
+    got = current_density(psi, link_phases(a, d, p), d, p)
+    want = exp_current(psi, a, d, p)
+    scale = max(np.abs(w).max() for w in want)
+    for g, w in zip((got.j1, got.j2), want):
+        assert np.abs(g - w).max() <= 1e-15 * scale

@@ -4,14 +4,18 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hallsim import (Domain, DomainError, Params, band_limited, build_corbino,
                      build_rectangle, dense_hamiltonian, gaussian_packet,
                      normalize, rim_pair_state)
 from hallsim.initial import (DEGENERACY_TOL, MAX_BLOCK_SITES, MIN_RIM_WEIGHT,
-                             _free_modes, _mirrors, circulation)
+                             _free_hamiltonian, _free_modes, _mirrors,
+                             circulation)
 
+from conftest import (axis_mirror_domains, c4_domains, chiral_c4_domains,
+                      diagonal_mirror_domains, mirror_domains,
+                      xy_mirror_domains)
 from test_dynamics import masked_domains
 
 P = Params(dt=0.05)
@@ -23,114 +27,6 @@ def padded_corbino():
     d = build_corbino(32, 1.0, 5.0, 14.0)
     return Domain(33, 34, 1.0, np.pad(d.active, ((0, 1), (0, 2))), d.holes,
                   d.generator_loops)
-
-
-@st.composite
-def c4_domains(draw):
-    """Masks a 90 degree rotation maps onto themselves: squares of even or
-    odd side, squares with a centred square hole, Corbino annuli."""
-    kind = draw(st.sampled_from(["square", "holed", "corbino"]))
-    try:
-        if kind == "square":
-            n = draw(st.integers(5, 15))
-            return build_rectangle(n, n, 1.0, [])
-        if kind == "holed":
-            n = draw(st.integers(5, 16))
-            a = draw(st.integers(1, (n - 1) // 2))
-            return build_rectangle(n, n, 1.0, [(a, a, n - 2 * a, n - 2 * a)])
-        n = draw(st.integers(12, 20))
-        r_outer = draw(st.floats(n / 2 - 1.5, n / 2))
-        r_inner = draw(st.floats(1.0, r_outer - 3.5))
-        return build_corbino(n, 1.0, r_inner, r_outer)
-    except DomainError:         # annulus too thin for its generator loop
-        assume(False)
-
-
-@st.composite
-def chiral_c4_domains(draw):
-    """Squares with four holes, each the 90 degree rotation of the last, the
-    first in the lower-left quadrant and not on the diagonal: C4 masks
-    without a mirror, split by the half-turn parity only."""
-    n = draw(st.integers(10, 17))
-    w, h = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    x0 = draw(st.integers(1, n // 2 - 1 - w))
-    y0 = draw(st.integers(1, n // 2 - 1 - h))
-    assume((x0, w) != (y0, h))
-    holes = [(x0, y0, w, h)]
-    for _ in range(3):
-        x, y, a, b = holes[-1]
-        holes.append((y, n - x - a, b, a))
-    try:
-        d = build_rectangle(n, n, 1.0, holes)
-    except DomainError:         # the rotated holes closer than two sites
-        assume(False)
-    assert np.array_equal(d.active, np.rot90(d.active))
-    assert not np.array_equal(d.active, d.active.T)
-    return d
-
-
-@st.composite
-def mirror_domains(draw):
-    """Squares with a hole and its mirror image across the main diagonal
-    (one hole when it lies on the diagonal), without C4 symmetry: split by
-    the transpose parity (and the anti-transpose's, where it applies)."""
-    n = draw(st.integers(6, 16))
-    w, h = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    x0, y0 = draw(st.integers(1, n - 1 - w)), draw(st.integers(1, n - 1 - h))
-    try:
-        d = build_rectangle(n, n, 1.0, sorted({(x0, y0, w, h), (y0, x0, h, w)}))
-    except DomainError:         # the two holes closer than two sites
-        assume(False)
-    assume(not np.array_equal(d.active, np.rot90(d.active)))
-    assert np.array_equal(d.active, d.active.T)
-    return d
-
-
-@st.composite
-def xy_mirror_domains(draw):
-    """Rectangles with nx != ny and a centred rectangular hole: the x and y
-    mirrors without the diagonal ones, four sectors."""
-    nx, ny = draw(st.integers(6, 17)), draw(st.integers(6, 17))
-    assume(nx != ny)
-    a, b = draw(st.integers(2, (nx - 1) // 2)), draw(st.integers(2, (ny - 1) // 2))
-    try:
-        d = build_rectangle(nx, ny, 1.0, [(a, b, nx - 2 * a, ny - 2 * b)])
-    except DomainError:         # hole too close to the frame or empty
-        assume(False)
-    assert list(_mirrors(d)) == ["X", "Y", "XY"]
-    return d
-
-
-@st.composite
-def axis_mirror_domains(draw):
-    """Rectangles with a hole centred along one axis only: the x mirror or
-    the y mirror alone, two sectors."""
-    axis = draw(st.sampled_from(["X", "Y"]))
-    nx, ny = draw(st.integers(6, 17)), draw(st.integers(6, 17))
-    a = draw(st.integers(2, (nx - 1) // 2))
-    y0, h = draw(st.integers(2, ny - 3)), draw(st.integers(1, 3))
-    try:
-        if axis == "X":
-            d = build_rectangle(nx, ny, 1.0, [(a, y0, nx - 2 * a, h)])
-        else:
-            d = build_rectangle(ny, nx, 1.0, [(y0, a, h, nx - 2 * a)])
-    except DomainError:         # hole too close to the frame or empty
-        assume(False)
-    assume(list(_mirrors(d)) == [axis])
-    return d
-
-
-@st.composite
-def diagonal_mirror_domains(draw):
-    """Squares with two square holes on the main diagonal, each the half-turn
-    image of the other: the two diagonal mirrors without the axis ones,
-    four sectors."""
-    w = draw(st.integers(1, 3))
-    n = draw(st.integers(2 * w + 6, 17))
-    x0 = draw(st.integers(2, (n - 2 * w - 2) // 2))
-    d = build_rectangle(n, n, 1.0, [(x0, x0, w, w), (n - x0 - w, n - x0 - w, w, w)])
-    assert list(_mirrors(d)) == ["T", "A", "XY"]
-    return d
 
 
 def unit(v):
@@ -293,7 +189,7 @@ def test_rim_state_independent_of_eigenvalue_roundoff(domain, band, monkeypatch)
 def check_against_dense_oracle(d, seed, band):
     """The sector spectrum, the band_limited projector and, where the choice
     is clear-cut, the rim state against the eigensolve of the whole dense H."""
-    H, sites = dense_hamiltonian((d.h_active, d.v_active), d, P)
+    H, sites = dense_hamiltonian(_free_hamiltonian(d, P), d)
     w, V = np.linalg.eigh(H)
     scale = max(abs(w[0]), abs(w[-1]), 1.0)
     sectors = _free_modes(d, P, "test")
